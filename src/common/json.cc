@@ -1,7 +1,7 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -30,6 +30,43 @@ void AppendUtf8(uint32_t cp, std::string* out) {
     out->push_back(static_cast<char>(0x80 | ((cp >> 12) & 0x3F)));
     out->push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
     out->push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+  }
+}
+
+/// NumberToString appended to `out` (no temporary string per number).
+void AppendNumber(double v, bool integral, std::string* out) {
+  if (std::isnan(v) || std::isinf(v)) {
+    out->append("null");
+    return;
+  }
+  char buf[64];
+  if (integral || (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15)) {
+    const auto r = std::to_chars(buf, buf + sizeof(buf),
+                                 static_cast<long long>(v));
+    out->append(buf, r.ptr);
+    return;
+  }
+  // The shortest "%.*g" precision that round-trips. No precision below the
+  // digit count D of the shortest round-tripping form can round-trip, so
+  // the search starts at D; it usually ends there too. It can need D + 1
+  // where the gap between doubles halves (at powers of two), because "%g"
+  // rounds to nearest rather than picking any round-tripping string. 17
+  // digits always round-trip.
+  const auto shortest =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::scientific);
+  int digits = 0;
+  for (const char* p = buf; p != shortest.ptr && *p != 'e'; ++p) {
+    if (*p >= '0' && *p <= '9') ++digits;
+  }
+  for (int precision = digits;; ++precision) {
+    const auto r = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::general, precision);
+    double back = 0.0;
+    std::from_chars(buf, r.ptr, back);
+    if (back == v || precision >= 17) {
+      out->append(buf, r.ptr);
+      return;
+    }
   }
 }
 
@@ -81,26 +118,9 @@ void AppendQuoted(std::string_view s, std::string* out) {
 }
 
 std::string NumberToString(double v, bool integral) {
-  if (std::isnan(v) || std::isinf(v)) return "null";
-  if (integral || (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15)) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  // Shortest representation that round-trips a double.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  double back = std::strtod(buf, nullptr);
-  if (back == v) {
-    for (int prec = 1; prec < 17; ++prec) {
-      char shorter[40];
-      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-      if (std::strtod(shorter, nullptr) == v) {
-        return shorter;
-      }
-    }
-  }
-  return buf;
+  std::string out;
+  AppendNumber(v, integral, &out);
+  return out;
 }
 
 void Value::DumpTo(std::string* out) const {
@@ -112,7 +132,7 @@ void Value::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       break;
     case Type::kNumber:
-      out->append(NumberToString(number_, integral_));
+      AppendNumber(number_, integral_, out);
       break;
     case Type::kString:
       AppendQuoted(string_, out);

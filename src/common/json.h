@@ -154,7 +154,9 @@ class Value {
 void AppendQuoted(std::string_view s, std::string* out);
 
 /// Render a finite double; integral values render as integers. NaN and
-/// infinities (not representable in JSON) render as null.
+/// infinities (not representable in JSON) render as null. Any other value
+/// renders as printf "%.*g" at the smallest precision that reads back as
+/// the same double.
 std::string NumberToString(double v, bool integral);
 
 /// Strict parse of exactly one JSON document. `max_depth` bounds array /

@@ -10,9 +10,11 @@
 #ifndef NEWSLINK_IR_APPEND_ONLY_H_
 #define NEWSLINK_IR_APPEND_ONLY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstddef>
+#include <span>
 #include <utility>
 
 namespace newslink {
@@ -50,6 +52,18 @@ class AppendOnlyStore {
   /// Element i; i must be below a size() the caller has already observed
   /// (or the caller is the writer).
   const T& At(size_t i) const { return *Slot(i); }
+
+  /// The contiguous run of elements [i, min(end of i's chunk, limit)); i
+  /// must be below `limit`, and `limit` at most a size() the caller has
+  /// already observed. Sequential readers walk a run with plain pointer
+  /// arithmetic and pay the chunk lookup once per chunk instead of once
+  /// per element.
+  std::span<const T> Run(size_t i, size_t limit) const {
+    size_t c, off;
+    Locate(i, &c, &off);
+    const size_t end = std::min(ChunkStart(c) + ChunkCapacity(c), limit);
+    return {chunks_[c].load(std::memory_order_acquire) + off, end - i};
+  }
 
   /// Writer only: append one element and publish the new size.
   void Append(T value) {

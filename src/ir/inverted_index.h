@@ -13,6 +13,7 @@
 #ifndef NEWSLINK_IR_INVERTED_INDEX_H_
 #define NEWSLINK_IR_INVERTED_INDEX_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <iterator>
@@ -143,9 +144,95 @@ class PostingView {
   Iterator begin() const { return Iterator(chunks_, 0); }
   Iterator end() const { return Iterator(chunks_, count_); }
 
+  /// Postings [i, end of i's storage chunk), clamped to size(); i < size().
+  std::span<const Posting> Run(size_t i) const {
+    return chunks_->Run(i, count_);
+  }
+
  private:
   const PostingChunks* chunks_ = nullptr;
   size_t count_ = 0;
+};
+
+/// \brief Forward-only cursor over a PostingView.
+///
+/// Walks the contiguous run of the current storage chunk with a plain
+/// pointer and looks the chunk up again only when the run ends, so
+/// sequential and galloping traversal cost no per-posting chunk
+/// arithmetic. doc() is kInvalidDoc once the view is exhausted, which
+/// sorts after every real document id.
+class PostingCursor {
+ public:
+  PostingCursor() = default;
+  explicit PostingCursor(const PostingView& view) : view_(view) { Load(0); }
+
+  const PostingView& view() const { return view_; }
+  /// Index of the current posting in the view (size() when exhausted).
+  size_t pos() const { return pos_; }
+  DocId doc() const { return doc_; }
+  /// The current posting; only valid while doc() != kInvalidDoc.
+  const Posting& posting() const { return *p_; }
+
+  void Next() {
+    ++p_;
+    ++pos_;
+    if (p_ != end_) {
+      doc_ = p_->doc;
+    } else {
+      Load(pos_);
+    }
+  }
+
+  /// Advance to the first posting at or after the current one whose doc
+  /// is >= target (exhausting the cursor if there is none): whole runs
+  /// whose last doc is below target are stepped over, then an exponential
+  /// search from the current posting brackets the answer for a binary
+  /// search. Never moves backwards.
+  void SeekAtLeast(DocId target) {
+    while (doc_ < target) {
+      const Posting* last = end_ - 1;
+      if (last->doc < target) {
+        Load(pos_ + static_cast<size_t>(end_ - p_));
+        continue;
+      }
+      // p_->doc < target <= last->doc: gallop from p_, then bisect.
+      const Posting* lo = p_;
+      size_t step = 1;
+      while (step < static_cast<size_t>(last - lo) && lo[step].doc < target) {
+        lo += step;
+        step *= 2;
+      }
+      const Posting* hi =
+          step < static_cast<size_t>(last - lo) ? lo + step : last;
+      const Posting* it = std::lower_bound(
+          lo + 1, hi + 1, target,
+          [](const Posting& p, DocId d) { return p.doc < d; });
+      pos_ += static_cast<size_t>(it - p_);
+      p_ = it;
+      doc_ = it->doc;
+      return;
+    }
+  }
+
+ private:
+  void Load(size_t i) {
+    pos_ = i;
+    if (i >= view_.size()) {
+      p_ = end_ = nullptr;
+      doc_ = kInvalidDoc;
+      return;
+    }
+    const std::span<const Posting> run = view_.Run(i);
+    p_ = run.data();
+    end_ = p_ + run.size();
+    doc_ = p_->doc;
+  }
+
+  PostingView view_;
+  const Posting* p_ = nullptr;
+  const Posting* end_ = nullptr;
+  size_t pos_ = 0;
+  DocId doc_ = kInvalidDoc;
 };
 
 /// \brief Term-at-a-time friendly inverted index (single writer, many

@@ -8,14 +8,10 @@
 namespace newslink {
 namespace ir {
 
-double MaxScoreRetriever::Score(uint32_t qtf, double idf,
-                                const Posting& posting, double avgdl) const {
-  const double dl = static_cast<double>(index_->DocLength(posting.doc));
-  const double norm =
-      params_.k1 *
-      (1.0 - params_.b + params_.b * (avgdl > 0 ? dl / avgdl : 0.0));
-  const double tf = static_cast<double>(posting.tf);
-  return qtf * idf * tf * (params_.k1 + 1.0) / (tf + norm);
+double MaxScoreRetriever::Norm(DocId doc, double avgdl) const {
+  const double dl = static_cast<double>(index_->DocLength(doc));
+  return params_.k1 *
+         (1.0 - params_.b + params_.b * (avgdl > 0 ? dl / avgdl : 0.0));
 }
 
 double MaxScoreRetriever::TfBound(uint32_t max_tf, double norm_min) const {
@@ -37,7 +33,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
   const double num_docs = static_cast<double>(
       collection ? collection->num_docs : snapshot.num_docs);
   // Smallest norm any scored doc can have: norm is increasing in dl, the
-  // live MinDocLength() only ever decreases, and Score() uses this same
+  // live MinDocLength() only ever decreases, and Norm() uses this same
   // snapshot avgdl — so this floor is valid even under concurrent append.
   // A collection-wide minimum (shard serving) is <= the local one: bounds
   // merely loosen.
@@ -46,14 +42,21 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
   const double norm_min = std::max(
       0.0, params_.k1 * (1.0 - params_.b +
                          params_.b * (avgdl > 0 ? min_dl / avgdl : 0.0)));
+  const double k1_plus_1 = params_.k1 + 1.0;
   struct Term {
-    PostingView postings;
+    PostingCursor cursor;
     TermBlockMax blocks;
-    double idf;
-    uint32_t qtf;
-    double bound;  // maximum possible contribution of this term
+    double weight;  // qtf * idf
+    double bound;   // maximum possible contribution of this term
+    // Block-max bound and last doc of the block the cursor is in, valid
+    // while cursor.pos() / kPostingBlockSize == block: an essential term
+    // refreshes them only when its cursor enters a new block.
+    size_t block = std::numeric_limits<size_t>::max();
+    double block_bound = 0.0;
+    DocId block_last_doc = kInvalidDoc;
   };
   std::vector<Term> terms;
+  terms.reserve(query.size());
   for (size_t i = 0; i < query.size(); ++i) {
     const auto& [term, qtf] = query[i];
     const PostingView postings = index_->Postings(term, snapshot);
@@ -63,8 +66,9 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
             ? Bm25Scorer::IdfValue(num_docs,
                                    static_cast<double>(collection->df[i]))
             : scorer_.Idf(term, snapshot);
+    const double weight = qtf * idf;
     // tf * (k1+1) / (tf + norm) < (k1 + 1) for norm > 0; == at norm == 0.
-    double bound = qtf * idf * (params_.k1 + 1.0);
+    double bound = weight * k1_plus_1;
     TermBlockMax blocks;
     if (options_.use_block_max) {
       blocks = index_->BlockMax(term);
@@ -76,10 +80,10 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
       const uint32_t tf_cap =
           collection ? collection->max_tf[i] : blocks.max_tf;
       if (tf_cap > 0) {
-        bound = qtf * idf * TfBound(tf_cap, norm_min);
+        bound = weight * TfBound(tf_cap, norm_min);
       }
     }
-    terms.push_back(Term{postings, blocks, idf, qtf, bound});
+    terms.push_back(Term{PostingCursor(postings), blocks, weight, bound});
   }
   auto finish = [&](std::vector<ScoredDoc> result) {
     last_docs_scored_.store(scored, std::memory_order_relaxed);
@@ -109,10 +113,9 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
   }
 
   TopKHeap heap(k);
-  std::vector<size_t> cursor(terms.size(), 0);
   size_t first_essential = 0;
 
-  auto advance_essential_split = [&]() {
+  while (true) {
     // terms[0..first_essential) cannot alone lift a doc over the threshold.
     // Strict comparison: exact ties must still be scored, because a tying
     // doc with a smaller id displaces the heap's worst entry.
@@ -121,18 +124,13 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
            prefix[first_essential + 1] < threshold) {
       ++first_essential;
     }
-  };
-
-  while (true) {
-    advance_essential_split();
     if (first_essential >= terms.size()) break;  // nothing can qualify
 
-    // Next candidate: smallest doc id among essential cursors.
+    // Next candidate: smallest doc id among essential cursors (exhausted
+    // cursors sit at kInvalidDoc).
     DocId next = kInvalidDoc;
     for (size_t t = first_essential; t < terms.size(); ++t) {
-      if (cursor[t] < terms[t].postings.size()) {
-        next = std::min(next, terms[t].postings[cursor[t]].doc);
-      }
+      next = std::min(next, terms[t].cursor.doc());
     }
     if (next == kInvalidDoc) break;
 
@@ -141,10 +139,7 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
     // untouched, so the docs_scored counters surface the pruning.
     if (filter != nullptr && !filter->Accept(next)) {
       for (size_t t = first_essential; t < terms.size(); ++t) {
-        if (cursor[t] < terms[t].postings.size() &&
-            terms[t].postings[cursor[t]].doc == next) {
-          ++cursor[t];
-        }
+        if (terms[t].cursor.doc() == next) terms[t].cursor.Next();
       }
       continue;
     }
@@ -159,66 +154,71 @@ std::vector<ScoredDoc> MaxScoreRetriever::TopK(
       double upper = prefix[first_essential];
       DocId safe_end = kInvalidDoc;
       for (size_t t = first_essential; t < terms.size(); ++t) {
-        const size_t n = terms[t].postings.size();
-        if (cursor[t] >= n) continue;
-        const size_t block = cursor[t] / kPostingBlockSize;
-        if (block < terms[t].blocks.num_blocks) {
-          const uint32_t block_max_tf = terms[t].blocks.block_max->At(block);
-          upper += terms[t].qtf * terms[t].idf * TfBound(block_max_tf, norm_min);
-          const size_t block_end =
-              std::min((block + 1) * kPostingBlockSize, n) - 1;
-          safe_end = std::min(safe_end, terms[t].postings[block_end].doc);
-        } else {
-          // Open tail block (no published block max): fall back to the
-          // term-level bound over the rest of the list.
-          upper += terms[t].bound;
-          safe_end = std::min(safe_end, terms[t].postings[n - 1].doc);
+        Term& term = terms[t];
+        if (term.cursor.doc() == kInvalidDoc) continue;
+        const size_t block = term.cursor.pos() / kPostingBlockSize;
+        if (block != term.block) {
+          term.block = block;
+          const PostingView& postings = term.cursor.view();
+          const size_t n = postings.size();
+          if (block < term.blocks.num_blocks) {
+            term.block_bound =
+                term.weight *
+                TfBound(term.blocks.block_max->At(block), norm_min);
+            term.block_last_doc =
+                postings[std::min((block + 1) * kPostingBlockSize, n) - 1]
+                    .doc;
+          } else {
+            // Open tail block (no published block max): fall back to the
+            // term-level bound over the rest of the list.
+            term.block_bound = term.bound;
+            term.block_last_doc = postings[n - 1].doc;
+          }
         }
+        upper += term.block_bound;
+        safe_end = std::min(safe_end, term.block_last_doc);
       }
       // Strict: a doc tying the threshold must still be scored (it can
       // displace the heap's worst entry), so only skip when even the upper
       // bound falls short. safe_end >= next, so the range is never empty
       // and the skip below always advances the cursor that defined `next`.
-      if (upper < heap.Threshold()) {
+      if (upper < threshold) {
         for (size_t t = first_essential; t < terms.size(); ++t) {
-          const PostingView& postings = terms[t].postings;
-          if (cursor[t] >= postings.size()) continue;
-          const auto it = std::upper_bound(
-              postings.begin() + static_cast<std::ptrdiff_t>(cursor[t]),
-              postings.end(), safe_end,
-              [](DocId doc, const Posting& p) { return doc < p.doc; });
-          const size_t new_pos =
-              static_cast<size_t>(it - postings.begin());
-          skipped_blocks +=
-              new_pos / kPostingBlockSize - cursor[t] / kPostingBlockSize;
-          cursor[t] = new_pos;
+          PostingCursor& cursor = terms[t].cursor;
+          if (cursor.doc() == kInvalidDoc) continue;
+          const size_t old_block = cursor.pos() / kPostingBlockSize;
+          cursor.SeekAtLeast(safe_end + 1);
+          skipped_blocks += cursor.pos() / kPostingBlockSize - old_block;
         }
         continue;
       }
     }
 
-    // Score essential terms at `next`, advancing their cursors.
+    // Score essential terms at `next`, advancing their cursors. The length
+    // norm depends on the document only, so it is computed once.
+    const double norm = Norm(next, avgdl);
     double score = 0.0;
     for (size_t t = first_essential; t < terms.size(); ++t) {
-      if (cursor[t] < terms[t].postings.size() &&
-          terms[t].postings[cursor[t]].doc == next) {
-        score += Score(terms[t].qtf, terms[t].idf,
-                       terms[t].postings[cursor[t]], avgdl);
-        ++cursor[t];
+      PostingCursor& cursor = terms[t].cursor;
+      if (cursor.doc() == next) {
+        const double tf = static_cast<double>(cursor.posting().tf);
+        score += terms[t].weight * tf * k1_plus_1 / (tf + norm);
+        cursor.Next();
       }
     }
 
     // Probe non-essential terms, best bound first, pruning when even the
     // remaining bounds cannot reach the threshold. Strict comparison for
-    // the same tie-displacement reason as above.
+    // the same tie-displacement reason as above. Candidates ascend, so
+    // each probe gallops forward from where the term's cursor last
+    // stopped.
     for (size_t t = first_essential; t-- > 0;) {
-      if (score + prefix[t + 1] < heap.Threshold()) break;
-      const PostingView& postings = terms[t].postings;
-      const auto it = std::lower_bound(
-          postings.begin(), postings.end(), next,
-          [](const Posting& p, DocId doc) { return p.doc < doc; });
-      if (it != postings.end() && it->doc == next) {
-        score += Score(terms[t].qtf, terms[t].idf, *it, avgdl);
+      if (score + prefix[t + 1] < threshold) break;
+      PostingCursor& cursor = terms[t].cursor;
+      cursor.SeekAtLeast(next);
+      if (cursor.doc() == next) {
+        const double tf = static_cast<double>(cursor.posting().tf);
+        score += terms[t].weight * tf * k1_plus_1 / (tf + norm);
       }
     }
 

@@ -3,9 +3,9 @@
 // processing the paper cites for the NS component ([49]). Extended to
 // Block-Max MaxScore (Ding & Suel 2011): per-block max-tf bounds let the
 // essential lists skip whole blocks whose best possible score cannot beat
-// the heap threshold. Either way the retriever produces exactly the same
-// top-k as exhaustive TAAT scoring while skipping documents that cannot
-// make the heap.
+// the heap threshold. Either way the retriever returns the top-k of
+// exhaustive TAAT scoring while skipping documents that cannot make the
+// heap.
 
 #ifndef NEWSLINK_IR_MAX_SCORE_H_
 #define NEWSLINK_IR_MAX_SCORE_H_
@@ -57,8 +57,16 @@ class MaxScoreRetriever {
         "posting blocks skipped without decoding (block-max pruning)");
   }
 
-  /// Top-k documents for the query within `snapshot`, identical (including
-  /// tie order) to SelectTopK(Bm25Scorer::ScoreAll(query, snapshot), k).
+  /// Top-k documents for the query within `snapshot`: the documents of
+  /// SelectTopK(Bm25Scorer::ScoreAll(query, snapshot), k), each score
+  /// within 1e-9 of its ScoreAll value. Not bit for bit: a document's
+  /// per-term contributions are summed essential terms first in bound
+  /// order, then non-essential ones in descending bound order, where
+  /// ScoreAll sums in query order. So documents whose scores tie in one
+  /// method may differ in the last bits in the other, and swap places (at
+  /// the k-th position, swap in and out). Exact ties among the returned
+  /// documents order by doc id.
+  ///
   /// Safe to call from many threads concurrently, including while a writer
   /// appends documents: the per-term upper bounds, idf, and avgdl are all
   /// derived from the snapshot, never from live index statistics, so a
@@ -111,9 +119,9 @@ class MaxScoreRetriever {
   const MaxScoreOptions& options() const { return options_; }
 
  private:
-  /// BM25 contribution of one posting.
-  double Score(uint32_t qtf, double idf, const Posting& posting,
-               double avgdl) const;
+  /// BM25 length norm k1 * (1 - b + b * dl / avgdl) of one document; a
+  /// term's contribution is qtf * idf * tf * (k1+1) / (tf + norm).
+  double Norm(DocId doc, double avgdl) const;
 
   /// Upper bound on tf * (k1+1) / (tf + norm) over all documents, given
   /// only that the term frequency is at most `max_tf`: norm is minimized

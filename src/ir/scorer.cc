@@ -81,6 +81,46 @@ double Bm25Scorer::ScoreDoc(const TermCounts& query, DocId doc,
   return score;
 }
 
+std::vector<double> Bm25Scorer::ScoreDocs(
+    const TermCounts& query, std::span<const DocId> docs,
+    const IndexSnapshot& snapshot, const CollectionStats* collection) const {
+  const double avgdl =
+      collection ? collection->avg_doc_length() : snapshot.avg_doc_length();
+  const double n = static_cast<double>(
+      collection ? collection->num_docs : snapshot.num_docs);
+  struct Term {
+    PostingCursor cursor;
+    double weight;  // qtf * idf, the leading factor of ScoreDoc's product
+  };
+  std::vector<Term> terms;
+  terms.reserve(query.size());
+  for (size_t i = 0; i < query.size(); ++i) {
+    const auto& [term, qtf] = query[i];
+    const PostingView postings = index_->Postings(term, snapshot);
+    if (postings.empty()) continue;  // matches no document
+    const double df = static_cast<double>(
+        collection ? collection->df[i] : postings.size());
+    terms.push_back(Term{PostingCursor(postings), qtf * IdfValue(n, df)});
+  }
+  std::vector<double> scores(docs.size(), 0.0);
+  for (size_t j = 0; j < docs.size(); ++j) {
+    const DocId doc = docs[j];
+    const double dl = static_cast<double>(index_->DocLength(doc));
+    const double norm =
+        params_.k1 *
+        (1.0 - params_.b + params_.b * (avgdl > 0 ? dl / avgdl : 0.0));
+    double score = 0.0;
+    for (Term& t : terms) {  // query order, as ScoreDoc sums
+      t.cursor.SeekAtLeast(doc);
+      if (t.cursor.doc() != doc) continue;
+      const double tf = static_cast<double>(t.cursor.posting().tf);
+      score += t.weight * tf * (params_.k1 + 1.0) / (tf + norm);
+    }
+    scores[j] = score;
+  }
+  return scores;
+}
+
 TfIdfCosineScorer::TfIdfCosineScorer(const InvertedIndex* index)
     : index_(index) {
   Norms(index_->Capture());  // eager first computation, as before

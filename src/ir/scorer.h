@@ -13,6 +13,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "ir/inverted_index.h"
@@ -128,6 +129,17 @@ class Bm25Scorer {
   double ScoreDoc(const TermCounts& query, DocId doc) const {
     return ScoreDoc(query, doc, index_->Capture());
   }
+
+  /// Batched ScoreDoc over strictly ascending `docs` (each below
+  /// snapshot.num_docs): element j equals ScoreDoc(query, docs[j],
+  /// snapshot, collection) bit for bit. Each term's snapshot postings and
+  /// qtf * idf are resolved once per call, and every list is walked by one
+  /// forward cursor across the whole batch — the candidate fill-in after
+  /// pruned retrieval.
+  std::vector<double> ScoreDocs(
+      const TermCounts& query, std::span<const DocId> docs,
+      const IndexSnapshot& snapshot,
+      const CollectionStats* collection = nullptr) const;
 
  private:
   const InvertedIndex* index_;

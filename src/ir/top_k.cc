@@ -1,7 +1,6 @@
 #include "ir/top_k.h"
 
 #include <algorithm>
-#include <limits>
 
 namespace newslink {
 namespace ir {
@@ -31,15 +30,6 @@ void TopKHeap::Push(ScoredDoc item) {
                  [](const ScoredDoc& a, const ScoredDoc& b) {
                    return !Worse(a, b);
                  });
-}
-
-double TopKHeap::Threshold() const {
-  // k == 0 means nothing can ever enter the heap, so the entry bar is +inf.
-  // (Without this guard, `items_.size() < k_` is false for an empty heap
-  // and items_.front() reads an empty vector.)
-  if (k_ == 0) return std::numeric_limits<double>::infinity();
-  if (items_.size() < k_) return -std::numeric_limits<double>::infinity();
-  return items_.front().score;
 }
 
 std::vector<ScoredDoc> TopKHeap::Take() {

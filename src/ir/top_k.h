@@ -5,6 +5,7 @@
 #ifndef NEWSLINK_IR_TOP_K_H_
 #define NEWSLINK_IR_TOP_K_H_
 
+#include <limits>
 #include <vector>
 
 #include "ir/scorer.h"
@@ -22,8 +23,16 @@ class TopKHeap {
   void Push(ScoredDoc item);
 
   /// Smallest score currently needed to enter the heap: -inf while unfull,
-  /// +inf when k == 0 (nothing can ever enter).
-  double Threshold() const;
+  /// +inf when k == 0 (nothing can ever enter). Inline: the pruning loops
+  /// read it once per candidate.
+  double Threshold() const {
+    // k == 0 means nothing can ever enter the heap, so the entry bar is
+    // +inf. (Without this guard, `items_.size() < k_` is false for an
+    // empty heap and items_.front() reads an empty vector.)
+    if (k_ == 0) return std::numeric_limits<double>::infinity();
+    if (items_.size() < k_) return -std::numeric_limits<double>::infinity();
+    return items_.front().score;
+  }
 
   /// Extract results ordered best-first. The heap is consumed.
   std::vector<ScoredDoc> Take();

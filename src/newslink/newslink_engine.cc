@@ -4,8 +4,6 @@
 #include <chrono>
 #include <mutex>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/binary_io.h"
@@ -99,6 +97,73 @@ struct TimeFilterCtx {
     return c->range.Contains(c->timestamps->At(doc));
   }
 };
+
+/// Retrieval sides of the fused score (Eq. 3), indexing
+/// FusionCandidate::score / has.
+enum FusionSide : size_t { kBow = 0, kBon = 1 };
+
+/// One member of the fusion candidate union: its raw per-side BM25 scores,
+/// an exact 0 on a side that has none.
+struct FusionCandidate {
+  ir::DocId doc = 0;
+  double score[2] = {0.0, 0.0};
+  bool has[2] = {false, false};
+};
+
+/// Union of the two per-side lists, ascending by doc id: both lists are
+/// sorted by doc, then merged.
+std::vector<FusionCandidate> MergeSides(std::vector<ir::ScoredDoc> bow,
+                                        std::vector<ir::ScoredDoc> bon) {
+  const auto by_doc = [](const ir::ScoredDoc& a, const ir::ScoredDoc& b) {
+    return a.doc < b.doc;
+  };
+  std::sort(bow.begin(), bow.end(), by_doc);
+  std::sort(bon.begin(), bon.end(), by_doc);
+  std::vector<FusionCandidate> out;
+  out.reserve(bow.size() + bon.size());
+  size_t i = 0;
+  size_t j = 0;
+  while (i < bow.size() || j < bon.size()) {
+    FusionCandidate c;
+    c.doc = std::min(i < bow.size() ? bow[i].doc : ir::kInvalidDoc,
+                     j < bon.size() ? bon[j].doc : ir::kInvalidDoc);
+    if (i < bow.size() && bow[i].doc == c.doc) {
+      c.score[kBow] = bow[i++].score;
+      c.has[kBow] = true;
+    }
+    if (j < bon.size() && bon[j].doc == c.doc) {
+      c.score[kBon] = bon[j++].score;
+      c.has[kBon] = true;
+    }
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// Pruned fusion's fill-in: every candidate retrieved on the other side
+/// only gets its exact `side` score from one batched
+/// Bm25Scorer::ScoreDocs pass (candidates ascend, as it requires), so
+/// every union member carries the fused score the exhaustive oracle
+/// would give it. Returns the number of documents scored.
+size_t FillSide(std::vector<FusionCandidate>* candidates, FusionSide side,
+                const ir::Bm25Scorer& scorer, const ir::TermCounts& query,
+                const ir::IndexSnapshot& snapshot,
+                const ir::CollectionStats* stats) {
+  std::vector<ir::DocId> docs;
+  for (const FusionCandidate& c : *candidates) {
+    if (!c.has[side]) docs.push_back(c.doc);
+  }
+  if (docs.empty()) return 0;
+  const std::vector<double> scores =
+      scorer.ScoreDocs(query, docs, snapshot, stats);
+  size_t next = 0;
+  for (FusionCandidate& c : *candidates) {
+    if (c.has[side]) continue;
+    c.score[side] = scores[next++];
+    c.has[side] = true;
+  }
+  return docs.size();
+}
 
 }  // namespace
 
@@ -822,40 +887,13 @@ baselines::SearchResponse NewsLinkEngine::Search(
     const double bow_max = max_score(bow);
     const double bon_max = max_score(bon);
 
-    std::unordered_map<ir::DocId, double> fused;
-    for (const ir::ScoredDoc& s : bow) {
-      fused[s.doc] += (1.0 - beta) * (s.score / bow_max);
-    }
-    for (const ir::ScoredDoc& s : bon) {
-      fused[s.doc] += beta * (s.score / bon_max);
-    }
-
+    std::vector<FusionCandidate> candidates =
+        MergeSides(std::move(bow), std::move(bon));
     if (!exhaustive && use_bow && use_bon) {
-      // Candidates retrieved on one side only: fill in their other-side
-      // score by random access so every union member carries its exact
-      // fused score (identical to the exhaustive oracle's).
-      std::unordered_set<ir::DocId> in_bow;
-      in_bow.reserve(bow.size());
-      for (const ir::ScoredDoc& s : bow) in_bow.insert(s.doc);
-      std::unordered_set<ir::DocId> in_bon;
-      in_bon.reserve(bon.size());
-      for (const ir::ScoredDoc& s : bon) in_bon.insert(s.doc);
-      // Same parenthesization as the list path above — (1-β)·(S/max) — so
-      // a candidate's per-side term is identical whether it came from the
-      // list or the fill-in (the distributed merge recomputes both terms
-      // from raw side scores and must land on the same bits).
-      for (auto& [doc, score] : fused) {
-        if (!in_bow.contains(doc)) {
-          score += (1.0 - beta) *
-                   (text_scorer_.ScoreDoc(bow_query, doc, snap->text) /
-                    bow_max);
-          ++bow_scored;
-        } else if (!in_bon.contains(doc)) {
-          score += beta * (node_scorer_.ScoreDoc(bon_query, doc, snap->node) /
-                           bon_max);
-          ++bon_scored;
-        }
-      }
+      bow_scored += FillSide(&candidates, kBow, text_scorer_, bow_query,
+                             snap->text, nullptr);
+      bon_scored += FillSide(&candidates, kBon, node_scorer_, bon_query,
+                             snap->node, nullptr);
     }
 
     bow_docs_scored_->Inc(bow_scored);
@@ -868,18 +906,22 @@ baselines::SearchResponse NewsLinkEngine::Search(
     // snapshot (every query of an epoch agrees on ages); the request-level
     // override exists for deterministic tests. A timestamp-free collection
     // never decays — bit-identical to the pre-time engine.
-    if (snap->has_timestamps && recency_half_life_s > 0.0) {
-      const int64_t now = request.now_ms.value_or(snap->now_ms);
-      for (auto& [doc, score] : fused) {
-        score *= RecencyDecay(timestamps_.At(doc), now, recency_half_life_s);
-      }
-    }
-
+    const bool decay = snap->has_timestamps && recency_half_life_s > 0.0;
+    const int64_t now = request.now_ms.value_or(snap->now_ms);
     ir::TopKHeap heap(k);
-    for (const auto& [doc, score] : fused) {
-      heap.Push(ir::ScoredDoc{doc, score});
+    for (const FusionCandidate& c : candidates) {
+      // Per-side term (1-β)·(S/max) — the parenthesization the distributed
+      // merge recomputes from raw side scores, so it lands on the same
+      // bits. A side the candidate lacks contributes nothing.
+      double score = 0.0;
+      if (c.has[kBow]) score += (1.0 - beta) * (c.score[kBow] / bow_max);
+      if (c.has[kBon]) score += beta * (c.score[kBon] / bon_max);
+      if (decay) {
+        score *= RecencyDecay(timestamps_.At(c.doc), now, recency_half_life_s);
+      }
+      heap.Push(ir::ScoredDoc{c.doc, score});
     }
-    response.hits.reserve(std::min(k, fused.size()));
+    response.hits.reserve(std::min(k, candidates.size()));
     for (const ir::ScoredDoc& s : heap.Take()) {
       baselines::SearchHit hit;
       hit.doc_index = s.doc;
@@ -1108,45 +1150,24 @@ ShardSearchResult NewsLinkEngine::SearchShard(const ShardQuery& query,
   for (const ir::ScoredDoc& s : bon) out.bon_max = std::max(out.bon_max, s.score);
 
   // Candidate union with both raw sides; like Search, candidates retrieved
-  // on one side only get their other side completed by random access (the
-  // exhaustive lists are already complete — a doc absent from one is an
-  // exact zero there).
-  struct Sides {
-    double bow = 0.0;
-    double bon = 0.0;
-    bool in_bow = false;
-    bool in_bon = false;
-  };
-  std::unordered_map<ir::DocId, Sides> acc;
-  acc.reserve(bow.size() + bon.size());
-  for (const ir::ScoredDoc& s : bow) {
-    Sides& c = acc[s.doc];
-    c.bow = s.score;
-    c.in_bow = true;
-  }
-  for (const ir::ScoredDoc& s : bon) {
-    Sides& c = acc[s.doc];
-    c.bon = s.score;
-    c.in_bon = true;
-  }
+  // on one side only get their other side completed (the exhaustive lists
+  // are already complete — a doc absent from one is an exact zero there).
+  std::vector<FusionCandidate> candidates =
+      MergeSides(std::move(bow), std::move(bon));
   if (!query.exhaustive && query.use_bow && query.use_bon) {
-    for (auto& [doc, c] : acc) {
-      if (!c.in_bow) {
-        c.bow = text_scorer_.ScoreDoc(bow_query, doc, snap->text, &bow_stats);
-        ++bow_scored;
-      } else if (!c.in_bon) {
-        c.bon = node_scorer_.ScoreDoc(bon_query, doc, snap->node, &bon_stats);
-        ++bon_scored;
-      }
-    }
+    bow_scored += FillSide(&candidates, kBow, text_scorer_, bow_query,
+                           snap->text, &bow_stats);
+    bon_scored += FillSide(&candidates, kBon, node_scorer_, bon_query,
+                           snap->node, &bon_stats);
   }
 
-  out.candidates.reserve(acc.size());
-  for (const auto& [doc, c] : acc) {
+  out.candidates.reserve(candidates.size());
+  for (const FusionCandidate& c : candidates) {
     // The timestamp rides along (read by INTERNAL id, before translation)
     // so the coordinator's decayed merge never calls back into a shard.
-    out.candidates.push_back(ShardCandidate{
-        internal_to_external_.At(doc), c.bow, c.bon, timestamps_.At(doc)});
+    out.candidates.push_back(ShardCandidate{internal_to_external_.At(c.doc),
+                                            c.score[kBow], c.score[kBon],
+                                            timestamps_.At(c.doc)});
   }
   // Deterministic wire order (and the merge tie-break speaks corpus rows).
   std::sort(out.candidates.begin(), out.candidates.end(),

@@ -2,7 +2,6 @@
 // (the paper's future-work items), result snippets, embedding persistence,
 // and incremental engine indexing.
 
-#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +12,7 @@
 #include "kg/synthetic_kg.h"
 #include "newslink/newslink_engine.h"
 #include "newslink/snippet.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace {
@@ -170,8 +170,8 @@ TEST_F(FeaturesTest, EmbeddingStoreRoundTripsExactly) {
   NewsLinkEngine engine(&world_.graph, &labels_, {});
   ASSERT_TRUE(engine.Index(news_.corpus).ok());
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ft_embeddings.txt").string();
+  const ScopedTempDir temp;
+  const std::string path = temp.File("ft_embeddings.txt");
   const std::vector<embed::DocumentEmbedding> embeddings =
       engine.SnapshotEmbeddings();
   ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
@@ -201,8 +201,8 @@ TEST_F(FeaturesTest, IndexWithEmbeddingsMatchesFreshIndex) {
   NewsLinkEngine fresh(&world_.graph, &labels_, {});
   ASSERT_TRUE(fresh.Index(news_.corpus).ok());
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ft_emb2.txt").string();
+  const ScopedTempDir temp;
+  const std::string path = temp.File("ft_emb2.txt");
   ASSERT_TRUE(embed::SaveEmbeddings(fresh.SnapshotEmbeddings(), path).ok());
   Result<std::vector<embed::DocumentEmbedding>> loaded =
       embed::LoadEmbeddings(path);

@@ -1,7 +1,6 @@
 // Tests for kg::GraphStats / ConnectedComponents / BfsDistance, plus
 // corpus TSV persistence.
 
-#include <filesystem>
 #include <fstream>
 #include <limits>
 
@@ -11,6 +10,7 @@
 #include "kg/graph_stats.h"
 #include "kg/knowledge_graph.h"
 #include "kg/synthetic_kg.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace {
@@ -85,9 +85,8 @@ TEST(CorpusIoTest, RoundTrip) {
   c.Add({"a-1", "Title One", "Body text. Second sentence.", 7});
   c.Add({"a-2", "Tabs\tand\nnewlines", "weird \\ text\there", 9});
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "nl_corpus_test.tsv")
-          .string();
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_corpus_test.tsv");
   ASSERT_TRUE(corpus::SaveTsv(c, path).ok());
   Result<corpus::Corpus> loaded = corpus::LoadTsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -108,9 +107,8 @@ TEST(CorpusIoTest, MissingFileIsIOError) {
 
 TEST(CorpusIoTest, EmptyCorpusRoundTrips) {
   corpus::Corpus c;
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "nl_corpus_empty.tsv")
-          .string();
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_corpus_empty.tsv");
   ASSERT_TRUE(corpus::SaveTsv(c, path).ok());
   Result<corpus::Corpus> loaded = corpus::LoadTsv(path);
   ASSERT_TRUE(loaded.ok());
@@ -118,10 +116,6 @@ TEST(CorpusIoTest, EmptyCorpusRoundTrips) {
 }
 
 namespace {
-
-std::string CorpusTempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
 
 void WriteRawTsv(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -138,7 +132,8 @@ TEST(CorpusIoTest, RoundTripPreservesTimestamps) {
   c.Add({"t-3", "Far future", "Body.", 1,
          std::numeric_limits<int64_t>::max()});
 
-  const std::string path = CorpusTempPath("nl_corpus_ts.tsv");
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_corpus_ts.tsv");
   ASSERT_TRUE(corpus::SaveTsv(c, path).ok());
   Result<corpus::Corpus> loaded = corpus::LoadTsv(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -151,7 +146,8 @@ TEST(CorpusIoTest, RoundTripPreservesTimestamps) {
 TEST(CorpusIoTest, RejectsPreTimeFourFieldLines) {
   // The pre-time format (no timestamp column) must be a loud Status, not a
   // silent timestamp of 0 (DESIGN.md Sec. 15).
-  const std::string path = CorpusTempPath("nl_corpus_4field.tsv");
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_corpus_4field.tsv");
   WriteRawTsv(path, "d1\t0\tTitle\tBody\n");
   const Result<corpus::Corpus> loaded = corpus::LoadTsv(path);
   ASSERT_FALSE(loaded.ok());
@@ -162,7 +158,8 @@ TEST(CorpusIoTest, RejectsPreTimeFourFieldLines) {
 }
 
 TEST(CorpusIoTest, RejectsBadTimestamps) {
-  const std::string path = CorpusTempPath("nl_corpus_badts.tsv");
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_corpus_badts.tsv");
   const char* bad_timestamps[] = {
       "-5",                    // negative
       "12x",                   // trailing junk

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "baselines/lucene_like_engine.h"
 #include "baselines/qeprf_engine.h"
@@ -19,6 +18,7 @@
 #include "kg/synthetic_kg.h"
 #include "newslink/newslink_engine.h"
 #include "vec/fasttext_model.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace {
@@ -58,10 +58,9 @@ TEST_F(IntegrationTest, WorldInvariants) {
 TEST_F(IntegrationTest, FullPersistenceRoundTripPreservesSearch) {
   // Save KG + corpus, reload both, and verify the reloaded engine returns
   // identical results — the workflow of a production deployment.
-  namespace fs = std::filesystem;
-  const std::string kg_prefix = (fs::temp_directory_path() / "it_kg").string();
-  const std::string corpus_path =
-      (fs::temp_directory_path() / "it_corpus.tsv").string();
+  const ScopedTempDir temp;
+  const std::string kg_prefix = temp.File("it_kg");
+  const std::string corpus_path = temp.File("it_corpus.tsv");
   ASSERT_TRUE(kg::SaveTsv(world_.graph, kg_prefix).ok());
   ASSERT_TRUE(corpus::SaveTsv(news_.corpus, corpus_path).ok());
 

@@ -3,11 +3,19 @@
 // hostile strings, and the strict parser must reject malformed documents
 // with a useful byte offset instead of guessing.
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/rng.h"
 
 namespace newslink {
 namespace json {
@@ -130,6 +138,124 @@ TEST(JsonParserTest, ErrorsCarryByteOffset) {
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("at byte"), std::string::npos)
       << r.status().ToString();
+}
+
+/// The writer's number formatting as it was first written: "%lld" for
+/// integral values below 2^53, else the first "%.*g" precision in 1..16
+/// that strtod reads back as the same double, else "%.17g". Kept as the
+/// byte-for-byte oracle of NumberToString.
+std::string SnprintfOracle(double v, bool integral) {
+  if (std::isnan(v) || std::isinf(v)) return "null";
+  if (integral || (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15)) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    return buf;
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  if (std::strtod(buf, nullptr) == v) {
+    for (int prec = 1; prec < 17; ++prec) {
+      char shorter[40];
+      std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+      if (std::strtod(shorter, nullptr) == v) return shorter;
+    }
+  }
+  return buf;
+}
+
+/// The sweep: random bit patterns, +-powers of two and their neighbours
+/// across the whole exponent range, subnormals, values >= 1e7 with 16-17
+/// significant digits, integral values beyond 2^53, and score-like values
+/// in [0, 1).
+std::vector<double> NumberSweep() {
+  Rng rng(20240611);
+  std::vector<double> values;
+  values.reserve(1'100'000);
+  for (int i = 0; i < 400'000; ++i) {
+    values.push_back(std::bit_cast<double>(rng.Next()));
+  }
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double x :
+         {p, std::nextafter(p, 0.0), std::nextafter(p, inf)}) {
+      values.push_back(x);
+      values.push_back(-x);
+    }
+  }
+  for (int i = 0; i < 150'000; ++i) {  // subnormals: exponent field 0
+    const uint64_t mantissa = rng.Next() & ((uint64_t{1} << 52) - 1);
+    const uint64_t sign = (rng.Next() & 1) << 63;
+    values.push_back(std::bit_cast<double>(sign | mantissa));
+  }
+  for (int i = 0; i < 200'000; ++i) {
+    // A 16- or 17-digit decimal scaled to land in [1e7, 1e17).
+    const int digits = 16 + static_cast<int>(rng.Uniform(2));
+    std::string text = std::to_string(1 + rng.Uniform(9));
+    for (int d = 1; d < digits; ++d) {
+      text += static_cast<char>('0' + rng.Uniform(10));
+    }
+    text += "e-";
+    text += std::to_string(rng.Uniform(static_cast<uint64_t>(digits - 7)));
+    values.push_back(std::strtod(text.c_str(), nullptr));
+  }
+  for (int i = 0; i < 150'000; ++i) {
+    // Integral doubles >= 2^53: biased exponent 1076..2046 (any mantissa).
+    const uint64_t exponent = 1076 + rng.Uniform(971);
+    const uint64_t mantissa = rng.Next() & ((uint64_t{1} << 52) - 1);
+    const uint64_t sign = (rng.Next() & 1) << 63;
+    values.push_back(std::bit_cast<double>(sign | (exponent << 52) | mantissa));
+  }
+  for (int i = 0; i < 200'000; ++i) values.push_back(rng.UniformDouble());
+  return values;
+}
+
+/// The oracle costs up to 17 snprintf + strtod pairs per value, so the
+/// sweep is split into shards that ctest runs as separate processes.
+constexpr int kOracleShards = 8;
+
+class JsonNumberOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(JsonNumberOracleTest, WriterMatchesSnprintfOracleByteForByte) {
+  const std::vector<double> values = NumberSweep();
+  ASSERT_GE(values.size(), 1'000'000u);
+  size_t mismatches = 0;
+  for (size_t i = static_cast<size_t>(GetParam()); i < values.size();
+       i += kOracleShards) {
+    const double v = values[i];
+    for (const bool integral : {false, true}) {
+      // The integral flag forces "%lld", defined only within long long.
+      if (integral && !(std::fabs(v) < 9.2e18)) continue;
+      const std::string got = NumberToString(v, integral);
+      const std::string want = SnprintfOracle(v, integral);
+      if (got != want && ++mismatches <= 10) {
+        ADD_FAILURE() << "bits " << std::bit_cast<uint64_t>(v) << " integral "
+                      << integral << ": got " << got << ", want " << want;
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, JsonNumberOracleTest,
+                         ::testing::Range(0, kOracleShards));
+
+TEST(JsonNumberTest, DumpParseRoundTripsEveryFiniteDoubleBitForBit) {
+  size_t failures = 0;
+  for (const double v : NumberSweep()) {
+    // Non-finite values render as null; -0 renders as the integer 0.
+    if (!std::isfinite(v) || (v == 0.0 && std::signbit(v))) continue;
+    const std::string wire = Value::Number(v).Dump();
+    const Result<Value> parsed = Parse(wire);
+    const bool same = parsed.ok() && parsed.value().is_number() &&
+                      std::bit_cast<uint64_t>(parsed.value().AsDouble()) ==
+                          std::bit_cast<uint64_t>(v);
+    if (!same && ++failures <= 10) {
+      ADD_FAILURE() << "bits " << std::bit_cast<uint64_t>(v) << " wire "
+                    << wire;
+    }
+  }
+  EXPECT_EQ(failures, 0u);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Tests for src/kg: graph construction, CSR adjacency, bi-direction,
 // label index, TSV round-trip, entity types.
 
-#include <filesystem>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -10,6 +9,7 @@
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 #include "kg/types.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace kg {
@@ -235,8 +235,8 @@ TEST(LabelIndexTest, ForEachLabelVisitsAll) {
 
 TEST(KgIoTest, RoundTripPreservesGraph) {
   KnowledgeGraph g = TriangleGraph();
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "nl_kg_test").string();
+  const ScopedTempDir temp;
+  const std::string prefix = temp.File("nl_kg_test");
   ASSERT_TRUE(SaveTsv(g, prefix).ok());
 
   Result<KnowledgeGraph> loaded = LoadTsv(prefix);
@@ -263,8 +263,8 @@ TEST(KgIoTest, EscapesSpecialCharacters) {
   b.AddNode("plain", EntityType::kGpe);
   EXPECT_TRUE(b.AddEdge(0, 1, "p").ok());
   KnowledgeGraph g = b.Build();
-  const std::string prefix =
-      (std::filesystem::temp_directory_path() / "nl_kg_escape").string();
+  const ScopedTempDir temp;
+  const std::string prefix = temp.File("nl_kg_escape");
   ASSERT_TRUE(SaveTsv(g, prefix).ok());
   Result<KnowledgeGraph> loaded = LoadTsv(prefix);
   ASSERT_TRUE(loaded.ok());

@@ -1,8 +1,15 @@
-// Tests for the MaxScore document-at-a-time retriever: exact agreement
-// with exhaustive TAAT scoring (including tie order), plus evidence that
-// pruning actually skips work.
+// Tests for the MaxScore document-at-a-time retriever: agreement with
+// exhaustive TAAT scoring (same documents, scores within 1e-9), plus
+// evidence that pruning actually skips work; and the batched
+// Bm25Scorer::ScoreDocs fill-in, bit for bit against ScoreDoc.
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <mutex>
+#include <set>
+#include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -15,24 +22,39 @@ namespace newslink {
 namespace ir {
 namespace {
 
-/// DAAT sums term contributions in a different order than TAAT, so scores
-/// can differ by a few ULPs; compare with tolerance. Ranks may swap only
-/// between docs whose scores tie within the tolerance.
-void ExpectSameTopK(const std::vector<ScoredDoc>& actual,
-                    const std::vector<ScoredDoc>& expected) {
-  ASSERT_EQ(actual.size(), expected.size());
-  std::map<DocId, double> expected_scores;
-  for (const ScoredDoc& s : expected) expected_scores[s.doc] = s.score;
-  for (size_t i = 0; i < actual.size(); ++i) {
-    auto it = expected_scores.find(actual[i].doc);
-    if (it != expected_scores.end()) {
-      EXPECT_NEAR(actual[i].score, it->second, 1e-9) << "doc " << actual[i].doc;
+/// Same documents, each scoring within 1e-9 of its own oracle score, with
+/// rank-wise scores within 1e-9 and exact ties ordered by doc id. DAAT and
+/// TAAT sum a document's terms in different orders (and DAAT's order
+/// changes as terms turn non-essential), so two documents whose scores tie
+/// exactly on one side can differ in the last bits on the other; the only
+/// documents allowed to differ are such near-ties at the cut, scoring
+/// within 1e-9 of the k-th score.
+void ExpectSameTopK(const std::vector<ScoredDoc>& pruned,
+                    const std::vector<ScoredDoc>& exact,
+                    const std::string& context = "") {
+  ASSERT_EQ(pruned.size(), exact.size()) << context;
+  if (exact.empty()) return;
+  const double cut = exact.back().score;
+  std::map<DocId, double> pruned_docs, exact_docs;
+  for (const ScoredDoc& s : pruned) pruned_docs[s.doc] = s.score;
+  for (const ScoredDoc& s : exact) exact_docs[s.doc] = s.score;
+  for (const auto& [doc, score] : pruned_docs) {
+    const auto it = exact_docs.find(doc);
+    if (it != exact_docs.end()) {
+      EXPECT_NEAR(score, it->second, 1e-9) << context << ": doc " << doc;
     } else {
-      // Doc differs: must be a near-tie swap at the boundary.
-      EXPECT_NEAR(actual[i].score, expected[i].score, 1e-9) << "rank " << i;
+      EXPECT_NEAR(score, cut, 1e-9) << context << ": extra doc " << doc;
     }
-    if (i > 0) {
-      EXPECT_LE(actual[i].score, actual[i - 1].score + 1e-9);
+  }
+  for (const auto& [doc, score] : exact_docs) {
+    if (!pruned_docs.contains(doc)) {
+      EXPECT_NEAR(score, cut, 1e-9) << context << ": missing doc " << doc;
+    }
+  }
+  for (size_t i = 0; i < pruned.size(); ++i) {
+    EXPECT_NEAR(pruned[i].score, exact[i].score, 1e-9) << context;
+    if (i > 0 && pruned[i].score == pruned[i - 1].score) {
+      EXPECT_LT(pruned[i - 1].doc, pruned[i].doc) << context;
     }
   }
 }
@@ -376,6 +398,342 @@ TEST(MaxScoreTest, WithBonStyleParams) {
   const TermCounts query = {{1, 3}, {5, 1}, {17, 1}};
   ExpectSameTopK(retriever.TopK(query, 10),
                  SelectTopK(scorer.ScoreAll(query), 10));
+}
+
+// --- Storage-edge boundaries ---------------------------------------------
+//
+// PostingChunks runs end after 16, 48, 112, 240, ... postings and block-max
+// blocks after every 64; the cursor loop walks runs by pointer and caches
+// per-block bounds, so these cases put list ends, snapshot prefix ends and
+// skips on and around both kinds of edge.
+
+/// Posting-list lengths on, just below and just past the chunk edges
+/// (16/48/112/240/496) and block edges (64/128/256), plus two long lists
+/// whose terms end up non-essential and are probed by galloping.
+constexpr size_t kEdgeLengths[] = {15,  16,  17,  47,  48,  49,  63,  64,
+                                   65,  111, 112, 113, 127, 128, 129, 239,
+                                   240, 241, 255, 256, 257, 495, 496, 497,
+                                   900, 1300};
+constexpr size_t kEdgeTerms = std::size(kEdgeLengths);
+constexpr size_t kEdgeDocs = 1400;
+constexpr TermId kFillerBase = 100;  // filler term ids vary doc lengths
+
+struct EdgeIndex {
+  InvertedIndex index;
+  /// Snapshots captured while the index grew, every one queried only after
+  /// the writer appended past it (list prefixes end mid-chunk), plus the
+  /// final extent.
+  std::vector<IndexSnapshot> snapshots;
+};
+
+/// Term t of the edge vocabulary appears in exactly kEdgeLengths[t]
+/// random documents, mostly with tf 1-2 and sometimes up to 13, so block
+/// maxima differ from block to block. Snapshots are captured at fixed doc
+/// counts and whenever the longest list reaches a chunk or block edge.
+EdgeIndex MakeEdgeIndex(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::set<DocId>> members(kEdgeTerms);
+  for (size_t t = 0; t < kEdgeTerms; ++t) {
+    while (members[t].size() < kEdgeLengths[t]) {
+      members[t].insert(static_cast<DocId>(rng.Uniform(kEdgeDocs)));
+    }
+  }
+  const std::set<size_t> edges = {16, 48, 64, 112, 128, 240};
+  const std::set<size_t> capture_at = {97, 333, 700, 1001};
+  EdgeIndex out;
+  size_t longest = 0;
+  for (DocId d = 0; d < kEdgeDocs; ++d) {
+    TermCounts counts;
+    bool longest_grew = false;
+    for (size_t t = 0; t < kEdgeTerms; ++t) {
+      if (!members[t].contains(d)) continue;
+      const uint32_t tf = rng.Uniform(8) == 0
+                              ? 1 + static_cast<uint32_t>(rng.Uniform(13))
+                              : 1 + static_cast<uint32_t>(rng.Uniform(2));
+      counts.push_back({static_cast<TermId>(t), tf});
+      if (t == kEdgeTerms - 1) longest_grew = true;
+    }
+    const size_t fillers = rng.Uniform(12);
+    for (size_t f = 0; f < fillers; ++f) {
+      counts.push_back(
+          {kFillerBase + f, 1 + static_cast<uint32_t>(rng.Uniform(3))});
+    }
+    out.index.AddDocument(counts);
+    if (longest_grew) ++longest;
+    if ((longest_grew && edges.contains(longest)) ||
+        capture_at.contains(d + 1)) {
+      out.snapshots.push_back(out.index.Capture());
+    }
+  }
+  out.snapshots.push_back(out.index.Capture());
+  return out;
+}
+
+/// A query over the edge vocabulary: 1-7 random edge terms, often joined
+/// by the two long lists.
+TermCounts EdgeQuery(Rng* rng) {
+  std::set<TermId> used;
+  const size_t n = 1 + rng->Uniform(7);
+  while (used.size() < n) {
+    used.insert(static_cast<TermId>(rng->Uniform(kEdgeTerms - 2)));
+  }
+  if (rng->Uniform(3) != 0) used.insert(kEdgeTerms - 2);
+  if (rng->Uniform(3) != 0) used.insert(kEdgeTerms - 1);
+  TermCounts query;
+  for (const TermId t : used) {
+    query.push_back({t, 1 + static_cast<uint32_t>(rng->Uniform(3))});
+  }
+  return query;
+}
+
+/// Collection statistics of a larger collection that contains this
+/// snapshot (the shard-serving case): more documents, higher df and
+/// max tf, a smaller minimum length — all of which only loosen bounds.
+CollectionStats WiderCollection(const InvertedIndex& index,
+                                const IndexSnapshot& snapshot,
+                                const TermCounts& query, Rng* rng) {
+  CollectionStats stats;
+  const uint64_t extra_docs = 1 + rng->Uniform(500);
+  stats.num_docs = snapshot.num_docs + extra_docs;
+  stats.total_length =
+      snapshot.total_length + extra_docs * (1 + rng->Uniform(20));
+  stats.min_doc_length = static_cast<uint32_t>(rng->Uniform(2));
+  for (const auto& [term, qtf] : query) {
+    stats.df.push_back(index.DocFreq(term, snapshot) +
+                       rng->Uniform(extra_docs));
+    stats.max_tf.push_back(index.BlockMax(term).max_tf +
+                           static_cast<uint32_t>(rng->Uniform(3)));
+  }
+  return stats;
+}
+
+TEST(MaxScoreBoundaryTest, ChunkAndBlockEdgesAgreeWithExhaustive) {
+  const DocId modulus = 3;
+  const DocFilter filter{&AcceptMultiplesOf, &modulus};
+  size_t mid_chunk_views = 0;
+  for (const uint64_t seed : {101u, 102u}) {
+    const EdgeIndex edge = MakeEdgeIndex(seed);
+    ASSERT_GE(edge.snapshots.size(), 8u);
+    for (const Bm25Params params : {Bm25Params{}, Bm25Params{0.8, 0.0}}) {
+      Bm25Scorer scorer(&edge.index, params);
+      MaxScoreRetriever retriever(&edge.index, params);
+      Rng rng(seed * 7 + static_cast<uint64_t>(params.b * 100));
+      for (size_t s = 0; s < edge.snapshots.size(); ++s) {
+        const IndexSnapshot& snapshot = edge.snapshots[s];
+        for (int trial = 0; trial < 12; ++trial) {
+          const TermCounts query = EdgeQuery(&rng);
+          for (const auto& [term, qtf] : query) {
+            const size_t n = edge.index.Postings(term, snapshot).size();
+            if (n > 0 && n < edge.index.Postings(term).size()) {
+              ++mid_chunk_views;
+            }
+          }
+          const size_t k = 1 + rng.Uniform(20);
+          const CollectionStats stats =
+              WiderCollection(edge.index, snapshot, query, &rng);
+          for (const bool use_stats : {false, true}) {
+            for (const bool use_filter : {false, true}) {
+              const CollectionStats* c = use_stats ? &stats : nullptr;
+              const DocFilter* f = use_filter ? &filter : nullptr;
+              const std::string context =
+                  "seed " + std::to_string(seed) + " snapshot " +
+                  std::to_string(s) + " trial " + std::to_string(trial) +
+                  " stats " + std::to_string(use_stats) + " filter " +
+                  std::to_string(use_filter);
+              ExpectSameTopK(
+                  retriever.TopK(query, k, snapshot, nullptr, nullptr, c, f),
+                  SelectTopK(scorer.ScoreAll(query, snapshot, c, f), k),
+                  context);
+            }
+          }
+        }
+      }
+    }
+  }
+  // The property is only interesting if prefixes really end inside lists
+  // that kept growing afterwards.
+  EXPECT_GT(mid_chunk_views, 100u);
+}
+
+TEST(MaxScoreBoundaryTest, BlockSkipsAcrossChunkEdgesAgreeWithExhaustive) {
+  // BlockMaxSkipsWholeBlocks' shape at several snapshot extents: term 1's
+  // first four blocks carry tf 10 and fill the heap, its later tf 1 blocks
+  // are then skipped, and the skip targets cross the chunk edges of both
+  // lists. Prefixes end just past a chunk edge of term 1 (113 and 241
+  // postings), mid-list, and at the full extent.
+  InvertedIndex index;
+  const int n = 64 * static_cast<int>(kPostingBlockSize);
+  for (int d = 0; d < n; ++d) {
+    TermCounts counts = {{0, 1}};
+    if (d % 4 == 0) {
+      counts.push_back(
+          {1, d < 4 * static_cast<int>(kPostingBlockSize) ? 10u : 1u});
+    }
+    if (d % 7 == 0) counts.push_back({2, 1 + static_cast<uint32_t>(d % 3)});
+    index.AddDocument(counts);
+  }
+  const Bm25Params params{1.2, 0.5};
+  Bm25Scorer scorer(&index, params);
+  MaxScoreRetriever retriever(&index, params);
+  size_t total_skipped = 0;
+  for (const size_t prefix : {size_t{4 * 113}, size_t{4 * 241}, size_t{2001},
+                              static_cast<size_t>(n)}) {
+    IndexSnapshot snapshot = index.Capture();
+    snapshot.num_docs = prefix;  // an earlier extent of the same index
+    snapshot.total_length = 0;
+    for (DocId d = 0; d < prefix; ++d) {
+      snapshot.total_length += index.DocLength(d);
+    }
+    for (const TermCounts& query :
+         {TermCounts{{0, 1}, {1, 1}}, TermCounts{{0, 1}, {1, 1}, {2, 1}}}) {
+      for (const size_t k : {size_t{1}, size_t{5}, size_t{17}}) {
+        size_t skipped = 0;
+        ExpectSameTopK(
+            retriever.TopK(query, k, snapshot, nullptr, &skipped),
+            SelectTopK(scorer.ScoreAll(query, snapshot), k),
+            "prefix " + std::to_string(prefix) + " k " + std::to_string(k));
+        total_skipped += skipped;
+      }
+    }
+  }
+  EXPECT_GT(total_skipped, 0u) << "the tf 1 blocks must be skipped";
+}
+
+// --- Batched fill-in ----------------------------------------------------
+
+TEST(ScoreDocsTest, BatchedFillInEqualsScoreDocBitForBit) {
+  const EdgeIndex edge = MakeEdgeIndex(103);
+  for (const Bm25Params params : {Bm25Params{}, Bm25Params{0.8, 0.0}}) {
+    Bm25Scorer scorer(&edge.index, params);
+    Rng rng(977 + static_cast<uint64_t>(params.b * 100));
+    for (const IndexSnapshot& snapshot : edge.snapshots) {
+      for (int trial = 0; trial < 20; ++trial) {
+        TermCounts query = EdgeQuery(&rng);
+        if (rng.Uniform(2) == 0) {
+          // A filler term, so some docs match a term no edge list has.
+          query.push_back(
+              {kFillerBase + static_cast<TermId>(rng.Uniform(12)), 1});
+        }
+        // Random ascending subset: docs matching no query term included,
+        // and always the snapshot's last doc.
+        std::vector<DocId> docs;
+        const uint64_t keep = 1 + rng.Uniform(8);
+        for (DocId d = 0; d + 1 < snapshot.num_docs; ++d) {
+          if (rng.Uniform(keep) == 0) docs.push_back(d);
+        }
+        docs.push_back(static_cast<DocId>(snapshot.num_docs - 1));
+
+        // Shard-local dictionary: collection statistics stay aligned with
+        // the query by position, and some query terms are unknown here.
+        TermCounts local = query;
+        local.push_back({static_cast<TermId>(50 + rng.Uniform(40)), 2});
+        std::rotate(local.begin() + static_cast<std::ptrdiff_t>(
+                                        rng.Uniform(local.size())),
+                    local.end() - 1, local.end());
+        const CollectionStats stats =
+            WiderCollection(edge.index, snapshot, local, &rng);
+
+        for (const bool use_stats : {false, true}) {
+          const TermCounts& q = use_stats ? local : query;
+          const CollectionStats* c = use_stats ? &stats : nullptr;
+          const std::vector<double> batched =
+              scorer.ScoreDocs(q, docs, snapshot, c);
+          ASSERT_EQ(batched.size(), docs.size());
+          for (size_t j = 0; j < docs.size(); ++j) {
+            EXPECT_EQ(batched[j], scorer.ScoreDoc(q, docs[j], snapshot, c))
+                << "doc " << docs[j] << " stats " << use_stats;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(Bm25Scorer(&edge.index)
+                  .ScoreDocs({{0, 1}}, {}, edge.index.Capture())
+                  .empty());
+}
+
+// --- Concurrent append --------------------------------------------------
+
+TEST(MaxScoreWriterVsReadersTest, TopKAndFillInMatchPinnedOracle) {
+  // One writer appends through chunk and block edges and publishes a
+  // snapshot after every document; readers pin the latest one and run
+  // TopK and the batched fill-in against oracles at that same snapshot.
+  InvertedIndex index;
+  Bm25Scorer scorer(&index);
+  MaxScoreRetriever retriever(&index);
+  std::mutex mu;
+  IndexSnapshot published;  // guarded by mu
+  std::atomic<bool> done{false};
+  std::atomic<int> violations{0};
+  std::atomic<int> started{0};
+  std::atomic<int> queries{0};
+
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Rng rng(500 + r);
+      started.fetch_add(1);
+      do {
+        IndexSnapshot snapshot;
+        {
+          std::lock_guard<std::mutex> lock(mu);
+          snapshot = published;
+        }
+        if (snapshot.num_docs == 0) continue;  // nothing published yet
+        TermCounts query;
+        std::set<TermId> used;
+        const size_t n = 1 + rng.Uniform(5);
+        while (used.size() < n) {
+          used.insert(static_cast<TermId>(rng.Uniform(40)));
+        }
+        for (const TermId t : used) query.push_back({t, 1});
+        const size_t k = 1 + rng.Uniform(10);
+        ExpectSameTopK(retriever.TopK(query, k, snapshot),
+                       SelectTopK(scorer.ScoreAll(query, snapshot), k),
+                       "snapshot of " + std::to_string(snapshot.num_docs) +
+                           " docs");
+        std::vector<DocId> docs;
+        for (DocId d = static_cast<DocId>(rng.Uniform(7));
+             d < snapshot.num_docs;
+             d += 1 + static_cast<DocId>(rng.Uniform(9))) {
+          docs.push_back(d);
+        }
+        const std::vector<double> batched =
+            scorer.ScoreDocs(query, docs, snapshot);
+        for (size_t j = 0; j < docs.size(); ++j) {
+          if (batched[j] != scorer.ScoreDoc(query, docs[j], snapshot)) {
+            violations.fetch_add(1);
+          }
+        }
+        queries.fetch_add(1);
+      } while (!done.load(std::memory_order_acquire));
+    });
+  }
+
+  // Every 16 documents, let the readers finish a few queries first so
+  // reads keep overlapping the appends however the threads get scheduled.
+  while (started.load() < 3) std::this_thread::yield();
+  Rng rng(499);
+  ZipfTable zipf(40, 0.8);
+  int seen = 0;
+  for (int d = 0; d < 1500; ++d) {
+    if (d > 0 && d % 16 == 0) {
+      while (queries.load() < seen + 3) std::this_thread::yield();
+      seen = queries.load();
+    }
+    std::map<TermId, uint32_t> counts;
+    const size_t len = 1 + rng.Uniform(12);
+    for (size_t t = 0; t < len; ++t) {
+      ++counts[static_cast<TermId>(zipf.Sample(&rng))];
+    }
+    index.AddDocument(TermCounts(counts.begin(), counts.end()));
+    std::lock_guard<std::mutex> lock(mu);
+    published = index.Capture();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(violations.load(), 0);
+  EXPECT_GT(queries.load(), 0);
 }
 
 }  // namespace

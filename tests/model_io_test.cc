@@ -7,6 +7,7 @@
 
 #include "common/rng.h"
 #include "vec/model_io.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace vec {
@@ -30,10 +31,6 @@ std::vector<std::vector<std::string>> TinyCorpus() {
   return docs;
 }
 
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() / name).string();
-}
-
 TEST(ModelIoTest, RoundTripPreservesEverything) {
   Word2VecModel model;
   SgnsConfig config;
@@ -42,7 +39,8 @@ TEST(ModelIoTest, RoundTripPreservesEverything) {
   config.min_count = 1;
   model.Train(TinyCorpus(), config);
 
-  const std::string path = TempPath("nl_w2v_model.bin");
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_w2v_model.bin");
   ASSERT_TRUE(SaveWord2Vec(model, path).ok());
   Result<Word2VecModel> loaded = LoadWord2Vec(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -73,7 +71,8 @@ TEST(ModelIoTest, MissingFileFails) {
 }
 
 TEST(ModelIoTest, GarbageFileFails) {
-  const std::string path = TempPath("nl_w2v_garbage.bin");
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_w2v_garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "this is not a model";
@@ -89,12 +88,13 @@ TEST(ModelIoTest, TruncatedFileFails) {
   config.dim = 8;
   config.min_count = 1;
   model.Train(TinyCorpus(), config);
-  const std::string full = TempPath("nl_w2v_full.bin");
+  const ScopedTempDir temp;
+  const std::string full = temp.File("nl_w2v_full.bin");
   ASSERT_TRUE(SaveWord2Vec(model, full).ok());
 
   // Truncate to 60% and expect a clean error.
   const auto size = std::filesystem::file_size(full);
-  const std::string cut = TempPath("nl_w2v_cut.bin");
+  const std::string cut = temp.File("nl_w2v_cut.bin");
   {
     std::ifstream in(full, std::ios::binary);
     std::vector<char> buffer(size * 6 / 10);
@@ -112,7 +112,8 @@ TEST(ModelIoTest, EmptyModelRoundTrips) {
   config.dim = 4;
   config.min_count = 5;  // nothing survives pruning
   model.Train({{"once"}}, config);
-  const std::string path = TempPath("nl_w2v_empty.bin");
+  const ScopedTempDir temp;
+  const std::string path = temp.File("nl_w2v_empty.bin");
   ASSERT_TRUE(SaveWord2Vec(model, path).ok());
   Result<Word2VecModel> loaded = LoadWord2Vec(path);
   ASSERT_TRUE(loaded.ok());

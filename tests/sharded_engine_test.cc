@@ -17,6 +17,7 @@
 #include "newslink/newslink_engine.h"
 #include "newslink/shard_merge.h"
 #include "newslink/sharded_engine.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace {
@@ -216,8 +217,8 @@ TEST_F(ShardedEngineTest, SnapshotRoundTripsPartitionAndResults) {
   ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
   ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
 
-  const std::string path =
-      testing::TempDir() + "/sharded_engine_test.snapshot";
+  const ScopedTempDir temp;
+  const std::string path = temp.File("sharded_engine_test.snapshot");
   ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
 
   ShardedEngine warm(&kg_.graph, &index_, EngineConfig(), options);

@@ -24,6 +24,7 @@
 #include "kg/label_index.h"
 #include "kg/synthetic_kg.h"
 #include "newslink/newslink_engine.h"
+#include "test_temp.h"
 
 namespace newslink {
 namespace {
@@ -52,9 +53,10 @@ struct SharedState {
         news(MakeNews(&world)),
         engine(&world.graph, &labels, NewsLinkConfig{}) {
     NL_CHECK(engine.Index(news.corpus).ok());
-    snapshot_path = testing::TempDir() + "snapshot_test_main.snap";
-    save_status = engine.SaveSnapshot(snapshot_path);
-    if (save_status.ok()) snapshot_bytes = ReadFileBytes(snapshot_path);
+    const ScopedTempDir temp;
+    const std::string path = temp.File("main.snap");
+    save_status = engine.SaveSnapshot(path);
+    if (save_status.ok()) snapshot_bytes = ReadFileBytes(path);
   }
 
   static kg::SyntheticKg MakeWorld() {
@@ -88,7 +90,6 @@ struct SharedState {
   kg::LabelIndex labels;
   corpus::SyntheticCorpus news;
   NewsLinkEngine engine;
-  std::string snapshot_path;
   Status save_status;
   std::string snapshot_bytes;
 };
@@ -98,17 +99,24 @@ SharedState& State() {
   return *state;
 }
 
+// Every test reads the shared snapshot from, and writes its own files
+// into, a directory of its own (see test_temp.h).
 class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
     ASSERT_TRUE(State().save_status.ok()) << State().save_status.ToString();
     ASSERT_FALSE(State().snapshot_bytes.empty());
+    snapshot_path_ = temp_.File("main.snap");
+    WriteFileBytes(snapshot_path_, State().snapshot_bytes);
   }
+
+  ScopedTempDir temp_;
+  std::string snapshot_path_;
 };
 
 TEST_F(SnapshotTest, HeaderCarriesFingerprints) {
   SharedState& s = State();
-  Result<SnapshotHeader> header = ReadSnapshotHeader(s.snapshot_path);
+  Result<SnapshotHeader> header = ReadSnapshotHeader(snapshot_path_);
   ASSERT_TRUE(header.ok()) << header.status().ToString();
   EXPECT_EQ(header->format_version, kSnapshotFormatVersion);
   EXPECT_EQ(header->kg_fingerprint, s.world.graph.Fingerprint());
@@ -121,7 +129,7 @@ TEST_F(SnapshotTest, HeaderCarriesFingerprints) {
 TEST_F(SnapshotTest, LoadReproducesExactSearchResults) {
   SharedState& s = State();
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
-  const Status status = loaded.LoadSnapshot(s.snapshot_path);
+  const Status status = loaded.LoadSnapshot(snapshot_path_);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(loaded.num_indexed_docs(), s.engine.num_indexed_docs());
   EXPECT_EQ(loaded.corpus_fingerprint(), s.engine.corpus_fingerprint());
@@ -151,8 +159,8 @@ TEST_F(SnapshotTest, LoadReproducesExactSearchResults) {
 TEST_F(SnapshotTest, ResaveOfLoadedSnapshotIsByteIdentical) {
   SharedState& s = State();
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
-  ASSERT_TRUE(loaded.LoadSnapshot(s.snapshot_path).ok());
-  const std::string resave_path = testing::TempDir() + "snapshot_resave.snap";
+  ASSERT_TRUE(loaded.LoadSnapshot(snapshot_path_).ok());
+  const std::string resave_path = temp_.File("snapshot_resave.snap");
   const Status status = loaded.SaveSnapshot(resave_path);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(ReadFileBytes(resave_path), s.snapshot_bytes);
@@ -167,7 +175,7 @@ TEST_F(SnapshotTest, IngestionContinuesOnLoadedSnapshot) {
   for (size_t i = 0; i < cut; ++i) partial.Add(full.doc(i));
 
   // Build + save over the truncated corpus, then load and ingest the tail.
-  const std::string path = testing::TempDir() + "snapshot_partial.snap";
+  const std::string path = temp_.File("snapshot_partial.snap");
   {
     NewsLinkEngine builder(&s.world.graph, &s.labels, NewsLinkConfig{});
     ASSERT_TRUE(builder.Index(partial).ok());
@@ -203,7 +211,7 @@ TEST_F(SnapshotTest, LoadRejectsNonEmptyEngine) {
   SharedState& s = State();
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   engine.AddDocument(s.news.corpus.doc(0));
-  const Status status = engine.LoadSnapshot(s.snapshot_path);
+  const Status status = engine.LoadSnapshot(snapshot_path_);
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
   EXPECT_EQ(engine.num_indexed_docs(), 1u);
 }
@@ -218,7 +226,7 @@ TEST_F(SnapshotTest, LoadRejectsDifferentKnowledgeGraph) {
   ASSERT_NE(other.graph.Fingerprint(), s.world.graph.Fingerprint());
 
   NewsLinkEngine engine(&other.graph, &other_labels, NewsLinkConfig{});
-  const Status status = engine.LoadSnapshot(s.snapshot_path);
+  const Status status = engine.LoadSnapshot(snapshot_path_);
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
   EXPECT_EQ(engine.num_indexed_docs(), 0u);
 }
@@ -230,7 +238,7 @@ TEST_F(SnapshotTest, LoadRejectsDifferentConfig) {
   ASSERT_NE(NewsLinkEngine::ConfigFingerprint(config),
             NewsLinkEngine::ConfigFingerprint(NewsLinkConfig{}));
   NewsLinkEngine engine(&s.world.graph, &s.labels, config);
-  const Status status = engine.LoadSnapshot(s.snapshot_path);
+  const Status status = engine.LoadSnapshot(snapshot_path_);
   EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
 }
 
@@ -242,20 +250,20 @@ TEST_F(SnapshotTest, QueryOnlyConfigChangesDoNotInvalidateSnapshots) {
   EXPECT_EQ(NewsLinkEngine::ConfigFingerprint(config),
             NewsLinkEngine::ConfigFingerprint(NewsLinkConfig{}));
   NewsLinkEngine engine(&s.world.graph, &s.labels, config);
-  EXPECT_TRUE(engine.LoadSnapshot(s.snapshot_path).ok());
+  EXPECT_TRUE(engine.LoadSnapshot(snapshot_path_).ok());
 }
 
 TEST_F(SnapshotTest, LoadRejectsMissingFile) {
   SharedState& s = State();
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   const Status status =
-      engine.LoadSnapshot(testing::TempDir() + "no_such_snapshot.snap");
+      engine.LoadSnapshot(temp_.File("no_such_snapshot.snap"));
   EXPECT_FALSE(status.ok());
 }
 
 TEST_F(SnapshotTest, TruncatedSnapshotsAlwaysFailCleanly) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "snapshot_truncated.snap";
+  const std::string path = temp_.File("snapshot_truncated.snap");
   // One engine reused across the whole sweep: a failed load must leave it
   // empty and usable, so hundreds of failures in a row are fine.
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
@@ -269,14 +277,14 @@ TEST_F(SnapshotTest, TruncatedSnapshotsAlwaysFailCleanly) {
     EXPECT_EQ(engine.num_indexed_docs(), 0u);
   }
   // After every rejection the engine still accepts the intact snapshot.
-  ASSERT_TRUE(engine.LoadSnapshot(s.snapshot_path).ok());
+  ASSERT_TRUE(engine.LoadSnapshot(snapshot_path_).ok());
   EXPECT_EQ(engine.num_indexed_docs(), s.news.corpus.size());
   EXPECT_FALSE(engine.Search({s.Sentence(0), 5}).hits.empty());
 }
 
 TEST_F(SnapshotTest, BitFlippedSnapshotsAlwaysFailCleanly) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "snapshot_bitflip.snap";
+  const std::string path = temp_.File("snapshot_bitflip.snap");
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   // Every byte of the file is covered by the magic check, the per-section
   // CRCs, or the whole-file CRC, so ANY single-bit flip must be rejected.
@@ -310,7 +318,7 @@ TEST_F(SnapshotTest, StaleFormatVersionIsRejectedOutright) {
     stale[stale.size() - 4 + static_cast<size_t>(i)] =
         static_cast<char>((crc >> (8 * i)) & 0xFF);
   }
-  const std::string path = testing::TempDir() + "snapshot_stale_version.snap";
+  const std::string path = temp_.File("snapshot_stale_version.snap");
   WriteFileBytes(path, stale);
 
   const Result<SnapshotFile> parsed = ReadSnapshotFile(path);
@@ -328,7 +336,7 @@ TEST_F(SnapshotTest, CorruptDocMapSectionIsRejected) {
   // CRC-clean but semantically invalid doc maps (not a permutation, or the
   // wrong cardinality) must fail the load and leave the engine empty.
   SharedState& s = State();
-  const Result<SnapshotFile> file = ReadSnapshotFile(s.snapshot_path);
+  const Result<SnapshotFile> file = ReadSnapshotFile(snapshot_path_);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   ASSERT_NE(file->Find("doc_map"), nullptr);
 
@@ -348,7 +356,7 @@ TEST_F(SnapshotTest, CorruptDocMapSectionIsRejected) {
 
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
   const size_t n = file->header.num_docs;
-  const std::string path = testing::TempDir() + "snapshot_bad_docmap.snap";
+  const std::string path = temp_.File("snapshot_bad_docmap.snap");
 
   {
     // Right count, but every entry is 0: not a permutation.
@@ -380,7 +388,7 @@ TEST_F(SnapshotTest, CorruptDocMapSectionIsRejected) {
     EXPECT_EQ(engine.num_indexed_docs(), 0u);
   }
   // The engine remains usable after the rejections.
-  ASSERT_TRUE(engine.LoadSnapshot(s.snapshot_path).ok());
+  ASSERT_TRUE(engine.LoadSnapshot(snapshot_path_).ok());
   EXPECT_EQ(engine.num_indexed_docs(), s.news.corpus.size());
 }
 
@@ -394,7 +402,7 @@ TEST_F(SnapshotTest, ReorderedEngineRoundTripsThroughSnapshot) {
   config.reorder_docs = true;
   NewsLinkEngine source(&s.world.graph, &s.labels, config);
   ASSERT_TRUE(source.Index(s.news.corpus).ok());
-  const std::string path = testing::TempDir() + "snapshot_reordered.snap";
+  const std::string path = temp_.File("snapshot_reordered.snap");
   ASSERT_TRUE(source.SaveSnapshot(path).ok());
 
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
@@ -412,7 +420,7 @@ TEST_F(SnapshotTest, ReorderedEngineRoundTripsThroughSnapshot) {
     }
   }
 
-  const std::string resave = testing::TempDir() + "snapshot_reordered2.snap";
+  const std::string resave = temp_.File("snapshot_reordered2.snap");
   ASSERT_TRUE(loaded.SaveSnapshot(resave).ok());
   EXPECT_EQ(ReadFileBytes(resave), ReadFileBytes(path));
 }
@@ -427,7 +435,7 @@ TEST_F(SnapshotTest, SketchSnapshotRoundTripsAndResavesByteIdentical) {
   sketch_config.lcag_sketch.enabled = true;
   NewsLinkEngine source(&s.world.graph, &s.labels, sketch_config);
   ASSERT_TRUE(source.Index(s.news.corpus).ok());
-  const std::string path = testing::TempDir() + "snapshot_sketch.snap";
+  const std::string path = temp_.File("snapshot_sketch.snap");
   ASSERT_TRUE(source.SaveSnapshot(path).ok());
 
   const Result<SnapshotFile> file = ReadSnapshotFile(path);
@@ -454,7 +462,7 @@ TEST_F(SnapshotTest, SketchSnapshotRoundTripsAndResavesByteIdentical) {
 
   // Byte-identical re-save: the loader installed the persisted sketches
   // (it did not rebuild them) and the codec is deterministic.
-  const std::string resave = testing::TempDir() + "snapshot_sketch2.snap";
+  const std::string resave = temp_.File("snapshot_sketch2.snap");
   ASSERT_TRUE(plain.SaveSnapshot(resave).ok());
   EXPECT_EQ(ReadFileBytes(resave), ReadFileBytes(path));
 }
@@ -467,7 +475,7 @@ TEST_F(SnapshotTest, CorruptSketchSectionIsRejected) {
   sketch_config.lcag_sketch.enabled = true;
   NewsLinkEngine source(&s.world.graph, &s.labels, sketch_config);
   ASSERT_TRUE(source.Index(s.news.corpus).ok());
-  const std::string path = testing::TempDir() + "snapshot_sketch_bad0.snap";
+  const std::string path = temp_.File("snapshot_sketch_bad0.snap");
   ASSERT_TRUE(source.SaveSnapshot(path).ok());
   const Result<SnapshotFile> file = ReadSnapshotFile(path);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
@@ -486,7 +494,7 @@ TEST_F(SnapshotTest, CorruptSketchSectionIsRejected) {
   };
 
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
-  const std::string bad = testing::TempDir() + "snapshot_sketch_bad.snap";
+  const std::string bad = temp_.File("snapshot_sketch_bad.snap");
   {
     // Truncated payload: the codec's declared counts over-promise.
     std::vector<uint8_t> cut(sketch_section->payload.begin(),
@@ -532,7 +540,7 @@ TEST_F(SnapshotTest, TimestampsSurviveSnapshotRoundTrip) {
   // requests (recency decay + time_range pushdown) bit-identically to the
   // engine that built the index.
   SharedState& s = State();
-  const Result<SnapshotFile> file = ReadSnapshotFile(s.snapshot_path);
+  const Result<SnapshotFile> file = ReadSnapshotFile(snapshot_path_);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   ASSERT_NE(file->Find("timestamps"), nullptr);
 
@@ -546,7 +554,7 @@ TEST_F(SnapshotTest, TimestampsSurviveSnapshotRoundTrip) {
   ASSERT_LT(ts_min, ts_max);
 
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
-  ASSERT_TRUE(loaded.LoadSnapshot(s.snapshot_path).ok());
+  ASSERT_TRUE(loaded.LoadSnapshot(snapshot_path_).ok());
 
   size_t total_hits = 0;
   for (const std::string& query : s.Queries()) {
@@ -576,7 +584,7 @@ TEST_F(SnapshotTest, TimestampCountMismatchIsRejected) {
   // CRC-clean but wrong-cardinality timestamp sections must fail the load
   // with a diagnostic and leave the engine empty.
   SharedState& s = State();
-  const Result<SnapshotFile> file = ReadSnapshotFile(s.snapshot_path);
+  const Result<SnapshotFile> file = ReadSnapshotFile(snapshot_path_);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
 
   const auto rewrite = [&](uint64_t count, const std::string& path) {
@@ -593,7 +601,7 @@ TEST_F(SnapshotTest, TimestampCountMismatchIsRejected) {
   };
 
   NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
-  const std::string path = testing::TempDir() + "snapshot_bad_ts.snap";
+  const std::string path = temp_.File("snapshot_bad_ts.snap");
   const uint64_t n = file->header.num_docs;
   for (uint64_t count : {n - 1, n + 1, uint64_t{0}}) {
     rewrite(count, path);
@@ -606,7 +614,7 @@ TEST_F(SnapshotTest, TimestampCountMismatchIsRejected) {
     EXPECT_EQ(engine.num_indexed_docs(), 0u);
   }
   // The engine remains usable after the rejections.
-  ASSERT_TRUE(engine.LoadSnapshot(s.snapshot_path).ok());
+  ASSERT_TRUE(engine.LoadSnapshot(snapshot_path_).ok());
   EXPECT_EQ(engine.num_indexed_docs(), s.news.corpus.size());
 }
 
@@ -615,14 +623,14 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
   // writer) still loads; the engine just has no publication times, so
   // recency requests score like plain ones and any real window is empty.
   SharedState& s = State();
-  const Result<SnapshotFile> file = ReadSnapshotFile(s.snapshot_path);
+  const Result<SnapshotFile> file = ReadSnapshotFile(snapshot_path_);
   ASSERT_TRUE(file.ok()) << file.status().ToString();
   std::vector<SnapshotSection> sections;
   for (const SnapshotSection& section : file->sections) {
     if (section.name != "timestamps") sections.push_back(section);
   }
   ASSERT_LT(sections.size(), file->sections.size());
-  const std::string path = testing::TempDir() + "snapshot_no_ts.snap";
+  const std::string path = temp_.File("snapshot_no_ts.snap");
   ASSERT_TRUE(WriteSnapshotFile(path, file->header, sections).ok());
 
   NewsLinkEngine loaded(&s.world.graph, &s.labels, NewsLinkConfig{});
@@ -654,7 +662,7 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
 
   // A re-save writes the (all-zero) section back: the format always
   // carries it going forward.
-  const std::string resave = testing::TempDir() + "snapshot_no_ts2.snap";
+  const std::string resave = temp_.File("snapshot_no_ts2.snap");
   ASSERT_TRUE(loaded.SaveSnapshot(resave).ok());
   const Result<SnapshotFile> rewritten = ReadSnapshotFile(resave);
   ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
@@ -667,7 +675,7 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
 
 TEST_F(SnapshotTest, LoadEmbeddingsRejectsTruncatedRecord) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "embeddings_trunc.txt";
+  const std::string path = temp_.File("embeddings_trunc.txt");
   const std::vector<embed::DocumentEmbedding> embeddings =
       s.engine.SnapshotEmbeddings();
   ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
@@ -686,7 +694,7 @@ TEST_F(SnapshotTest, LoadEmbeddingsRejectsTruncatedRecord) {
 
 TEST_F(SnapshotTest, LoadEmbeddingsRejectsCorruptNumbers) {
   SharedState& s = State();
-  const std::string path = testing::TempDir() + "embeddings_corrupt.txt";
+  const std::string path = temp_.File("embeddings_corrupt.txt");
   const std::vector<embed::DocumentEmbedding> embeddings =
       s.engine.SnapshotEmbeddings();
   ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
@@ -741,7 +749,7 @@ TEST_F(SnapshotTest, BinaryEmbeddingCodecRoundTripsAndRejectsTruncation) {
 }
 
 TEST_F(SnapshotTest, CorpusLoaderRejectsCorruptStoryId) {
-  const std::string path = testing::TempDir() + "corpus_corrupt.tsv";
+  const std::string path = temp_.File("corpus_corrupt.tsv");
   WriteFileBytes(path, "d1\t2x\t0\tTitle\tBody\n");
   const Result<corpus::Corpus> loaded = corpus::LoadTsv(path);
   ASSERT_FALSE(loaded.ok());
