@@ -145,10 +145,10 @@ struct SearchResponse {
   /// The query's span tree; filled only when SearchRequest::trace is set.
   TraceSpan trace;
 
-  // Scatter-gather fields (sharded / coordinator serving; additive — zero
-  // for single-index engines, and the JSON codec only emits them when
-  // shards_total > 0 so existing consumers see an unchanged shape).
-  /// Shards this query fanned out to (0 = not a sharded engine).
+  // Scatter-gather fields, filled by every NewsLink composition (a single
+  // engine is a one-shard scatter); zero for the plain baselines, whose
+  // JSON then omits them.
+  /// Shards this query fanned out to (0 = not a NewsLink engine).
   size_t shards_total = 0;
   /// Shards that answered within their budget. < shards_total means the
   /// hits cover only part of the corpus.

@@ -192,10 +192,6 @@ Result<baselines::SearchRequest> SearchRequestFromJson(
   }
   baselines::SearchRequest request;
   bool have_query = false;
-  bool have_ranking = false;
-  // First deprecated flat alias seen — a request mixing the legacy flat
-  // ranking fields with a "ranking" object is ambiguous and rejected.
-  const char* legacy_alias = nullptr;
   for (const auto& [key, field] : value.members()) {
     if (key == "query") {
       NL_ASSIGN_OR_RETURN(request.query, AsStringStrict(field, key));
@@ -204,26 +200,8 @@ Result<baselines::SearchRequest> SearchRequestFromJson(
       NL_ASSIGN_OR_RETURN(request.k, AsSize(field, key));
     } else if (key == "ranking") {
       NL_RETURN_IF_ERROR(RankingFromJson(field, &request));
-      have_ranking = true;
     } else if (key == "filter") {
       NL_RETURN_IF_ERROR(FilterFromJson(field, &request.time_range));
-    } else if (key == "beta") {
-      // DEPRECATED alias of "ranking.beta".
-      if (field.type() != json::Value::Type::kNumber) {
-        return Status::InvalidArgument("\"beta\" must be a number");
-      }
-      request.beta = field.AsDouble();
-      legacy_alias = "beta";
-    } else if (key == "rerank_depth") {
-      // DEPRECATED alias of "ranking.rerank_depth".
-      NL_ASSIGN_OR_RETURN(size_t depth, AsSize(field, key));
-      request.rerank_depth = depth;
-      legacy_alias = "rerank_depth";
-    } else if (key == "exhaustive_fusion") {
-      // DEPRECATED alias of "ranking.exhaustive".
-      NL_ASSIGN_OR_RETURN(bool flag, AsBoolStrict(field, key));
-      request.exhaustive_fusion = flag;
-      legacy_alias = "exhaustive_fusion";
     } else if (key == "explain") {
       NL_ASSIGN_OR_RETURN(request.explain, AsBoolStrict(field, key));
     } else if (key == "max_paths") {
@@ -243,12 +221,6 @@ Result<baselines::SearchRequest> SearchRequestFromJson(
       return Status::InvalidArgument(
           StrCat("unknown search request field: \"", key, "\""));
     }
-  }
-  if (have_ranking && legacy_alias != nullptr) {
-    return Status::InvalidArgument(
-        StrCat("\"", legacy_alias,
-               "\" is a deprecated alias of the \"ranking\" object; a "
-               "request must use one shape, not both"));
   }
   if (!have_query || request.query.empty()) {
     return Status::InvalidArgument("\"query\" is required and must be non-empty");
@@ -315,8 +287,8 @@ json::Value SearchResponseToJson(const baselines::SearchResponse& response,
   if (response.deadline_exceeded) {
     out.Set("deadline_exceeded", json::Value::Bool(true));
   }
-  // Scatter-gather block: additive — emitted only for sharded responses,
-  // so single-engine consumers keep seeing the exact pre-sharding shape.
+  // Scatter-gather block: emitted for every engine that scatters (every
+  // NewsLink composition; a single engine reports one shard).
   if (response.shards_total > 0) {
     out.Set("shards_total", json::Value::Uint(response.shards_total));
     out.Set("shards_answered", json::Value::Uint(response.shards_answered));
@@ -578,10 +550,8 @@ json::Value ShardQueryToJson(const ShardQuery& query) {
   out.Set("use_bon", json::Value::Bool(query.use_bon));
   out.Set("kprime", json::Value::Uint(query.kprime));
   out.Set("exhaustive", json::Value::Bool(query.exhaustive));
-  // Time fields (v2). Bounds ride only when real: JSON numbers are
-  // doubles, so "unbounded" travels as absence, not as INT64_MAX. An
-  // infinite half-life decays by exactly 1.0 everywhere, so it travels as
-  // "no decay" — same scores, and JSON cannot carry infinities anyway.
+  // Time window (v2). Bounds ride only when real: JSON numbers are
+  // doubles, so "unbounded" travels as absence, not as INT64_MAX.
   if (query.has_time_range) {
     out.Set("has_time_range", json::Value::Bool(true));
     if (query.after_ms > 0) {
@@ -592,12 +562,6 @@ json::Value ShardQueryToJson(const ShardQuery& query) {
       out.Set("before_ms",
               json::Value::Uint(static_cast<uint64_t>(query.before_ms)));
     }
-  }
-  if (query.recency_half_life_s > 0 &&
-      std::isfinite(query.recency_half_life_s)) {
-    out.Set("recency_half_life_s",
-            json::Value::Number(query.recency_half_life_s));
-    out.Set("now_ms", json::Value::Uint(static_cast<uint64_t>(query.now_ms)));
   }
   return out;
 }
@@ -651,16 +615,6 @@ Result<ShardQuery> ShardQueryFromJson(const json::Value& value) {
       NL_ASSIGN_OR_RETURN(query.after_ms, AsEpochMs(field, key));
     } else if (key == "before_ms") {
       NL_ASSIGN_OR_RETURN(query.before_ms, AsEpochMs(field, key));
-    } else if (key == "recency_half_life_s") {
-      NL_ASSIGN_OR_RETURN(const double half_life,
-                          AsNumberStrict(field, key));
-      if (!(half_life >= 0)) {
-        return Status::InvalidArgument(
-            "\"recency_half_life_s\" must be a non-negative number");
-      }
-      query.recency_half_life_s = half_life;
-    } else if (key == "now_ms") {
-      NL_ASSIGN_OR_RETURN(query.now_ms, AsEpochMs(field, key));
     } else {
       return Status::InvalidArgument(
           StrCat("unknown shard query field: \"", key, "\""));
@@ -770,6 +724,8 @@ json::Value ShardPlanResponseToJson(const ShardPlanRpcResponse& response) {
   out.Set("api_version", json::Value::Uint(kShardApiVersion));
   out.Set("shard", json::Value::Uint(response.shard));
   out.Set("epoch", json::Value::Uint(response.plan.epoch));
+  out.Set("now_ms",
+          json::Value::Uint(static_cast<uint64_t>(response.plan.now_ms)));
   StatsToJson(response.plan, &out);
   return out;
 }
@@ -791,6 +747,8 @@ Result<ShardPlanRpcResponse> ShardPlanResponseFromJson(
       NL_ASSIGN_OR_RETURN(response.shard, AsU64(field, key));
     } else if (key == "epoch") {
       NL_ASSIGN_OR_RETURN(response.plan.epoch, AsU64(field, key));
+    } else if (key == "now_ms") {
+      NL_ASSIGN_OR_RETURN(response.plan.now_ms, AsEpochMs(field, key));
     } else {
       NL_ASSIGN_OR_RETURN(const bool consumed,
                           StatsFieldFromJson(key, field, &response.plan));

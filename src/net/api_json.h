@@ -64,13 +64,10 @@ Result<json::Value> DecodeEnvelope(std::string_view body);
 ///    "deadline_seconds": 0.2, "api_version": 1}
 /// Only "query" is required; everything else falls back to the engine's
 /// defaults. "time_range" is half-open [after_ms, before_ms): inclusive
-/// after, exclusive before; either bound may be omitted.
-///
-/// DEPRECATED aliases: the pre-grouping flat fields "beta",
-/// "rerank_depth", and "exhaustive_fusion" are still accepted so existing
-/// clients keep working, but mixing any of them with a "ranking" object in
-/// one request is InvalidArgument (400) — a request speaks exactly one
-/// shape. Unknown fields and wrong types are InvalidArgument.
+/// after, exclusive before; either bound may be omitted. Unknown fields
+/// (including the pre-grouping flat "beta" / "rerank_depth" /
+/// "exhaustive_fusion", removed after their one deprecated version) and
+/// wrong types are InvalidArgument.
 Result<baselines::SearchRequest> SearchRequestFromJson(
     const json::Value& value);
 
@@ -91,8 +88,9 @@ Result<SearchEnvelope> DecodeSearchEnvelope(std::string_view body,
 /// engine attached explanation paths, their rendered arrow notation from
 /// `graph` (both may be null: hits then carry indices/scores only).
 ///   {"hits": [{"doc_index", "score", "doc_id", "title", "paths": [...]}],
-///    "epoch", "snapshot_docs", "deadline_exceeded"?, "timings": {...},
-///    "trace"?: {...}}
+///    "epoch", "snapshot_docs", "deadline_exceeded"?, "shards_total"?,
+///    "shards_answered"?, "degraded"?, "timings": {...}, "trace"?: {...}}
+/// (the shard block when shards_total > 0: every NewsLink composition).
 json::Value SearchResponseToJson(const baselines::SearchResponse& response,
                                  const corpus::Corpus* corpus,
                                  const kg::KnowledgeGraph* graph);

@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
+#include <cmath>
 #include <utility>
 
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "common/trace.h"
 #include "net/api_json.h"
 #include "net/search_service.h"
 #include "net/status_http.h"
-#include "newslink/shard_merge.h"
 
 namespace newslink {
 namespace net {
@@ -26,6 +23,66 @@ HttpResponse JsonOk(const json::Value& body, int status = 200) {
   return response;
 }
 
+/// One shard server as a pipeline backend. Documents are round-robin
+/// partitioned, so shard s's local row l is global row l*n + s.
+class RemoteShardBackend final : public ShardBackend {
+ public:
+  RemoteShardBackend(const ShardClient* client, size_t num_shards,
+                     double shard_deadline_seconds)
+      : client_(client),
+        num_shards_(num_shards),
+        shard_deadline_seconds_(shard_deadline_seconds) {}
+
+  /// No pin: the plan reports the shard's epoch and the search echoes it.
+  ShardEpochPin Pin() const override { return ShardEpochPin(); }
+
+  Result<ShardPlan> Plan(const ShardQuery& query, const ShardEpochPin&,
+                         double budget_seconds) const override {
+    NL_ASSIGN_OR_RETURN(const double wire, WireBudget(budget_seconds));
+    NL_ASSIGN_OR_RETURN(ShardPlanRpcResponse plan,
+                        client_->Plan(query, wire));
+    return std::move(plan.plan);
+  }
+
+  Result<ShardSearchResult> Search(const ShardQuery& query,
+                                   const ShardGlobalStats& global,
+                                   const ShardEpochPin&, uint64_t plan_epoch,
+                                   double budget_seconds) const override {
+    NL_ASSIGN_OR_RETURN(const double wire, WireBudget(budget_seconds));
+    NL_ASSIGN_OR_RETURN(ShardSearchRpcResponse result,
+                        client_->Search(query, global, plan_epoch, wire));
+    return std::move(result.result);
+  }
+
+  const embed::DocumentEmbedding* DocEmbedding(uint32_t) const override {
+    return nullptr;  // document embeddings live on the shards
+  }
+
+  uint32_t GlobalRow(uint32_t local_row) const override {
+    return static_cast<uint32_t>(local_row * num_shards_ +
+                                 client_->shard());
+  }
+
+ private:
+  /// The RPC's wire deadline (0 = none): what is left of the request's
+  /// deadline, capped at the per-shard deployment setting. A spent request
+  /// deadline skips the call.
+  Result<double> WireBudget(double budget_seconds) const {
+    if (budget_seconds <= 0.0) {
+      return Status::Timeout("request deadline exhausted");
+    }
+    double wire = budget_seconds;
+    if (shard_deadline_seconds_ > 0.0) {
+      wire = std::min(wire, shard_deadline_seconds_);
+    }
+    return std::isinf(wire) ? 0.0 : wire;
+  }
+
+  const ShardClient* client_;
+  const size_t num_shards_;
+  const double shard_deadline_seconds_;
+};
+
 }  // namespace
 
 CoordinatorService::CoordinatorService(
@@ -33,13 +90,9 @@ CoordinatorService::CoordinatorService(
     std::vector<std::unique_ptr<ShardClient>> shards,
     CoordinatorOptions options)
     : prep_(prep),
-      config_(config),
       shards_(std::move(shards)),
       options_(options),
-      pool_(std::max<size_t>(shards_.size(), 1)),
-      queries_(prep_->mutable_metrics()->GetCounter(baselines::kEngineQueries)),
-      query_seconds_(prep_->mutable_metrics()->GetHistogram(
-          baselines::kEngineQuerySeconds)),
+      pipeline_(prep_->mutable_metrics(), config, shards_.size()),
       degraded_(prep_->mutable_metrics()->GetCounter(
           kCoordinatorDegraded, "responses merged over a partial shard set")),
       shard_errors_(prep_->mutable_metrics()->GetCounter(
@@ -47,6 +100,11 @@ CoordinatorService::CoordinatorService(
       rejected_(prep_->mutable_metrics()->GetCounter(
           kSearchRejected, "searches refused by admission control")) {
   NL_CHECK(!shards_.empty()) << "coordinator needs at least one shard";
+  for (const std::unique_ptr<ShardClient>& shard : shards_) {
+    backends_.push_back(std::make_unique<RemoteShardBackend>(
+        shard.get(), shards_.size(), options_.shard_deadline_seconds));
+    backend_ptrs_.push_back(backends_.back().get());
+  }
 }
 
 std::string CoordinatorService::name() const {
@@ -64,207 +122,24 @@ void CoordinatorService::RegisterRoutes(HttpServer* server) {
                  [this](const HttpRequest& r) { return HandleStats(r); });
 }
 
+PipelineView CoordinatorService::View() const {
+  PipelineView view;
+  view.prep = prep_;
+  view.backends = backend_ptrs_;
+  return view;
+}
+
+void CoordinatorService::CountDegraded(
+    const baselines::SearchResponse& response) const {
+  if (!response.degraded) return;
+  degraded_->Inc();
+  shard_errors_->Inc(response.shards_total - response.shards_answered);
+}
+
 baselines::SearchResponse CoordinatorService::Search(
     const baselines::SearchRequest& request) const {
-  const double beta = request.beta.value_or(config_.beta);
-  const size_t k = request.k;
-  const size_t n = shards_.size();
-
-  WallTimer deadline_timer;
-  const double deadline = request.deadline_seconds.value_or(0.0);
-  // Budget for the next shard RPC: the per-shard cap, tightened by
-  // whatever remains of the request's own deadline. <= 0 means the
-  // request deadline already passed — skip the call entirely.
-  const auto wire_budget = [this, &deadline_timer, deadline]() {
-    double budget = options_.shard_deadline_seconds;
-    if (deadline > 0.0) {
-      const double left = deadline - deadline_timer.ElapsedSeconds();
-      budget = budget > 0.0 ? std::min(budget, left) : left;
-      if (left <= 0.0) return -1.0;
-    }
-    return budget;
-  };
-
-  Trace query_trace;
-  // Anchor for the hand-spliced shard spans below (a Trace is
-  // single-threaded; shard wall times are recorded in the workers).
-  WallTimer trace_timer;
-  const size_t root_handle = query_trace.Begin("search");
-
-  baselines::SearchResponse response;
-  response.shards_total = n;
-
-  // --- NLP + NE on the query: once, at the coordinator ------------------
-  embed::DocumentEmbedding query_embedding;
-  {
-    ScopedSpan span(&query_trace, "nlp");
-    const text::SegmentedDocument segmented =
-        prep_->SegmentText(request.query);
-    query_trace.Note("segments", std::to_string(segmented.segments.size()));
-  }
-  {
-    ScopedSpan span(&query_trace, "ne");
-    if (beta > 0.0) {
-      query_embedding = prep_->EmbedText(request.query);
-    } else {
-      query_trace.Note("skipped", "beta=0");
-    }
-  }
-
-  // --- NS: two-phase scatter-gather over RPC ------------------------------
-  std::vector<std::unique_ptr<ShardSearchResult>> results(n);
-  std::vector<std::string> shard_errors(n);
-  std::vector<double> shard_start(n, 0.0);
-  std::vector<double> shard_seconds(n, 0.0);
-  std::atomic<bool> timed_out{false};
-  {
-    ScopedSpan span(&query_trace, "ns");
-    const ShardQuery shard_query =
-        prep_->PrepareShardQuery(request, query_embedding);
-
-    // Whether any answering shard holds real timestamps (drives the merge's
-    // recency decay); re-derived per round with the rest of the merged plan.
-    bool collection_has_timestamps = false;
-    // A shard whose epoch moves between PLAN and SEARCH answers 409; the
-    // whole round restarts once, because its new statistics change the
-    // collection-wide view every other shard scored with.
-    for (int round = 0; round < 2; ++round) {
-      std::vector<std::optional<ShardPlan>> plans(n);
-      pool_.ParallelFor(n, [&](size_t s) {
-        const double budget = wire_budget();
-        if (budget <= 0.0 && deadline > 0.0) {
-          shard_errors[s] = "TIMEOUT: request deadline exhausted";
-          timed_out.store(true, std::memory_order_relaxed);
-          return;
-        }
-        Result<ShardPlanRpcResponse> plan =
-            shards_[s]->Plan(shard_query, budget);
-        if (plan.ok()) {
-          plans[s] = std::move(plan->plan);
-          shard_errors[s].clear();
-        } else {
-          shard_errors[s] = plan.status().ToString();
-          if (plan.status().IsTimeout()) {
-            timed_out.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-
-      ShardGlobalStats global;
-      size_t planned = 0;
-      for (const std::optional<ShardPlan>& plan : plans) {
-        if (plan.has_value()) {
-          MergeShardPlan(*plan, &global);
-          ++planned;
-        }
-      }
-      if (planned == 0) break;
-      collection_has_timestamps = global.has_timestamps;
-
-      std::atomic<bool> epoch_moved{false};
-      pool_.ParallelFor(n, [&](size_t s) {
-        if (!plans[s].has_value()) return;
-        const double budget = wire_budget();
-        if (budget <= 0.0 && deadline > 0.0) {
-          shard_errors[s] = "TIMEOUT: request deadline exhausted";
-          timed_out.store(true, std::memory_order_relaxed);
-          return;
-        }
-        shard_start[s] = trace_timer.ElapsedSeconds();
-        WallTimer timer;
-        Result<ShardSearchRpcResponse> result =
-            shards_[s]->Search(shard_query, global, plans[s]->epoch, budget);
-        shard_seconds[s] = timer.ElapsedSeconds();
-        if (result.ok()) {
-          results[s] =
-              std::make_unique<ShardSearchResult>(std::move(result->result));
-          shard_errors[s].clear();
-        } else {
-          shard_errors[s] = result.status().ToString();
-          if (result.status().IsFailedPrecondition()) {
-            epoch_moved.store(true, std::memory_order_relaxed);
-          }
-          if (result.status().IsTimeout()) {
-            timed_out.store(true, std::memory_order_relaxed);
-          }
-        }
-      });
-      if (!epoch_moved.load(std::memory_order_relaxed)) break;
-      if (round == 0) {
-        // Results scored against the stale merge must not mix with the
-        // retry's — drop everything and re-plan at the new epochs.
-        for (std::unique_ptr<ShardSearchResult>& r : results) r.reset();
-      }
-    }
-
-    ShardFuseParams fuse;
-    fuse.beta = beta;
-    fuse.use_bow = shard_query.use_bow;
-    fuse.use_bon = shard_query.use_bon;
-    fuse.k = k;
-    fuse.recency_half_life_s = shard_query.recency_half_life_s;
-    fuse.now_ms = shard_query.now_ms;
-    fuse.has_timestamps = collection_has_timestamps;
-    std::vector<const ShardSearchResult*> ptrs(n);
-    for (size_t s = 0; s < n; ++s) ptrs[s] = results[s].get();
-    // Round-robin partition: shard s's local row l is global row l*n + s.
-    const std::vector<ir::ScoredDoc> merged = MergeShardCandidates(
-        fuse, ptrs, [n](size_t s, uint32_t local) {
-          return static_cast<uint32_t>(local * n + s);
-        });
-    response.hits.reserve(merged.size());
-    for (const ir::ScoredDoc& scored : merged) {
-      baselines::SearchHit hit;
-      hit.doc_index = scored.doc;
-      hit.score = scored.score;
-      response.hits.push_back(std::move(hit));
-    }
-    query_trace.Note("shards", std::to_string(n));
-  }
-
-  for (size_t s = 0; s < n; ++s) {
-    if (results[s] == nullptr) continue;
-    ++response.shards_answered;
-    response.epoch += results[s]->epoch;
-    response.snapshot_docs += results[s]->snapshot_docs;
-  }
-  response.degraded = response.shards_answered < response.shards_total;
-  if (response.degraded) degraded_->Inc();
-  if (timed_out.load(std::memory_order_relaxed)) {
-    response.deadline_exceeded = true;
-    query_trace.Note("deadline_exceeded", "true");
-  }
-  for (const std::string& error : shard_errors) {
-    if (!error.empty()) shard_errors_->Inc();
-  }
-
-  query_trace.End(root_handle);
-  TraceSpan root = query_trace.Finish();
-  // One span child per shard under "ns", timed in the workers above.
-  for (TraceSpan& child : root.children) {
-    if (child.name != "ns") continue;
-    for (size_t s = 0; s < n; ++s) {
-      TraceSpan shard_span;
-      shard_span.name = StrCat("shard", s);
-      shard_span.start_seconds = shard_start[s];
-      shard_span.duration_seconds = shard_seconds[s];
-      if (results[s] != nullptr) {
-        shard_span.notes.push_back(
-            {"epoch", std::to_string(results[s]->epoch)});
-        shard_span.notes.push_back(
-            {"candidates", std::to_string(results[s]->candidates.size())});
-      } else {
-        shard_span.notes.push_back({"error", shard_errors[s]});
-      }
-      child.children.push_back(std::move(shard_span));
-    }
-    break;
-  }
-
-  queries_->Inc();
-  query_seconds_->Observe(root.duration_seconds);
-  response.timings = SpanBreakdown(root);
-  if (request.trace) response.trace = std::move(root);
+  baselines::SearchResponse response = pipeline_.Search(request, View());
+  CountDegraded(response);
   return response;
 }
 
@@ -288,10 +163,12 @@ HttpResponse CoordinatorService::HandleSearch(const HttpRequest& request) {
     rejected_->Inc();
     return ErrorResponseAt(503, "search admission limit reached");
   }
-  std::vector<baselines::SearchResponse> responses(requests.size());
-  pool_.ParallelFor(requests.size(),
-                    [&](size_t i) { responses[i] = Search(requests[i]); });
+  const std::vector<baselines::SearchResponse> responses =
+      pipeline_.SearchBatch(requests, View());
   inflight_searches_.fetch_sub(1, std::memory_order_acq_rel);
+  for (const baselines::SearchResponse& response : responses) {
+    CountDegraded(response);
+  }
 
   // No corpus or graph here: hits carry indices and scores only.
   if (batched) {

@@ -1,7 +1,7 @@
 // The scatter-gather coordinator (DESIGN.md Sec. 12): serves the public
 // /v1 search API by fanning every query out to N shard servers over the
-// /v1/shard RPC surface and merging their candidates with the exact
-// arithmetic of the in-process ShardedEngine (newslink/shard_merge.h).
+// /v1/shard RPC surface — the query pipeline (newslink/query_pipeline.h)
+// over N remote backends, the code every in-process composition runs.
 //
 //   POST /v1/search  single or batched SearchRequest → SearchResponse;
 //                    `explain` is rejected loudly (document embeddings
@@ -15,7 +15,8 @@
 // per-shard statistics, then SEARCHes every shard with the collection-wide
 // view. A shard that answers 409 (its epoch moved between the two phases)
 // triggers ONE full re-plan round; a shard that is down or misses its
-// per-shard deadline budget is dropped from the merge — the response still
+// deadline budget (the request's remaining deadline, capped at
+// shard_deadline_seconds) is dropped from the merge — the response still
 // answers 200 with `degraded: true` and shards_answered < shards_total.
 //
 // Documents are assumed round-robin partitioned by global corpus row
@@ -33,11 +34,11 @@
 #include <vector>
 
 #include "baselines/search_engine.h"
-#include "common/thread_pool.h"
 #include "net/http.h"
 #include "net/http_server.h"
 #include "net/shard_client.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/query_pipeline.h"
 
 namespace newslink {
 namespace net {
@@ -63,9 +64,10 @@ struct CoordinatorOptions {
 /// \brief Serves /v1/search by scatter-gather over shard servers.
 ///
 /// `prep` is a NewsLinkEngine with the knowledge graph loaded but no
-/// corpus — it runs the per-query NLP/NE pipeline and builds the
-/// shard-portable query. It must outlive the service; the service must
-/// outlive the HttpServer it registered routes on.
+/// corpus — it runs the per-query NLP/NE stages, resolves the request
+/// knobs against its config, and builds the shard-portable query. It must
+/// outlive the service; the service must outlive the HttpServer it
+/// registered routes on. `config` sets the slow-query log.
 class CoordinatorService {
  public:
   CoordinatorService(const newslink::NewsLinkEngine* prep,
@@ -81,6 +83,11 @@ class CoordinatorService {
   baselines::SearchResponse Search(
       const baselines::SearchRequest& request) const;
 
+  /// Recent queries over config.slow_query_threshold_seconds.
+  const SlowQueryLog& slow_query_log() const {
+    return pipeline_.slow_query_log();
+  }
+
   std::string name() const;
   size_t num_shards() const { return shards_.size(); }
 
@@ -91,19 +98,21 @@ class CoordinatorService {
   HttpResponse HandleMetrics(const HttpRequest& request) const;
 
  private:
+  /// The pipeline's view: prep_ plus one remote backend per shard.
+  PipelineView View() const;
+  /// Coordinator series for one response, on top of the pipeline's own.
+  void CountDegraded(const baselines::SearchResponse& response) const;
+
   const newslink::NewsLinkEngine* prep_;
-  const NewsLinkConfig config_;
   const std::vector<std::unique_ptr<ShardClient>> shards_;
   const CoordinatorOptions options_;
-
-  /// Fans Plan/Search RPCs out; sized to the shard count so one query's
-  /// round trips run concurrently. ParallelFor is reentrant, so batched
-  /// requests may fan out from inside a worker.
-  mutable ThreadPool pool_;
+  std::vector<std::unique_ptr<ShardBackend>> backends_;
+  std::vector<const ShardBackend*> backend_ptrs_;
+  /// Registered on the prep engine's registry; its pool (sized to the
+  /// shard count) runs one query's round trips concurrently.
+  QueryPipeline pipeline_;
 
   std::atomic<size_t> inflight_searches_{0};
-  metrics::Counter* queries_;
-  metrics::Histogram* query_seconds_;
   metrics::Counter* degraded_;
   metrics::Counter* shard_errors_;
   metrics::Counter* rejected_;

@@ -16,7 +16,6 @@
 #include "ir/reorder.h"
 #include "ir/simhash.h"
 #include "ir/text_vectorizer.h"
-#include "ir/top_k.h"
 
 namespace newslink {
 
@@ -58,9 +57,7 @@ ir::TermCounts BonCounts(const embed::DocumentEmbedding& embedding,
 }
 
 /// Query-side BON term counts: source nodes (entities literally mentioned
-/// in the query) boosted over induced context nodes. Shared by Search and
-/// PrepareShardQuery so a shard query carries exactly the weights a local
-/// query would use.
+/// in the query) boosted over induced context nodes.
 ir::TermCounts QueryBonCounts(const embed::DocumentEmbedding& query_embedding,
                               uint32_t source_weight) {
   const std::vector<kg::NodeId> source_nodes = query_embedding.SourceNodes();
@@ -170,19 +167,17 @@ size_t FillSide(std::vector<FusionCandidate>* candidates, FusionSide side,
 NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
                                const kg::LabelIndex* label_index,
                                NewsLinkConfig config)
-    : graph_(graph),
+    : PipelineEngine(config, /*fanout_threads=*/1),
+      graph_(graph),
       label_index_(label_index),
       config_(config),
       ner_(label_index),
-      explainer_(graph),
       text_scorer_(&text_index_, config_.bm25),
       node_scorer_(&node_index_, config_.bon_bm25),
       text_retriever_(&text_index_, config_.bm25,
                       ir::MaxScoreOptions{config_.use_block_max}),
       node_retriever_(&node_index_, config_.bon_bm25,
                       ir::MaxScoreOptions{config_.use_block_max}),
-      queries_(registry()->GetCounter(baselines::kEngineQueries,
-                                      "Search calls")),
       bow_docs_scored_(registry()->GetCounter(
           kBowDocsScored, "documents BM25-scored on the text (BOW) side")),
       bon_docs_scored_(registry()->GetCounter(
@@ -193,31 +188,16 @@ NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
           kSnapshotAcquisitions, "snapshots handed to queries")),
       snapshots_reclaimed_(registry()->GetCounter(
           kSnapshotsReclaimed, "snapshots whose last reader released them")),
-      slow_queries_(registry()->GetCounter(
-          kSlowQueries, "queries over the slow-query threshold")),
       current_epoch_(registry()->GetGauge(kCurrentEpoch,
                                           "epoch currently installed")),
       indexed_docs_(registry()->GetGauge(
           kIndexedDocs, "documents visible in the current epoch")),
-      query_seconds_(registry()->GetHistogram(
-          baselines::kEngineQuerySeconds, {},
-          "end-to-end query latency, seconds")),
-      query_nlp_seconds_(registry()->GetHistogram(
-          kQueryNlpSeconds, {}, "per-query NLP stage, seconds")),
-      query_ne_seconds_(registry()->GetHistogram(
-          kQueryNeSeconds, {}, "per-query NE stage, seconds")),
-      query_ns_seconds_(registry()->GetHistogram(
-          kQueryNsSeconds, {}, "per-query NS stage, seconds")),
-      query_explain_seconds_(registry()->GetHistogram(
-          kQueryExplainSeconds, {}, "per-query explanation stage, seconds")),
       index_nlp_seconds_(registry()->GetHistogram(
           kIndexNlpSeconds, {}, "per-document NLP stage at index time")),
       index_ne_seconds_(registry()->GetHistogram(
           kIndexNeSeconds, {}, "per-document NE stage at index time")),
       index_ns_seconds_(registry()->GetHistogram(
-          kIndexNsSeconds, {}, "per-document NS appends at index time")),
-      slow_log_(config_.slow_query_threshold_seconds,
-                config_.slow_query_log_capacity) {
+          kIndexNsSeconds, {}, "per-document NS appends at index time")) {
   text_index_.EnableMetrics(registry(), "bow");
   node_index_.EnableMetrics(registry(), "bon");
   text_retriever_.EnableMetrics(registry(), "bow");
@@ -247,11 +227,23 @@ text::SegmentedDocument NewsLinkEngine::SegmentText(
   return segmenter.Segment(text);
 }
 
+embed::DocumentEmbedding NewsLinkEngine::EmbedSegmented(
+    const text::SegmentedDocument& segmented, Trace* trace) const {
+  return embed::EmbedDocument(
+      *embedder_, EntityGroups(segmented, config_.use_maximal_reduction),
+      trace);
+}
+
 embed::DocumentEmbedding NewsLinkEngine::EmbedText(
     const std::string& text) const {
-  return embed::EmbedDocument(
-      *embedder_,
-      EntityGroups(SegmentText(text), config_.use_maximal_reduction));
+  return EmbedSegmented(SegmentText(text));
+}
+
+PipelineView NewsLinkEngine::View() const {
+  PipelineView view;
+  view.prep = this;
+  view.backends = backends_;
+  return view;
 }
 
 std::shared_ptr<const NewsLinkEngine::EngineSnapshot>
@@ -319,33 +311,55 @@ Status NewsLinkEngine::Index(const corpus::Corpus& corpus) {
   EnsureSketch();
   const size_t n = corpus.size();
   std::vector<embed::DocumentEmbedding> embeddings(n);
-  std::vector<uint64_t> signatures(config_.reorder_docs ? n : 0);
 
   // NLP + NE per document, in parallel (documents are independent); the
   // results land in a local buffer so concurrent queries — which see the
-  // pre-Index epoch until the publish below — never observe the workers.
-  // Histogram observations are wait-free, so workers feed them directly.
+  // pre-Index epoch until IndexWithEmbeddings publishes — never observe
+  // the workers. Histogram observations are wait-free, so workers feed
+  // them directly.
   ThreadPool pool(config_.num_threads);
   pool.ParallelFor(n, [&](size_t i) {
     WallTimer timer;
-    text::SegmentedDocument segmented = SegmentText(corpus.doc(i).text);
+    const text::SegmentedDocument segmented = SegmentText(corpus.doc(i).text);
     index_nlp_seconds_->Observe(timer.ElapsedSeconds());
     timer.Restart();
-    embeddings[i] = embed::EmbedDocument(
-        *embedder_, EntityGroups(segmented, config_.use_maximal_reduction));
+    embeddings[i] = EmbedSegmented(segmented);
     index_ne_seconds_->Observe(timer.ElapsedSeconds());
-    if (config_.reorder_docs) signatures[i] = ir::SimHash(corpus.doc(i).text);
   });
+  return IndexWithEmbeddings(corpus, std::move(embeddings));
+}
+
+Status NewsLinkEngine::IndexWithEmbeddings(
+    const corpus::Corpus& corpus,
+    std::vector<embed::DocumentEmbedding> embeddings) {
+  if (embeddings.size() != corpus.size()) {
+    return Status::InvalidArgument(
+        StrCat("embedding store has ", embeddings.size(),
+               " entries for a corpus of ", corpus.size()));
+  }
+  if (num_indexed_docs() != 0) {
+    return Status::FailedPrecondition(
+        "IndexWithEmbeddings requires an empty engine; use AddDocument for "
+        "live ingestion");
+  }
+  // No NE stage here, but the query path still wants the fast path (a
+  // no-op when Index already built the sketches).
+  EnsureSketch();
+  const size_t n = corpus.size();
 
   // NS: build both inverted indexes (sequential: index ids must align),
   // then publish the whole corpus as one epoch. With reordering on, docs
   // are ingested in signature order so similar documents get adjacent
   // internal ids; the permutation is recorded so the public API keeps
   // speaking corpus row numbers.
-  const std::vector<uint32_t> order =
-      config_.reorder_docs
-          ? ir::SignatureSortOrder(signatures)
-          : std::vector<uint32_t>();
+  std::vector<uint32_t> order;
+  if (config_.reorder_docs) {
+    std::vector<uint64_t> signatures(n);
+    for (size_t i = 0; i < n; ++i) {
+      signatures[i] = ir::SimHash(corpus.doc(i).text);
+    }
+    order = ir::SignatureSortOrder(signatures);
+  }
   std::lock_guard<std::mutex> writer(writer_mu_);
   for (size_t d = 0; d < n; ++d) {
     const size_t e = config_.reorder_docs ? order[d] : d;
@@ -381,62 +395,6 @@ Status NewsLinkEngine::Index(const corpus::Corpus& corpus) {
   return Status::OK();
 }
 
-Status NewsLinkEngine::IndexWithEmbeddings(
-    const corpus::Corpus& corpus,
-    std::vector<embed::DocumentEmbedding> embeddings) {
-  if (embeddings.size() != corpus.size()) {
-    return Status::InvalidArgument(
-        StrCat("embedding store has ", embeddings.size(),
-               " entries for a corpus of ", corpus.size()));
-  }
-  if (num_indexed_docs() != 0) {
-    return Status::FailedPrecondition(
-        "IndexWithEmbeddings requires an empty engine; use AddDocument for "
-        "live ingestion");
-  }
-  // No NE stage here, but the query path still wants the fast path.
-  EnsureSketch();
-  const size_t n = corpus.size();
-  std::vector<uint32_t> order;
-  if (config_.reorder_docs) {
-    std::vector<uint64_t> signatures(n);
-    for (size_t i = 0; i < n; ++i) {
-      signatures[i] = ir::SimHash(corpus.doc(i).text);
-    }
-    order = ir::SignatureSortOrder(signatures);
-  }
-  std::lock_guard<std::mutex> writer(writer_mu_);
-  for (size_t d = 0; d < n; ++d) {
-    const size_t e = config_.reorder_docs ? order[d] : d;
-    WallTimer timer;
-    text_index_.AddDocument(
-        ir::TextVectorizer::CountsForIndexing(corpus.doc(e).text, &text_dict_));
-    node_index_.AddDocument(
-        BonCounts(embeddings[e], config_.bon_doc_tf_cap));
-    doc_embeddings_.Append(std::move(embeddings[e]));
-    timestamps_.Append(corpus.doc(e).timestamp_ms);
-    if (corpus.doc(e).timestamp_ms != 0) has_timestamps_ = true;
-    internal_to_external_.Append(static_cast<uint32_t>(e));
-    index_ns_seconds_->Observe(timer.ElapsedSeconds());
-  }
-  if (config_.reorder_docs) {
-    for (const uint32_t internal : ir::InvertPermutation(order)) {
-      external_to_internal_.Append(internal);
-    }
-  } else {
-    for (size_t e = 0; e < n; ++e) {
-      external_to_internal_.Append(static_cast<uint32_t>(e));
-    }
-  }
-  uint64_t corpus_fp = corpus_fingerprint_.load(std::memory_order_relaxed);
-  for (size_t e = 0; e < n; ++e) {
-    corpus_fp = corpus::ChainCorpusFingerprint(corpus_fp, corpus.doc(e));
-  }
-  corpus_fingerprint_.store(corpus_fp, std::memory_order_release);
-  PublishSnapshot();
-  return Status::OK();
-}
-
 size_t NewsLinkEngine::AddDocument(const corpus::Document& doc) {
   // NLP + NE are the expensive stages; run them before taking the writer
   // lock so concurrent AddDocument callers only serialize on the (cheap)
@@ -444,11 +402,10 @@ size_t NewsLinkEngine::AddDocument(const corpus::Document& doc) {
   // outside the writer lock.
   EnsureSketch();
   WallTimer timer;
-  text::SegmentedDocument segmented = SegmentText(doc.text);
+  const text::SegmentedDocument segmented = SegmentText(doc.text);
   index_nlp_seconds_->Observe(timer.ElapsedSeconds());
   timer.Restart();
-  embed::DocumentEmbedding embedding = embed::EmbedDocument(
-      *embedder_, EntityGroups(segmented, config_.use_maximal_reduction));
+  embed::DocumentEmbedding embedding = EmbedSegmented(segmented);
   index_ne_seconds_->Observe(timer.ElapsedSeconds());
 
   std::lock_guard<std::mutex> writer(writer_mu_);
@@ -759,233 +716,6 @@ double NewsLinkEngine::EmbeddedDocumentFraction() const {
   return static_cast<double>(embedded) / static_cast<double>(snap->num_docs);
 }
 
-baselines::SearchResponse NewsLinkEngine::Search(
-    const baselines::SearchRequest& request) const {
-  // Resolve per-request knobs against the engine defaults.
-  const double beta = request.beta.value_or(config_.beta);
-  const size_t rerank_depth = request.rerank_depth.value_or(config_.rerank_depth);
-  const bool exhaustive =
-      request.exhaustive_fusion.value_or(config_.exhaustive_fusion);
-  const double recency_half_life_s = request.recency_half_life_seconds.value_or(
-      config_.recency_half_life_seconds);
-  const size_t k = request.k;
-
-  // Per-request deadline (best-effort degradation): checked at stage
-  // boundaries, never mid-scoring. Optional stages (query NE, explain)
-  // are skipped once the budget is spent; the response flags it.
-  WallTimer deadline_timer;
-  const double deadline = request.deadline_seconds.value_or(0.0);
-  const auto past_deadline = [&deadline_timer, deadline]() {
-    return deadline > 0.0 && deadline_timer.ElapsedSeconds() >= deadline;
-  };
-
-  // The query's span tree: one "search" root with a child per component
-  // stage. Everything downstream — SearchResponse::timings, the per-stage
-  // histograms, the slow-query log — derives from this one tree.
-  Trace query_trace;
-  const size_t root_handle = query_trace.Begin("search");
-
-  // One epoch for the whole query: every statistic, posting, and embedding
-  // read below comes from this snapshot.
-  const std::shared_ptr<const EngineSnapshot> snap = AcquireSnapshot();
-
-  baselines::SearchResponse response;
-  response.epoch = snap->epoch;
-  response.snapshot_docs = snap->num_docs;
-
-  // --- NLP + NE on the query -------------------------------------------
-  embed::DocumentEmbedding query_embedding;
-  text::SegmentedDocument segmented;
-  {
-    ScopedSpan span(&query_trace, "nlp");
-    segmented = SegmentText(request.query);
-    query_trace.Note("segments", std::to_string(segmented.segments.size()));
-  }
-  {
-    ScopedSpan span(&query_trace, "ne");
-    // Explanations need a query embedding even at beta == 0.
-    if ((beta > 0.0 || request.explain) && past_deadline()) {
-      // Degrade to text-only retrieval rather than blowing the budget.
-      response.deadline_exceeded = true;
-      query_trace.Note("skipped", "deadline");
-    } else if (beta > 0.0 || request.explain) {
-      query_embedding = embed::EmbedDocument(
-          *embedder_, EntityGroups(segmented, config_.use_maximal_reduction),
-          &query_trace);
-    } else {
-      query_trace.Note("skipped", "beta=0");
-    }
-  }
-
-  // --- NS: score both sides and fuse (Eq. 3) ----------------------------
-  {
-    ScopedSpan span(&query_trace, "ns");
-    const bool use_bow = beta < 1.0;
-    const bool use_bon = beta > 0.0;
-    // k' of the pruned path: enough slack that the true fused top-k is in
-    // the union of the per-side candidate sets.
-    const size_t kprime = std::max(k, rerank_depth);
-
-    ir::TermCounts bow_query;
-    if (use_bow) {
-      bow_query = ir::TextVectorizer::CountsForQuery(request.query, text_dict_);
-    }
-    ir::TermCounts bon_query;
-    if (use_bon) {
-      // Query-side BON: sources boosted over induced context nodes.
-      bon_query =
-          QueryBonCounts(query_embedding, config_.bon_query_source_weight);
-    }
-
-    // Publication-time pre-filter, pushed into the posting traversal on
-    // both sides: documents outside [after_ms, before_ms) are never scored
-    // (the docs-scored counters show the pruning).
-    TimeFilterCtx time_ctx{&timestamps_, {}};
-    ir::DocFilter time_filter;
-    const ir::DocFilter* filter = nullptr;
-    if (request.time_range.has_value()) {
-      time_ctx.range = *request.time_range;
-      time_filter.accept = &TimeFilterCtx::Accept;
-      time_filter.ctx = &time_ctx;
-      filter = &time_filter;
-      query_trace.Note("time_range", StrCat("[", time_ctx.range.after_ms, ",",
-                                            time_ctx.range.before_ms, ")"));
-    }
-
-    std::vector<ir::ScoredDoc> bow;
-    std::vector<ir::ScoredDoc> bon;
-    size_t bow_scored = 0;
-    size_t bon_scored = 0;
-    if (exhaustive) {
-      if (use_bow) {
-        bow = text_scorer_.ScoreAll(bow_query, snap->text, nullptr, filter);
-        bow_scored = bow.size();
-      }
-      if (use_bon) {
-        bon = node_scorer_.ScoreAll(bon_query, snap->node, nullptr, filter);
-        bon_scored = bon.size();
-      }
-    } else {
-      if (use_bow) {
-        bow = text_retriever_.TopK(bow_query, kprime, snap->text, &bow_scored,
-                                   nullptr, nullptr, filter);
-      }
-      if (use_bon) {
-        bon = node_retriever_.TopK(bon_query, kprime, snap->node, &bon_scored,
-                                   nullptr, nullptr, filter);
-      }
-    }
-
-    // Max-normalize each side so β mixes scale-free scores. The pruned
-    // lists are best-first, so their maximum IS the global per-side
-    // maximum — normalization is identical in both modes.
-    auto max_score = [](const std::vector<ir::ScoredDoc>& v) {
-      double m = 0.0;
-      for (const ir::ScoredDoc& s : v) m = std::max(m, s.score);
-      return m > 0.0 ? m : 1.0;
-    };
-    const double bow_max = max_score(bow);
-    const double bon_max = max_score(bon);
-
-    std::vector<FusionCandidate> candidates =
-        MergeSides(std::move(bow), std::move(bon));
-    if (!exhaustive && use_bow && use_bon) {
-      bow_scored += FillSide(&candidates, kBow, text_scorer_, bow_query,
-                             snap->text, nullptr);
-      bon_scored += FillSide(&candidates, kBon, node_scorer_, bon_query,
-                             snap->node, nullptr);
-    }
-
-    bow_docs_scored_->Inc(bow_scored);
-    bon_docs_scored_->Inc(bon_scored);
-    query_trace.Note("bow_scored", std::to_string(bow_scored));
-    query_trace.Note("bon_scored", std::to_string(bon_scored));
-
-    // Recency prior (DESIGN.md Sec. 15): fuse first, then multiply each
-    // candidate's fused score by its time decay. "Now" is pinned to the
-    // snapshot (every query of an epoch agrees on ages); the request-level
-    // override exists for deterministic tests. A timestamp-free collection
-    // never decays — bit-identical to the pre-time engine.
-    const bool decay = snap->has_timestamps && recency_half_life_s > 0.0;
-    const int64_t now = request.now_ms.value_or(snap->now_ms);
-    ir::TopKHeap heap(k);
-    for (const FusionCandidate& c : candidates) {
-      // Per-side term (1-β)·(S/max) — the parenthesization the distributed
-      // merge recomputes from raw side scores, so it lands on the same
-      // bits. A side the candidate lacks contributes nothing.
-      double score = 0.0;
-      if (c.has[kBow]) score += (1.0 - beta) * (c.score[kBow] / bow_max);
-      if (c.has[kBon]) score += beta * (c.score[kBon] / bon_max);
-      if (decay) {
-        score *= RecencyDecay(timestamps_.At(c.doc), now, recency_half_life_s);
-      }
-      heap.Push(ir::ScoredDoc{c.doc, score});
-    }
-    response.hits.reserve(std::min(k, candidates.size()));
-    for (const ir::ScoredDoc& s : heap.Take()) {
-      baselines::SearchHit hit;
-      hit.doc_index = s.doc;
-      hit.score = s.score;
-      response.hits.push_back(std::move(hit));
-    }
-  }
-
-  if (request.explain && past_deadline()) {
-    response.deadline_exceeded = true;
-    query_trace.Note("explain_skipped", "deadline");
-  } else if (request.explain) {
-    // Hits still carry internal ids here, so every doc_index is below
-    // snap->num_docs and its embedding is fully published.
-    ScopedSpan span(&query_trace, "explain");
-    for (baselines::SearchHit& hit : response.hits) {
-      hit.paths =
-          explainer_.Explain(query_embedding, doc_embeddings_.At(hit.doc_index),
-                             request.max_paths_per_result);
-    }
-  }
-
-  // Translate hits to corpus row numbers — the only id space the public
-  // API speaks. (Identity unless a reordering pass or reordered snapshot
-  // installed a real permutation.)
-  for (baselines::SearchHit& hit : response.hits) {
-    hit.doc_index = internal_to_external_.At(hit.doc_index);
-  }
-
-  if (response.deadline_exceeded) {
-    query_trace.Note("deadline_exceeded", "true");
-  }
-  query_trace.End(root_handle);
-  TraceSpan root = query_trace.Finish();
-
-  // Cumulative series + the response's own view, all from the one tree.
-  queries_->Inc();
-  query_seconds_->Observe(root.duration_seconds);
-  for (const TraceSpan& child : root.children) {
-    if (child.name == "nlp") {
-      query_nlp_seconds_->Observe(child.duration_seconds);
-    } else if (child.name == "ne") {
-      query_ne_seconds_->Observe(child.duration_seconds);
-    } else if (child.name == "ns") {
-      query_ns_seconds_->Observe(child.duration_seconds);
-    } else if (child.name == "explain") {
-      query_explain_seconds_->Observe(child.duration_seconds);
-    }
-  }
-  response.timings = SpanBreakdown(root);
-
-  if (slow_log_.ShouldRecord(root.duration_seconds)) {
-    slow_queries_->Inc();
-    SlowQueryRecord record;
-    record.query = request.query;
-    record.seconds = root.duration_seconds;
-    record.epoch = snap->epoch;
-    record.trace = root;  // copy: the response may still want the tree
-    slow_log_.Record(std::move(record));
-  }
-  if (request.trace) response.trace = std::move(root);
-  return response;
-}
-
 // --- Shard-serving surface (DESIGN.md Sec. 12) --------------------------
 
 ShardEpochPin NewsLinkEngine::PinEpoch() const {
@@ -1015,16 +745,11 @@ ShardQuery NewsLinkEngine::PrepareShardQuery(
     query.node_terms =
         QueryBonCounts(query_embedding, config_.bon_query_source_weight);
   }
-  // Time knobs, resolved ONCE here so every shard and the merge agree on
-  // the window, the half-life, and — crucially — one "now" instant.
   if (request.time_range.has_value()) {
     query.has_time_range = true;
     query.after_ms = request.time_range->after_ms;
     query.before_ms = request.time_range->before_ms;
   }
-  query.recency_half_life_s = request.recency_half_life_seconds.value_or(
-      config_.recency_half_life_seconds);
-  query.now_ms = request.now_ms.value_or(WallNowMs());
   return query;
 }
 
@@ -1041,6 +766,7 @@ ShardPlan NewsLinkEngine::PlanShard(const ShardQuery& query,
   plan.text_min_doc_length = text_index_.MinDocLength();
   plan.node_min_doc_length = node_index_.MinDocLength();
   plan.has_timestamps = snap->has_timestamps;
+  plan.now_ms = snap->now_ms;
   if (query.use_bow) {
     plan.text_df.reserve(query.text_stems.size());
     plan.text_max_tf.reserve(query.text_stems.size());
@@ -1107,8 +833,9 @@ ShardSearchResult NewsLinkEngine::SearchShard(const ShardQuery& query,
   }
   const ir::TermCounts& bon_query = query.node_terms;
 
-  // Same pushed-down time pre-filter as the single-engine path: documents
-  // outside the window never become candidates on any shard.
+  // Publication-time pre-filter, pushed into the posting traversal on
+  // both sides: documents outside [after_ms, before_ms) are never scored
+  // (the docs-scored counters show the pruning).
   TimeFilterCtx time_ctx{&timestamps_, {}};
   ir::DocFilter time_filter;
   const ir::DocFilter* filter = nullptr;
@@ -1149,9 +876,9 @@ ShardSearchResult NewsLinkEngine::SearchShard(const ShardQuery& query,
   for (const ir::ScoredDoc& s : bow) out.bow_max = std::max(out.bow_max, s.score);
   for (const ir::ScoredDoc& s : bon) out.bon_max = std::max(out.bon_max, s.score);
 
-  // Candidate union with both raw sides; like Search, candidates retrieved
-  // on one side only get their other side completed (the exhaustive lists
-  // are already complete — a doc absent from one is an exact zero there).
+  // Candidate union with both raw sides; candidates retrieved on one side
+  // only get their other side completed (the exhaustive lists are already
+  // complete — a doc absent from one is an exact zero there).
   std::vector<FusionCandidate> candidates =
       MergeSides(std::move(bow), std::move(bon));
   if (!query.exhaustive && query.use_bow && query.use_bon) {

@@ -3,7 +3,8 @@
 // (G* subgraph embeddings, optionally the TreeEmb baseline), and builds the
 // NS component's dual inverted indexes (BOW over text, BON over embedding
 // nodes). Query processing fuses both scores with Equation 3 and can attach
-// relationship-path explanations (Tables II/VI).
+// relationship-path explanations (Tables II/VI); it is the query pipeline
+// (query_pipeline.h) over one backend — this engine as its own shard.
 //
 // Concurrency model (epoch-based snapshot isolation, DESIGN.md Sec. 7):
 // queries and ingestion run concurrently. A writer (Index /
@@ -20,7 +21,7 @@
 // the base class); per-query time attribution comes from the span tree
 // each Search call builds (SearchResponse::timings / ::trace), and queries
 // crossing `slow_query_threshold_seconds` land in slow_query_log() with
-// their full tree.
+// their full tree — all maintained by the query pipeline.
 
 #ifndef NEWSLINK_NEWSLINK_NEWSLINK_ENGINE_H_
 #define NEWSLINK_NEWSLINK_NEWSLINK_ENGINE_H_
@@ -35,11 +36,9 @@
 
 #include "baselines/search_engine.h"
 #include "common/metrics.h"
-#include "common/slow_query_log.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "embed/document_embedding.h"
-#include "embed/path_explainer.h"
 #include "ir/append_only.h"
 #include "ir/inverted_index.h"
 #include "ir/max_score.h"
@@ -47,6 +46,7 @@
 #include "ir/term_dictionary.h"
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
+#include "newslink/query_pipeline.h"
 #include "newslink/shard_api.h"
 #include "text/gazetteer_ner.h"
 #include "text/news_segmenter.h"
@@ -54,8 +54,8 @@
 namespace newslink {
 
 /// Registry series names maintained by NewsLinkEngine, on top of the
-/// engine_* series of the baselines::SearchEngine base and the embedder_*
-/// / lcag_cache_* series of its NE component (all in the same registry).
+/// engine_* / query_* series of its query pipeline and the embedder_* /
+/// lcag_cache_* series of its NE component (all in the same registry).
 inline constexpr std::string_view kBowDocsScored = "bow_docs_scored_total";
 inline constexpr std::string_view kBonDocsScored = "bon_docs_scored_total";
 /// Registered by the text-side MaxScoreRetriever (prefix "bow"): posting
@@ -69,14 +69,6 @@ inline constexpr std::string_view kSnapshotsReclaimed =
     "snapshots_reclaimed_total";
 inline constexpr std::string_view kCurrentEpoch = "current_epoch";
 inline constexpr std::string_view kIndexedDocs = "indexed_docs";
-inline constexpr std::string_view kSlowQueries = "slow_queries_total";
-/// Per-query component latency histograms (seconds), fed from the query's
-/// span tree — Fig. 7 / Table VIII breakdowns read these.
-inline constexpr std::string_view kQueryNlpSeconds = "query_nlp_seconds";
-inline constexpr std::string_view kQueryNeSeconds = "query_ne_seconds";
-inline constexpr std::string_view kQueryNsSeconds = "query_ns_seconds";
-inline constexpr std::string_view kQueryExplainSeconds =
-    "query_explain_seconds";
 /// Per-document component latency histograms for index builds / ingestion.
 inline constexpr std::string_view kIndexNlpSeconds = "index_nlp_seconds";
 inline constexpr std::string_view kIndexNeSeconds = "index_ne_seconds";
@@ -157,9 +149,10 @@ struct NewsLinkConfig {
   /// which makes posting blocks coherent and block-max pruning effective.
   /// Purely internal — the public API (SearchHit::doc_index,
   /// doc_embedding(), SnapshotEmbeddings()) always speaks corpus row
-  /// numbers, and the permutation is persisted in snapshots, so results
-  /// are identical with or without it. Excluded from ConfigFingerprint for
-  /// the same reason: a snapshot carries its own doc map.
+  /// numbers, the merge breaks score ties on corpus rows, and the
+  /// permutation is persisted in snapshots, so results are identical with
+  /// or without it. Excluded from ConfigFingerprint for the same reason: a
+  /// snapshot carries its own doc map.
   bool reorder_docs = false;
   /// Block-Max MaxScore on both retrieval sides (false = classic MaxScore
   /// term bounds; identical results, more documents scored). Query-side
@@ -171,7 +164,7 @@ struct NewsLinkConfig {
 using ExplainedResult = baselines::SearchHit;
 
 /// \brief The NewsLink search engine.
-class NewsLinkEngine : public baselines::SearchEngine {
+class NewsLinkEngine : public PipelineEngine {
  public:
   /// `graph` and `label_index` must outlive the engine.
   NewsLinkEngine(const kg::KnowledgeGraph* graph,
@@ -180,17 +173,22 @@ class NewsLinkEngine : public baselines::SearchEngine {
 
   std::string name() const override;
 
-  /// Default fusion weight (Eq. 3) for requests that do not set their own.
-  double beta() const { return config_.beta; }
+  /// The configuration; its query knobs (β, rerank depth, exhaustive
+  /// mode, recency half-life) are the defaults for requests that do not
+  /// set their own.
+  const NewsLinkConfig& config() const { return config_; }
+  const kg::KnowledgeGraph* graph() const { return graph_; }
 
-  /// Build embeddings and indexes for the corpus, then publish one epoch.
-  /// Embedding is parallelized across documents (paper Sec. VII-G).
-  /// Indexing into a non-empty engine is FailedPrecondition.
+  /// Build embeddings and indexes for the corpus, then publish one epoch:
+  /// the NLP/NE stage in parallel across documents (paper Sec. VII-G),
+  /// then IndexWithEmbeddings. Indexing into a non-empty engine is
+  /// FailedPrecondition.
   Status Index(const corpus::Corpus& corpus) override;
 
   /// Index with precomputed embeddings (one per document, as produced by
-  /// embed::LoadEmbeddings) — skips the expensive NE stage entirely. Like
-  /// Index, requires an empty engine (the doc-id map starts at row 0).
+  /// embed::LoadEmbeddings) — the NS half of Index, skipping the expensive
+  /// NE stage. Like Index, requires an empty engine (the doc-id map starts
+  /// at row 0).
   Status IndexWithEmbeddings(const corpus::Corpus& corpus,
                              std::vector<embed::DocumentEmbedding> embeddings);
 
@@ -235,23 +233,15 @@ class NewsLinkEngine : public baselines::SearchEngine {
   /// Snapshots refuse to load under a config with a different value.
   static uint64_t ConfigFingerprint(const NewsLinkConfig& config);
 
-  /// Request-scoped search: THE query entry point. Acquires the current
-  /// epoch, resolves unset request fields from the engine config, scores
-  /// both index sides against that one snapshot, fuses (Eq. 3), and —
-  /// when request.explain is set — attaches relationship paths. Any
-  /// number of threads may call this concurrently with each other and
-  /// with AddDocument. The call builds a span tree (root "search" with
-  /// children nlp/ne/ns/explain); SearchResponse::timings is derived from
-  /// it and SearchRequest::trace returns it whole.
-  baselines::SearchResponse Search(
-      const baselines::SearchRequest& request) const override;
+  // Search / SearchBatch (PipelineEngine) run the query pipeline with this
+  // engine as its one backend: any number of threads may call them
+  // concurrently with each other and with AddDocument.
 
   // --- Shard-serving surface (shard_api.h, DESIGN.md Sec. 12) ----------
-  // These four calls let this engine act as one document-partition shard
-  // of a larger collection: a coordinator prepares the query once, plans
-  // (gathers per-shard collection statistics), merges them, then searches
-  // every shard with the collection-wide statistics — producing scores
-  // bit-identical to a single engine over the union of all shards.
+  // These calls let this engine act as one document-partition shard of a
+  // collection — its own Search included: the pipeline prepares the query
+  // once, plans (gathers per-shard collection statistics), merges them,
+  // then searches every shard with the collection-wide statistics.
 
   /// Pin the current published epoch: PlanShard and SearchShard against
   /// the returned pin read one immutable snapshot even while AddDocument
@@ -259,9 +249,9 @@ class NewsLinkEngine : public baselines::SearchEngine {
   ShardEpochPin PinEpoch() const;
 
   /// Build the shard-portable query: resolves β / rerank depth /
-  /// exhaustive mode against this engine's config exactly like Search
-  /// does, stems the text side, and weights the query embedding's nodes
-  /// (sources boosted). `query_embedding` may be empty when β == 0 — pass
+  /// exhaustive mode against this engine's config, stems the text side,
+  /// and weights the query embedding's nodes (sources boosted).
+  /// `query_embedding` may be empty when β == 0 — pass
   /// EmbedText(request.query) otherwise.
   ShardQuery PrepareShardQuery(
       const baselines::SearchRequest& request,
@@ -286,6 +276,12 @@ class NewsLinkEngine : public baselines::SearchEngine {
   /// NLP output for a standalone text.
   text::SegmentedDocument SegmentText(const std::string& text) const;
 
+  /// NE component over an already segmented text: embeds its entity groups
+  /// (Definition 1). `trace`, when non-null, gets one "segment" span per
+  /// embedded group.
+  embed::DocumentEmbedding EmbedSegmented(
+      const text::SegmentedDocument& segmented, Trace* trace = nullptr) const;
+
   /// Embedding of an indexed document, addressed by corpus row number
   /// (the same ids SearchHit::doc_index reports). The reference is stable
   /// for the engine's lifetime (append-only storage never relocates
@@ -307,9 +303,8 @@ class NewsLinkEngine : public baselines::SearchEngine {
   /// epoch.
   double EmbeddedDocumentFraction() const;
 
-  /// Recent queries over config.slow_query_threshold_seconds, each with
-  /// its full span tree.
-  const SlowQueryLog& slow_query_log() const { return slow_log_; }
+ protected:
+  PipelineView View() const override;
 
  private:
   /// One published epoch: immutable extents + statistics of both indexes.
@@ -364,7 +359,6 @@ class NewsLinkEngine : public baselines::SearchEngine {
   /// Serializes EnsureSketch's build-once check (concurrent AddDocument
   /// callers may race to be the first writer).
   std::mutex sketch_build_mu_;
-  embed::PathExplainer explainer_;
 
   // NS component state. The indexes are append-only and support bounded
   // (snapshot-scoped) reads; scorers and retrievers are stateless over
@@ -414,25 +408,20 @@ class NewsLinkEngine : public baselines::SearchEngine {
   // engine's lifetime; the registry (a base-class member) outlives every
   // derived member, so the snapshot deleter below may capture
   // snapshots_reclaimed_ (EngineSnapshot never escapes the engine).
-  metrics::Counter* queries_;
   metrics::Counter* bow_docs_scored_;
   metrics::Counter* bon_docs_scored_;
   metrics::Counter* epochs_published_;
   metrics::Counter* snapshot_acquisitions_;
   metrics::Counter* snapshots_reclaimed_;
-  metrics::Counter* slow_queries_;
   metrics::Gauge* current_epoch_;
   metrics::Gauge* indexed_docs_;
-  metrics::Histogram* query_seconds_;
-  metrics::Histogram* query_nlp_seconds_;
-  metrics::Histogram* query_ne_seconds_;
-  metrics::Histogram* query_ns_seconds_;
-  metrics::Histogram* query_explain_seconds_;
   metrics::Histogram* index_nlp_seconds_;
   metrics::Histogram* index_ne_seconds_;
   metrics::Histogram* index_ns_seconds_;
 
-  mutable SlowQueryLog slow_log_;  // Search (const) records into it
+  // This engine as the pipeline's one backend (corpus rows are global).
+  LocalShardBackend backend_{this};
+  const ShardBackend* const backends_[1] = {&backend_};
 };
 
 }  // namespace newslink

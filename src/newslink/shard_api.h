@@ -1,23 +1,24 @@
-// The shard-serving protocol of the sharded NewsLink engine (DESIGN.md
-// Sec. 12): the data that travels between a search coordinator and the N
-// document-partition shards, whether in-process (ShardedEngine over
-// common/ThreadPool) or over HTTP (/v1/shard/plan + /v1/shard/search with
-// net/api_json as the RPC codec).
+// The shard-serving protocol of the NewsLink engines (DESIGN.md Sec. 12):
+// the data that travels between the query pipeline (query_pipeline.h) and
+// the N document-partition shards, whether in-process or over HTTP
+// (/v1/shard/plan + /v1/shard/search with net/api_json as the RPC codec).
 //
 // Distributed search is two-phase so that scores are bit-identical to a
 // single index over the union of all shards:
 //
 //   1. PLAN — every shard reports, against one pinned epoch, its document
-//      count, total token lengths, per-query-term document frequencies and
-//      term-level max-tf (positional, aligned with the ShardQuery). The
-//      coordinator sums/maxes these into the collection-wide statistics.
+//      count, total token lengths, per-query-term document frequencies,
+//      term-level max-tf (positional, aligned with the ShardQuery) and the
+//      epoch's publish instant. The coordinator sums/maxes these into the
+//      collection-wide statistics.
 //   2. SEARCH — every shard retrieves its per-side top-k' *scored with the
 //      collection statistics* (ir::CollectionStats), completes the missing
 //      side of each candidate by random access, and returns raw candidate
 //      scores plus its raw per-side list maxima. The coordinator takes the
 //      collection per-side max over shards, fuses (Eq. 3), and merges with
-//      one ir::TopKHeap over global corpus rows — the same arithmetic, in
-//      the same order, as NewsLinkEngine::Search over the union.
+//      one ir::TopKHeap over global corpus rows. Every engine composition
+//      runs this protocol (newslink/query_pipeline.h) — a single engine is
+//      a one-shard scatter — so they all share one arithmetic.
 //
 // Epoch safety: both phases must read one immutable snapshot. In-process
 // that is a ShardEpochPin; over RPC the plan response carries the shard's
@@ -50,13 +51,16 @@ namespace newslink {
 ///      recency knobs, plans report has_timestamps, and every candidate
 ///      carries its timestamp so the coordinator's decayed merge matches
 ///      a single time-aware engine (DESIGN.md Sec. 15).
-inline constexpr uint64_t kShardApiVersion = 2;
+///   3: "now" pinning — plans report their epoch's publish instant
+///      (now_ms; the merge decays against the newest), and ShardQuery
+///      drops recency_half_life_s / now_ms, which no shard read (decay is
+///      applied at merge).
+inline constexpr uint64_t kShardApiVersion = 3;
 
 /// Multiplicative recency decay (DESIGN.md Sec. 15): 2^(-age / half_life),
 /// age clamped at 0 (documents "from the future" are treated as current).
-/// Defined inline here — the single arithmetic both NewsLinkEngine::Search
-/// and the coordinator merge apply, so distributed fusion stays
-/// bit-identical. half_life = +infinity yields exactly 1.0 (multiplying by
+/// Defined inline here — the single arithmetic MergeShardCandidates
+/// applies for every engine composition. half_life = +infinity yields exactly 1.0 (multiplying by
 /// it is an IEEE identity, the basis of the decay-off exactness property).
 inline double RecencyDecay(int64_t timestamp_ms, int64_t now_ms,
                            double half_life_seconds) {
@@ -85,18 +89,12 @@ struct ShardQuery {
   /// Exactness oracle: score every posting instead of MaxScore top-k'.
   bool exhaustive = false;
 
-  // Time-aware fields (v2), resolved ONCE by the coordinator so every
-  // shard and the merge agree on the window, half-life, and "now".
   /// Publication-time pre-filter [after_ms, before_ms) pushed into each
-  /// shard's posting traversal when set.
+  /// shard's posting traversal when set (v2). Recency decay is not here:
+  /// it is applied at merge (ShardFuseParams).
   bool has_time_range = false;
   int64_t after_ms = 0;
   int64_t before_ms = std::numeric_limits<int64_t>::max();
-  /// Recency half-life, seconds (<= 0 = decay off; +inf = decay path with
-  /// factor 1.0). Applied by the coordinator at merge time.
-  double recency_half_life_s = 0.0;
-  /// Decay reference instant, epoch ms (meaningful when half-life > 0).
-  int64_t now_ms = 0;
 };
 
 /// \brief Phase-1 answer: one shard's collection statistics for the query,
@@ -117,6 +115,9 @@ struct ShardPlan {
   /// Whether any of this shard's documents carries a real timestamp (a
   /// collection statistic: the merge only decays when some shard has one).
   bool has_timestamps = false;
+  /// Publish instant of the pinned epoch, epoch ms (v3): the shard's
+  /// pinned "now" (DESIGN.md Sec. 15.2).
+  int64_t now_ms = 0;
 };
 
 /// \brief Collection-wide statistics: ShardPlans merged over all shards
@@ -133,10 +134,14 @@ struct ShardGlobalStats {
   std::vector<uint32_t> node_max_tf;
   /// OR over the shards' has_timestamps.
   bool has_timestamps = false;
+  /// Max over the shards' now_ms: the newest pinned snapshot's publish
+  /// instant, the recency decay reference unless a request pins its own.
+  /// Coordinator-side only — never sent back to the shards.
+  int64_t now_ms = 0;
 };
 
 /// Fold one shard's plan into the running collection statistics (counts
-/// sum, max-tfs max, min-lengths min over non-empty shards).
+/// sum, max-tfs max, min-lengths min over non-empty shards, now_ms max).
 void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out);
 
 /// \brief One candidate document of one shard, scores raw (unnormalized)

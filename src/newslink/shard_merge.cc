@@ -38,6 +38,7 @@ void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out) {
   fold(plan.text_df, plan.text_max_tf, &out->text_df, &out->text_max_tf);
   fold(plan.node_df, plan.node_max_tf, &out->node_df, &out->node_max_tf);
   out->has_timestamps = out->has_timestamps || plan.has_timestamps;
+  out->now_ms = std::max(out->now_ms, plan.now_ms);
 }
 
 std::vector<ir::ScoredDoc> MergeShardCandidates(
@@ -46,7 +47,7 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
     const std::function<uint32_t(size_t, uint32_t)>& to_global) {
   // Collection per-side maxima: per-side lists are best-first, so the max
   // over shard maxima is the union's true maximum. The >0-else-1 guard is
-  // applied exactly once, here — same as the single engine's max_score.
+  // applied exactly once, here.
   double bow_max = 0.0;
   double bon_max = 0.0;
   for (const ShardSearchResult* shard : shards) {
@@ -59,9 +60,7 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
 
   // Eq. 3 per candidate, then one heap over global rows. Shards partition
   // the corpus, so no document appears twice; the two per-side terms are
-  // added in a fixed order (IEEE addition of two terms is commutative, so
-  // this matches the engine's membership-dependent accumulation order
-  // bit-for-bit).
+  // added in a fixed order, bow first.
   const bool decay =
       params.has_timestamps && params.recency_half_life_s > 0.0;
   ir::TopKHeap heap(params.k);
@@ -71,8 +70,7 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
       double fused = 0.0;
       if (params.use_bow) fused += (1.0 - params.beta) * (c.bow / bow_max);
       if (params.use_bon) fused += params.beta * (c.bon / bon_max);
-      // Same decay arithmetic — and the same fuse-then-multiply order — as
-      // NewsLinkEngine::Search, so the distributed result stays bit-exact.
+      // Fuse first, then multiply by the time decay (DESIGN.md Sec. 15).
       if (decay) {
         fused *= RecencyDecay(c.ts, params.now_ms, params.recency_half_life_s);
       }

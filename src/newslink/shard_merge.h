@@ -1,8 +1,8 @@
 // Coordinator-side halves of the shard protocol (shard_api.h): merging
 // per-shard plans into collection statistics and fusing per-shard
-// candidates into the final top-k. Shared by the in-process ShardedEngine
-// and the HTTP scatter-gather coordinator so both merge with literally the
-// same arithmetic.
+// candidates into the final top-k. The query pipeline
+// (newslink/query_pipeline.h) runs them for every engine composition, so
+// all merge with literally the same arithmetic.
 
 #ifndef NEWSLINK_NEWSLINK_SHARD_MERGE_H_
 #define NEWSLINK_NEWSLINK_SHARD_MERGE_H_
@@ -16,8 +16,7 @@
 
 namespace newslink {
 
-/// How to fuse (resolved request knobs, as NewsLinkEngine::Search resolves
-/// them).
+/// How to fuse (request knobs resolved against the engine config).
 struct ShardFuseParams {
   double beta = 0.2;
   bool use_bow = true;
@@ -35,8 +34,7 @@ struct ShardFuseParams {
 
 /// Fuse every answering shard's candidates (Eq. 3 with per-side max
 /// normalization) and merge into the top-k, tie-broken toward smaller
-/// global corpus rows — the same heap, arithmetic, and tie order as a
-/// single engine over the union.
+/// global corpus rows.
 ///
 /// `to_global(shard_index, local_row)` maps a shard's corpus row to the
 /// row in the union corpus; `shard_index` indexes `shards`. Entries of

@@ -8,9 +8,6 @@
 #include "common/result.h"
 #include "common/snapshot_file.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "common/trace.h"
-#include "newslink/shard_merge.h"
 
 namespace newslink {
 
@@ -23,15 +20,12 @@ constexpr std::string_view kShardLayoutSection = "shard_layout";
 ShardedEngine::ShardedEngine(const kg::KnowledgeGraph* graph,
                              const kg::LabelIndex* label_index,
                              NewsLinkConfig config, ShardedOptions options)
-    : graph_(graph),
+    : PipelineEngine(config, options.fanout_threads != 0
+                                 ? options.fanout_threads
+                                 : options.num_shards),
+      graph_(graph),
       config_(config),
-      options_(std::move(options)),
-      explainer_(graph),
-      pool_(options_.fanout_threads != 0
-                ? options_.fanout_threads
-                : std::max<size_t>(options_.num_shards, 1)),
-      queries_(registry()->GetCounter(baselines::kEngineQueries)),
-      query_seconds_(registry()->GetHistogram(baselines::kEngineQuerySeconds)) {
+      options_(std::move(options)) {
   NL_CHECK(options_.num_shards >= 1) << "ShardedEngine needs >= 1 shard";
   NL_CHECK(options_.write_shard < options_.num_shards)
       << "write_shard " << options_.write_shard << " with "
@@ -44,6 +38,20 @@ ShardedEngine::ShardedEngine(const kg::KnowledgeGraph* graph,
     global_of_local_.push_back(
         std::make_unique<ir::AppendOnlyStore<uint32_t>>());
   }
+  backends_.reserve(shards_.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    backends_.emplace_back(shards_[s].get(), global_of_local_[s].get());
+  }
+  for (const LocalShardBackend& backend : backends_) {
+    backend_ptrs_.push_back(&backend);
+  }
+}
+
+PipelineView ShardedEngine::View() const {
+  PipelineView view;
+  view.prep = shards_[0].get();
+  view.backends = backend_ptrs_;
+  return view;
 }
 
 std::string ShardedEngine::name() const {
@@ -142,194 +150,6 @@ size_t ShardedEngine::AddDocument(const corpus::Document& doc) {
       std::memory_order_release);
   shards_[shard]->AddDocument(doc);
   return global;
-}
-
-baselines::SearchResponse ShardedEngine::Search(
-    const baselines::SearchRequest& request) const {
-  std::vector<ShardEpochPin> pins;
-  pins.reserve(shards_.size());
-  for (const auto& shard : shards_) pins.push_back(shard->PinEpoch());
-  return SearchWithPins(request, pins);
-}
-
-std::vector<baselines::SearchResponse> ShardedEngine::SearchBatch(
-    std::span<const baselines::SearchRequest> requests) const {
-  // One pin per shard for the WHOLE batch (the base-class default would
-  // acquire per request): every response answers from the same corpus
-  // view, and each request is batch-order independent, so the fan-out
-  // below is bit-identical to sequential Search calls under a quiesced
-  // writer. ParallelFor is reentrant (the inner fan-outs run inline when
-  // called from a pool worker).
-  std::vector<ShardEpochPin> pins;
-  pins.reserve(shards_.size());
-  for (const auto& shard : shards_) pins.push_back(shard->PinEpoch());
-  std::vector<baselines::SearchResponse> responses(requests.size());
-  pool_.ParallelFor(requests.size(), [&](size_t i) {
-    responses[i] = SearchWithPins(requests[i], pins);
-  });
-  return responses;
-}
-
-baselines::SearchResponse ShardedEngine::SearchWithPins(
-    const baselines::SearchRequest& request,
-    const std::vector<ShardEpochPin>& pins) const {
-  const double beta = request.beta.value_or(config_.beta);
-  const size_t k = request.k;
-
-  WallTimer deadline_timer;
-  const double deadline = request.deadline_seconds.value_or(0.0);
-  const auto past_deadline = [&deadline_timer, deadline]() {
-    return deadline > 0.0 && deadline_timer.ElapsedSeconds() >= deadline;
-  };
-
-  Trace query_trace;
-  // Anchor for the hand-spliced shard spans below: started with the trace,
-  // so worker-recorded offsets line up with the tree's own span offsets.
-  WallTimer trace_timer;
-  const size_t root_handle = query_trace.Begin("search");
-
-  baselines::SearchResponse response;
-  response.shards_total = shards_.size();
-  response.shards_answered = shards_.size();
-  // Epoch of a sharded response: the sum over shard epochs (monotone under
-  // any shard publishing). snapshot_docs sums the pinned counts — with
-  // writes routed to the single write shard, visible global rows are
-  // exactly [0, sum), so the base-class invariant (every hit's doc_index
-  // < snapshot_docs) carries over.
-  for (const ShardEpochPin& pin : pins) {
-    response.epoch += pin.epoch();
-    response.snapshot_docs += pin.num_docs();
-  }
-
-  // --- NLP + NE on the query: once, at the coordinator ------------------
-  embed::DocumentEmbedding query_embedding;
-  {
-    ScopedSpan span(&query_trace, "nlp");
-    const text::SegmentedDocument segmented =
-        shards_[0]->SegmentText(request.query);
-    query_trace.Note("segments", std::to_string(segmented.segments.size()));
-  }
-  {
-    ScopedSpan span(&query_trace, "ne");
-    if ((beta > 0.0 || request.explain) && past_deadline()) {
-      response.deadline_exceeded = true;
-      query_trace.Note("skipped", "deadline");
-    } else if (beta > 0.0 || request.explain) {
-      // Every shard shares the KG and config, so shard 0's NLP/NE stack
-      // produces the one query embedding all shards score against.
-      query_embedding = shards_[0]->EmbedText(request.query);
-    } else {
-      query_trace.Note("skipped", "beta=0");
-    }
-  }
-
-  // --- NS: two-phase scatter-gather (shard_api.h) ------------------------
-  const size_t n_shards = shards_.size();
-  std::vector<ShardSearchResult> results(n_shards);
-  std::vector<double> shard_start(n_shards, 0.0);
-  std::vector<double> shard_seconds(n_shards, 0.0);
-  {
-    ScopedSpan span(&query_trace, "ns");
-    const ShardQuery shard_query =
-        shards_[0]->PrepareShardQuery(request, query_embedding);
-
-    // Phase 1: per-shard collection statistics against the pinned epochs,
-    // merged into the collection-wide view every shard scores with.
-    std::vector<ShardPlan> plans(n_shards);
-    pool_.ParallelFor(n_shards, [&](size_t s) {
-      plans[s] = shards_[s]->PlanShard(shard_query, pins[s]);
-    });
-    ShardGlobalStats global;
-    for (const ShardPlan& plan : plans) MergeShardPlan(plan, &global);
-
-    // Phase 2: candidate retrieval, same pins. Per-shard wall times are
-    // recorded here and spliced into the tree after Finish() — a Trace is
-    // single-threaded, so spans cannot be opened inside the workers.
-    pool_.ParallelFor(n_shards, [&](size_t s) {
-      shard_start[s] = trace_timer.ElapsedSeconds();
-      WallTimer timer;
-      results[s] = shards_[s]->SearchShard(shard_query, global, pins[s]);
-      shard_seconds[s] = timer.ElapsedSeconds();
-    });
-
-    ShardFuseParams fuse;
-    fuse.beta = beta;
-    fuse.use_bow = shard_query.use_bow;
-    fuse.use_bon = shard_query.use_bon;
-    fuse.k = k;
-    fuse.recency_half_life_s = shard_query.recency_half_life_s;
-    fuse.now_ms = shard_query.now_ms;
-    fuse.has_timestamps = global.has_timestamps;
-    std::vector<const ShardSearchResult*> ptrs(n_shards);
-    for (size_t s = 0; s < n_shards; ++s) ptrs[s] = &results[s];
-    const std::vector<ir::ScoredDoc> merged = MergeShardCandidates(
-        fuse, ptrs, [this](size_t s, uint32_t local) {
-          return global_of_local_[s]->At(local);
-        });
-    response.hits.reserve(merged.size());
-    for (const ir::ScoredDoc& scored : merged) {
-      baselines::SearchHit hit;
-      hit.doc_index = scored.doc;
-      hit.score = scored.score;
-      response.hits.push_back(std::move(hit));
-    }
-
-    uint64_t bow_scored = 0;
-    uint64_t bon_scored = 0;
-    for (const ShardSearchResult& r : results) {
-      bow_scored += r.bow_scored;
-      bon_scored += r.bon_scored;
-    }
-    query_trace.Note("shards", std::to_string(n_shards));
-    query_trace.Note("bow_scored", std::to_string(bow_scored));
-    query_trace.Note("bon_scored", std::to_string(bon_scored));
-  }
-
-  // --- Explanations over global rows -------------------------------------
-  if (request.explain && past_deadline()) {
-    response.deadline_exceeded = true;
-    query_trace.Note("explain_skipped", "deadline");
-  } else if (request.explain) {
-    ScopedSpan span(&query_trace, "explain");
-    for (baselines::SearchHit& hit : response.hits) {
-      const uint32_t s = shard_of_row_.At(hit.doc_index);
-      const uint32_t local = local_of_row_.At(hit.doc_index);
-      hit.paths =
-          explainer_.Explain(query_embedding, shards_[s]->doc_embedding(local),
-                             request.max_paths_per_result);
-    }
-  }
-
-  if (response.deadline_exceeded) {
-    query_trace.Note("deadline_exceeded", "true");
-  }
-  query_trace.End(root_handle);
-  TraceSpan root = query_trace.Finish();
-
-  // Splice one span child per shard under "ns" (timed in the workers
-  // above). SpanBreakdown only reads the root's direct children, so the
-  // nlp/ne/ns/explain buckets are unaffected.
-  for (TraceSpan& child : root.children) {
-    if (child.name != "ns") continue;
-    for (size_t s = 0; s < n_shards; ++s) {
-      TraceSpan shard_span;
-      shard_span.name = StrCat("shard", s);
-      shard_span.start_seconds = shard_start[s];
-      shard_span.duration_seconds = shard_seconds[s];
-      shard_span.notes.push_back(
-          {"epoch", std::to_string(results[s].epoch)});
-      shard_span.notes.push_back(
-          {"candidates", std::to_string(results[s].candidates.size())});
-      child.children.push_back(std::move(shard_span));
-    }
-    break;
-  }
-
-  queries_->Inc();
-  query_seconds_->Observe(root.duration_seconds);
-  response.timings = SpanBreakdown(root);
-  if (request.trace) response.trace = std::move(root);
-  return response;
 }
 
 Status ShardedEngine::SaveSnapshot(const std::string& path) const {

@@ -1,11 +1,10 @@
 // ShardedEngine: N NewsLinkEngine document-partition shards behind the one
 // baselines::SearchEngine interface (DESIGN.md Sec. 12). Index partitions
 // the corpus across the shards (round-robin or content-hash by corpus row,
-// or an explicit per-row assignment); Search prepares the query once, runs
-// the two-phase shard protocol (shard_api.h) over a thread pool against
-// one pinned epoch per shard, and merges candidates with shard_merge —
-// producing hits bit-identical (scores and tie order) to a single
-// NewsLinkEngine over the whole corpus.
+// or an explicit per-row assignment); Search is the query pipeline
+// (query_pipeline.h) over one local backend per shard — producing hits
+// bit-identical (scores and tie order) to a single NewsLinkEngine over
+// the whole corpus.
 //
 // Writes: AddDocument routes to the designated write shard; Save/Load
 // snapshot persists a manifest (partition permutation + fingerprints)
@@ -22,13 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "baselines/search_engine.h"
-#include "common/thread_pool.h"
-#include "embed/path_explainer.h"
 #include "ir/append_only.h"
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/query_pipeline.h"
 
 namespace newslink {
 
@@ -50,7 +47,7 @@ struct ShardedOptions {
 };
 
 /// \brief Scatter-gather search over N in-process NewsLink shards.
-class ShardedEngine : public baselines::SearchEngine {
+class ShardedEngine : public PipelineEngine {
  public:
   /// `graph` and `label_index` must outlive the engine; every shard serves
   /// the same knowledge graph.
@@ -63,21 +60,6 @@ class ShardedEngine : public baselines::SearchEngine {
   /// Partition `corpus` across the shards and index each partition (shards
   /// sequentially — each shard's NLP/NE stage is internally parallel).
   Status Index(const corpus::Corpus& corpus) override;
-
-  /// Scatter-gather search: plan + search fan-out on the thread pool, one
-  /// pinned epoch per shard, merged bit-exact vs a single engine over the
-  /// union. The trace tree carries one span child per shard under "ns";
-  /// shards_total / shards_answered are filled (in-process shards always
-  /// answer: degraded stays false here — the HTTP coordinator is where
-  /// shards can go missing).
-  baselines::SearchResponse Search(
-      const baselines::SearchRequest& request) const override;
-
-  /// Batch fan-out that pins each shard's epoch ONCE for the whole batch
-  /// (the base-class default acquires one snapshot per request): cheaper,
-  /// and the whole batch answers from one consistent corpus view.
-  std::vector<baselines::SearchResponse> SearchBatch(
-      std::span<const baselines::SearchRequest> requests) const override;
 
   /// Append one document: routed to options.write_shard, which publishes
   /// a new epoch there. Returns the document's global corpus row.
@@ -105,13 +87,12 @@ class ShardedEngine : public baselines::SearchEngine {
     return corpus_fingerprint_.load(std::memory_order_acquire);
   }
 
- private:
-  /// Shard every request fans out to, under pins acquired by the caller
-  /// (one per shard — SearchBatch reuses one set for the whole batch).
-  baselines::SearchResponse SearchWithPins(
-      const baselines::SearchRequest& request,
-      const std::vector<ShardEpochPin>& pins) const;
+ protected:
+  /// Shard 0 runs the query's NLP/NE (every shard shares the KG and
+  /// config); one local backend per shard.
+  PipelineView View() const override;
 
+ private:
   /// Route one new global row to `shard`, recording both directions.
   /// Caller holds writer_mu_. Returns the shard-local row.
   uint32_t RecordRoute(uint32_t shard);
@@ -120,8 +101,6 @@ class ShardedEngine : public baselines::SearchEngine {
   NewsLinkConfig config_;
   ShardedOptions options_;
   std::vector<std::unique_ptr<NewsLinkEngine>> shards_;
-  embed::PathExplainer explainer_;
-  mutable ThreadPool pool_;
 
   // Routing tables, append-only so queries read them lock-free while
   // AddDocument grows them. A mapping entry is always appended BEFORE the
@@ -133,11 +112,12 @@ class ShardedEngine : public baselines::SearchEngine {
   std::vector<std::unique_ptr<ir::AppendOnlyStore<uint32_t>>>
       global_of_local_;                           // [shard] local -> global
 
+  /// shards_[s] as a pipeline backend, rows through global_of_local_[s].
+  std::vector<LocalShardBackend> backends_;
+  std::vector<const ShardBackend*> backend_ptrs_;
+
   mutable std::mutex writer_mu_;
   std::atomic<uint64_t> corpus_fingerprint_{0};
-
-  metrics::Counter* queries_;
-  metrics::Histogram* query_seconds_;
 };
 
 }  // namespace newslink

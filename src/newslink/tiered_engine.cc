@@ -6,9 +6,6 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "common/timer.h"
-#include "common/trace.h"
-#include "newslink/shard_merge.h"
 
 namespace newslink {
 
@@ -26,13 +23,12 @@ size_t DocumentBytes(const corpus::Document& doc) {
 TieredEngine::TieredEngine(const kg::KnowledgeGraph* graph,
                            const kg::LabelIndex* label_index,
                            NewsLinkConfig config, TieredOptions options)
-    : graph_(graph),
+    : PipelineEngine(config,
+                     options.fanout_threads != 0 ? options.fanout_threads : 2),
+      graph_(graph),
       label_index_(label_index),
       config_(config),
       options_(options),
-      explainer_(graph),
-      pool_(options_.fanout_threads != 0 ? options_.fanout_threads : 2),
-      queries_(registry()->GetCounter(baselines::kEngineQueries)),
       compactions_(registry()->GetCounter(
           kTierCompactions, "today-tier merges into the base tier")),
       compaction_failures_(registry()->GetCounter(
@@ -40,15 +36,10 @@ TieredEngine::TieredEngine(const kg::KnowledgeGraph* graph,
       today_docs_gauge_(registry()->GetGauge(
           kTodayTierDocs, "documents in the live today tier")),
       today_bytes_gauge_(registry()->GetGauge(
-          kTodayTierBytes, "raw content bytes in the live today tier")),
-      query_seconds_(registry()->GetHistogram(baselines::kEngineQuerySeconds)) {
-  auto tiers = std::make_shared<Tiers>();
-  tiers->base = std::make_shared<NewsLinkEngine>(graph, label_index, config);
-  tiers->today = std::make_shared<NewsLinkEngine>(graph, label_index, config);
-  {
-    std::lock_guard<std::mutex> lock(tiers_mu_);
-    tiers_ = std::move(tiers);
-  }
+          kTodayTierBytes, "raw content bytes in the live today tier")) {
+  tiers_ = std::make_shared<Tiers>(
+      std::make_shared<NewsLinkEngine>(graph, label_index, config),
+      std::make_shared<NewsLinkEngine>(graph, label_index, config), 0);
   if (options_.compact_interval_seconds > 0.0) {
     compactor_ = std::thread([this] { CompactorLoop(); });
   }
@@ -69,10 +60,32 @@ std::string TieredEngine::name() const {
   return StrCat("Tiered[", AcquireTiers()->base->name(), "]");
 }
 
+TieredEngine::Tiers::Tiers(std::shared_ptr<NewsLinkEngine> base_tier,
+                           std::shared_ptr<NewsLinkEngine> today_tier,
+                           uint64_t epoch_offset)
+    : base(std::move(base_tier)),
+      today(std::move(today_tier)),
+      epoch_base(epoch_offset),
+      backends{LocalShardBackend(base.get()),
+               LocalShardBackend(
+                   today.get(), nullptr,
+                   static_cast<uint32_t>(base->num_indexed_docs()))},
+      backend_ptrs{&backends[0], &backends[1]} {}
+
 std::shared_ptr<const TieredEngine::Tiers> TieredEngine::AcquireTiers()
     const {
   std::lock_guard<std::mutex> lock(tiers_mu_);
   return tiers_;
+}
+
+PipelineView TieredEngine::View() const {
+  std::shared_ptr<const Tiers> tiers = AcquireTiers();
+  PipelineView view;
+  view.prep = tiers->base.get();
+  view.backends = tiers->backend_ptrs;
+  view.epoch_base = tiers->epoch_base;
+  view.keep_alive = std::move(tiers);
+  return view;
 }
 
 size_t TieredEngine::today_tier_docs() const {
@@ -89,8 +102,16 @@ Status TieredEngine::Index(const corpus::Corpus& corpus) {
   }
   // Build the base tier first: a failed build leaves the engine untouched
   // (the ctor-created base engine only mutates after its own validation).
+  // Then republish the pair, so the today backend's rows start after the
+  // base tier's (the today tier is still empty until then).
   const std::shared_ptr<const Tiers> tiers = AcquireTiers();
   NL_RETURN_IF_ERROR(tiers->base->Index(corpus));
+  {
+    auto indexed =
+        std::make_shared<Tiers>(tiers->base, tiers->today, tiers->epoch_base);
+    std::lock_guard<std::mutex> lock(tiers_mu_);
+    tiers_ = std::move(indexed);
+  }
 
   uint64_t fp = corpus_fingerprint_.load(std::memory_order_relaxed);
   for (size_t row = 0; row < corpus.size(); ++row) {
@@ -152,14 +173,13 @@ Status TieredEngine::Compact() {
     return built;
   }
 
-  auto next = std::make_shared<Tiers>();
-  next->base = std::move(base);
-  next->today =
-      std::make_shared<NewsLinkEngine>(graph_, label_index_, config_);
   // Fold the retiring pair's epochs into the offset so response.epoch
   // keeps growing across the swap (the fresh engines restart at zero).
-  next->epoch_base = tiers->epoch_base + tiers->base->PinEpoch().epoch() +
-                     tiers->today->PinEpoch().epoch();
+  auto next = std::make_shared<Tiers>(
+      std::move(base),
+      std::make_shared<NewsLinkEngine>(graph_, label_index_, config_),
+      tiers->epoch_base + tiers->base->PinEpoch().epoch() +
+          tiers->today->PinEpoch().epoch());
   {
     std::lock_guard<std::mutex> lock(tiers_mu_);
     tiers_ = std::move(next);
@@ -189,176 +209,6 @@ void TieredEngine::CompactorLoop() {
     (void)Compact();
     lock.lock();
   }
-}
-
-baselines::SearchResponse TieredEngine::Search(
-    const baselines::SearchRequest& request) const {
-  const std::shared_ptr<const Tiers> tiers = AcquireTiers();
-  return SearchWithPins(request, *tiers, tiers->base->PinEpoch(),
-                        tiers->today->PinEpoch());
-}
-
-std::vector<baselines::SearchResponse> TieredEngine::SearchBatch(
-    std::span<const baselines::SearchRequest> requests) const {
-  // One tier acquisition + one pin per tier for the WHOLE batch: every
-  // response answers from the same corpus view, even across a concurrent
-  // compaction swap or ingest burst.
-  const std::shared_ptr<const Tiers> tiers = AcquireTiers();
-  const ShardEpochPin base_pin = tiers->base->PinEpoch();
-  const ShardEpochPin today_pin = tiers->today->PinEpoch();
-  std::vector<baselines::SearchResponse> responses(requests.size());
-  pool_.ParallelFor(requests.size(), [&](size_t i) {
-    responses[i] = SearchWithPins(requests[i], *tiers, base_pin, today_pin);
-  });
-  return responses;
-}
-
-baselines::SearchResponse TieredEngine::SearchWithPins(
-    const baselines::SearchRequest& request, const Tiers& tiers,
-    const ShardEpochPin& base_pin, const ShardEpochPin& today_pin) const {
-  const double beta = request.beta.value_or(config_.beta);
-  const size_t k = request.k;
-  // The tier split this query sees: base rows are global rows
-  // [0, base_docs), today-local row j is global row base_docs + j. The
-  // base tier is immutable between compactions, so the pinned count IS
-  // the split point.
-  const size_t base_docs = base_pin.num_docs();
-
-  WallTimer deadline_timer;
-  const double deadline = request.deadline_seconds.value_or(0.0);
-  const auto past_deadline = [&deadline_timer, deadline]() {
-    return deadline > 0.0 && deadline_timer.ElapsedSeconds() >= deadline;
-  };
-
-  Trace query_trace;
-  WallTimer trace_timer;
-  const size_t root_handle = query_trace.Begin("search");
-
-  baselines::SearchResponse response;
-  response.epoch = tiers.epoch_base + base_pin.epoch() + today_pin.epoch();
-  response.snapshot_docs = base_docs + today_pin.num_docs();
-
-  // --- NLP + NE on the query: once, shared by both tiers -----------------
-  embed::DocumentEmbedding query_embedding;
-  {
-    ScopedSpan span(&query_trace, "nlp");
-    const text::SegmentedDocument segmented =
-        tiers.base->SegmentText(request.query);
-    query_trace.Note("segments", std::to_string(segmented.segments.size()));
-  }
-  {
-    ScopedSpan span(&query_trace, "ne");
-    if ((beta > 0.0 || request.explain) && past_deadline()) {
-      response.deadline_exceeded = true;
-      query_trace.Note("skipped", "deadline");
-    } else if (beta > 0.0 || request.explain) {
-      query_embedding = tiers.base->EmbedText(request.query);
-    } else {
-      query_trace.Note("skipped", "beta=0");
-    }
-  }
-
-  // --- NS: the tiers are two shards of one collection --------------------
-  const NewsLinkEngine* engines[2] = {tiers.base.get(), tiers.today.get()};
-  const ShardEpochPin* pins[2] = {&base_pin, &today_pin};
-  static constexpr const char* kTierNames[2] = {"base", "today"};
-  ShardSearchResult results[2];
-  double tier_start[2] = {0.0, 0.0};
-  double tier_seconds[2] = {0.0, 0.0};
-  {
-    ScopedSpan span(&query_trace, "ns");
-    const ShardQuery shard_query =
-        tiers.base->PrepareShardQuery(request, query_embedding);
-
-    ShardPlan plans[2];
-    pool_.ParallelFor(2, [&](size_t s) {
-      plans[s] = engines[s]->PlanShard(shard_query, *pins[s]);
-    });
-    ShardGlobalStats global;
-    MergeShardPlan(plans[0], &global);
-    MergeShardPlan(plans[1], &global);
-
-    pool_.ParallelFor(2, [&](size_t s) {
-      tier_start[s] = trace_timer.ElapsedSeconds();
-      WallTimer timer;
-      results[s] = engines[s]->SearchShard(shard_query, global, *pins[s]);
-      tier_seconds[s] = timer.ElapsedSeconds();
-    });
-
-    ShardFuseParams fuse;
-    fuse.beta = beta;
-    fuse.use_bow = shard_query.use_bow;
-    fuse.use_bon = shard_query.use_bon;
-    fuse.k = k;
-    fuse.recency_half_life_s = shard_query.recency_half_life_s;
-    fuse.now_ms = shard_query.now_ms;
-    fuse.has_timestamps = global.has_timestamps;
-    const std::vector<const ShardSearchResult*> ptrs = {&results[0],
-                                                        &results[1]};
-    const std::vector<ir::ScoredDoc> merged = MergeShardCandidates(
-        fuse, ptrs, [base_docs](size_t s, uint32_t local) {
-          return s == 0 ? local
-                        : static_cast<uint32_t>(base_docs) + local;
-        });
-    response.hits.reserve(merged.size());
-    for (const ir::ScoredDoc& scored : merged) {
-      baselines::SearchHit hit;
-      hit.doc_index = scored.doc;
-      hit.score = scored.score;
-      response.hits.push_back(std::move(hit));
-    }
-
-    query_trace.Note("bow_scored", std::to_string(results[0].bow_scored +
-                                                  results[1].bow_scored));
-    query_trace.Note("bon_scored", std::to_string(results[0].bon_scored +
-                                                  results[1].bon_scored));
-    query_trace.Note("today_docs", std::to_string(today_pin.num_docs()));
-  }
-
-  // --- Explanations over global rows --------------------------------------
-  if (request.explain && past_deadline()) {
-    response.deadline_exceeded = true;
-    query_trace.Note("explain_skipped", "deadline");
-  } else if (request.explain) {
-    ScopedSpan span(&query_trace, "explain");
-    for (baselines::SearchHit& hit : response.hits) {
-      const embed::DocumentEmbedding& doc_embedding =
-          hit.doc_index < base_docs
-              ? tiers.base->doc_embedding(hit.doc_index)
-              : tiers.today->doc_embedding(hit.doc_index - base_docs);
-      hit.paths = explainer_.Explain(query_embedding, doc_embedding,
-                                     request.max_paths_per_result);
-    }
-  }
-
-  if (response.deadline_exceeded) {
-    query_trace.Note("deadline_exceeded", "true");
-  }
-  query_trace.End(root_handle);
-  TraceSpan root = query_trace.Finish();
-
-  // One span child per tier under "ns" (timed in the workers above — a
-  // Trace is single-threaded, so spans cannot open inside them).
-  for (TraceSpan& child : root.children) {
-    if (child.name != "ns") continue;
-    for (size_t s = 0; s < 2; ++s) {
-      TraceSpan tier_span;
-      tier_span.name = kTierNames[s];
-      tier_span.start_seconds = tier_start[s];
-      tier_span.duration_seconds = tier_seconds[s];
-      tier_span.notes.push_back({"epoch", std::to_string(results[s].epoch)});
-      tier_span.notes.push_back(
-          {"candidates", std::to_string(results[s].candidates.size())});
-      child.children.push_back(std::move(tier_span));
-    }
-    break;
-  }
-
-  queries_->Inc();
-  query_seconds_->Observe(root.duration_seconds);
-  response.timings = SpanBreakdown(root);
-  if (request.trace) response.trace = std::move(root);
-  return response;
 }
 
 }  // namespace newslink

@@ -7,11 +7,10 @@
 // re-runs — and swaps in a fresh empty today tier with one pointer swap.
 //
 // Queries treat the tiers as two document-partition shards of one
-// collection: the two-phase shard protocol (shard_api.h) plans both tiers
-// against pinned epochs, merges collection statistics, and fuses with
-// shard_merge — so scores (recency decay and time_range filtering
-// included) are bit-identical to a single NewsLinkEngine over all
-// documents, whatever the tier split. Global document ids are corpus rows
+// collection: the query pipeline (query_pipeline.h) runs over two local
+// backends — so scores (recency decay and time_range filtering included)
+// are bit-identical to a single NewsLinkEngine over all documents,
+// whatever the tier split. Global document ids are corpus rows
 // in ingestion order (base rows first, today rows after), and compaction
 // preserves them: hits stay stable across a compaction.
 //
@@ -36,13 +35,11 @@
 #include <thread>
 #include <vector>
 
-#include "baselines/search_engine.h"
-#include "common/thread_pool.h"
 #include "corpus/corpus.h"
-#include "embed/path_explainer.h"
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/query_pipeline.h"
 
 namespace newslink {
 
@@ -68,7 +65,7 @@ struct TieredOptions {
 
 /// \brief Base + today tiers behind the one baselines::SearchEngine
 /// interface.
-class TieredEngine : public baselines::SearchEngine {
+class TieredEngine : public PipelineEngine {
  public:
   /// `graph` and `label_index` must outlive the engine; both tiers (and
   /// every compaction-rebuilt tier) serve the same knowledge graph.
@@ -97,17 +94,6 @@ class TieredEngine : public baselines::SearchEngine {
   /// stalls while the rebuild runs.
   Status Compact();
 
-  /// Two-tier scatter-gather search (plan both tiers, merge statistics,
-  /// fuse candidates): bit-identical scores and tie order vs a single
-  /// NewsLinkEngine over all documents. Never blocks on writers.
-  baselines::SearchResponse Search(
-      const baselines::SearchRequest& request) const override;
-
-  /// Batch fan-out that pins both tiers ONCE for the whole batch, so every
-  /// response answers from one consistent corpus view.
-  std::vector<baselines::SearchResponse> SearchBatch(
-      std::span<const baselines::SearchRequest> requests) const override;
-
   // SaveSnapshot/LoadSnapshot keep the base-class Unimplemented default
   // for now: persistence of a live tiered pair (base snapshot + today
   // write-ahead section) is future work — see DESIGN.md Sec. 15.
@@ -123,25 +109,32 @@ class TieredEngine : public baselines::SearchEngine {
     return corpus_fingerprint_.load(std::memory_order_acquire);
   }
 
+ protected:
+  /// The current tier pair as two pipeline backends (base, then today);
+  /// the base tier runs the query's NLP/NE. Queries never block on
+  /// writers: the view holds the pair alive across a compaction swap.
+  PipelineView View() const override;
+
  private:
   /// One immutable tier pair. Queries hold the whole struct (and thereby
   /// both engines) via shared_ptr, so a compaction swap never invalidates
   /// an in-flight query's engines.
   struct Tiers {
+    /// `base` must be fully indexed: its document count is the split
+    /// point (global row of today-local row j = base docs + j).
+    Tiers(std::shared_ptr<NewsLinkEngine> base_tier,
+          std::shared_ptr<NewsLinkEngine> today_tier, uint64_t epoch_offset);
+
     std::shared_ptr<NewsLinkEngine> base;
     std::shared_ptr<NewsLinkEngine> today;
     /// Epoch offset so response.epoch stays monotone across compactions
     /// (a fresh tier pair restarts its engines' own epoch counters).
     uint64_t epoch_base = 0;
+    LocalShardBackend backends[2];
+    const ShardBackend* backend_ptrs[2];
   };
 
   std::shared_ptr<const Tiers> AcquireTiers() const;
-
-  /// The whole query path, under tiers + epoch pins acquired by the
-  /// caller (SearchBatch reuses one acquisition for the whole batch).
-  baselines::SearchResponse SearchWithPins(
-      const baselines::SearchRequest& request, const Tiers& tiers,
-      const ShardEpochPin& base_pin, const ShardEpochPin& today_pin) const;
 
   void CompactorLoop();
 
@@ -149,8 +142,6 @@ class TieredEngine : public baselines::SearchEngine {
   const kg::LabelIndex* label_index_;
   NewsLinkConfig config_;
   TieredOptions options_;
-  embed::PathExplainer explainer_;
-  mutable ThreadPool pool_;
 
   // All ingested documents in global row order — the compaction rebuild's
   // input. Guarded by writer_mu_ (queries never read it).
@@ -174,12 +165,10 @@ class TieredEngine : public baselines::SearchEngine {
   bool stop_compactor_ = false;  // guarded by compactor_mu_
   std::thread compactor_;
 
-  metrics::Counter* queries_;
   metrics::Counter* compactions_;
   metrics::Counter* compaction_failures_;
   metrics::Gauge* today_docs_gauge_;
   metrics::Gauge* today_bytes_gauge_;
-  metrics::Histogram* query_seconds_;
 };
 
 }  // namespace newslink

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <queue>
 #include <set>
 
@@ -429,6 +430,12 @@ struct RandomCase {
   int num_nodes;
   int num_labels;
 };
+
+// Readable, deterministic parameter (and ctest) names.
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_nodes" << c.num_nodes << "_labels"
+      << c.num_labels;
+}
 
 class LcagRandomAgreementTest : public ::testing::TestWithParam<RandomCase> {};
 

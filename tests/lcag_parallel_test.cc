@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,6 +103,12 @@ struct RandomCase {
   int num_nodes;
   size_t num_labels;
 };
+
+// Readable, deterministic parameter (and ctest) names.
+void PrintTo(const RandomCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_nodes" << c.num_nodes << "_labels"
+      << c.num_labels;
+}
 
 std::vector<RandomCase> MakeRandomCases() {
   std::vector<RandomCase> cases;

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <map>
 #include <mutex>
+#include <ostream>
 #include <set>
 #include <string>
 #include <thread>
@@ -105,6 +106,11 @@ struct RandomQueryCase {
   size_t query_terms;
   size_t k;
 };
+
+// Readable, deterministic parameter (and ctest) names.
+void PrintTo(const RandomQueryCase& c, std::ostream* os) {
+  *os << "seed" << c.seed << "_terms" << c.query_terms << "_k" << c.k;
+}
 
 class MaxScoreAgreementTest
     : public ::testing::TestWithParam<RandomQueryCase> {};

@@ -250,8 +250,8 @@ json::Value MustParseJson(const std::string& text) {
 
 TEST(ApiJsonTest, SearchRequestDecodesAllFields) {
   const Result<baselines::SearchRequest> r = SearchRequestFromJson(
-      MustParseJson("{\"query\":\"berlin\",\"k\":3,\"beta\":0.5,"
-                    "\"rerank_depth\":25,\"exhaustive_fusion\":true,"
+      MustParseJson("{\"query\":\"berlin\",\"k\":3,\"ranking\":"
+                    "{\"beta\":0.5,\"rerank_depth\":25,\"exhaustive\":true},"
                     "\"explain\":true,\"max_paths\":2,\"trace\":true,"
                     "\"deadline_seconds\":0.25}"));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -332,24 +332,22 @@ TEST(ApiJsonTest, SearchRequestDecodesGroupedRankingAndFilter) {
 }
 
 TEST(ApiJsonTest, SearchRequestRejectsMixedLegacyAndGroupedShapes) {
-  // Each legacy flat alias still decodes on its own...
+  // The pre-grouping flat ranking fields are gone: alone or mixed with the
+  // grouped object, each is an unknown field (400) named in the message.
   for (const char* flat :
        {"\"beta\":0.5", "\"rerank_depth\":25", "\"exhaustive_fusion\":true"}) {
-    const std::string alone =
-        std::string("{\"query\":\"q\",") + flat + "}";
-    EXPECT_TRUE(SearchRequestFromJson(MustParseJson(alone)).ok()) << alone;
-
-    // ...but mixing it with the grouped object is ambiguous: 400 with a
-    // message that names the deprecated alias.
-    const std::string mixed = std::string("{\"query\":\"q\",") + flat +
-                              ",\"ranking\":{\"beta\":0.5}}";
-    const Result<baselines::SearchRequest> r =
-        SearchRequestFromJson(MustParseJson(mixed));
-    ASSERT_FALSE(r.ok()) << mixed;
-    EXPECT_TRUE(r.status().IsInvalidArgument());
-    EXPECT_NE(r.status().ToString().find("deprecated alias"),
-              std::string::npos)
-        << r.status().ToString();
+    for (const std::string& body :
+         {std::string("{\"query\":\"q\",") + flat + "}",
+          std::string("{\"query\":\"q\",") + flat +
+              ",\"ranking\":{\"beta\":0.5}}"}) {
+      const Result<baselines::SearchRequest> r =
+          SearchRequestFromJson(MustParseJson(body));
+      ASSERT_FALSE(r.ok()) << body;
+      EXPECT_TRUE(r.status().IsInvalidArgument());
+      EXPECT_NE(r.status().ToString().find("unknown search request field"),
+                std::string::npos)
+          << r.status().ToString();
+    }
   }
 }
 

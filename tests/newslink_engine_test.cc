@@ -300,8 +300,9 @@ TEST_F(NewsLinkEngineTest, TreeEmbeddingsAreSmallerThanLcag) {
 TEST_F(NewsLinkEngineTest, ReorderedIndexReturnsSameHitsAsNaturalOrder) {
   // reorder_docs renumbers internal doc ids by SimHash signature but the
   // API speaks corpus row numbers throughout, so searches must surface the
-  // same documents with the same scores. Ranks may swap only between docs
-  // whose fused scores tie (the fused heap breaks ties by internal id).
+  // same documents with the same scores. Exact score ties break on corpus
+  // rows in both engines, so ranks may swap only between docs whose fused
+  // scores differ by less than the tolerance below.
   NewsLinkEngine natural = MakeEngine(0.2);
   NewsLinkConfig config;
   config.beta = 0.2;

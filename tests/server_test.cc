@@ -326,15 +326,18 @@ TEST_F(ServerTest, TimeAwareSearchShapesOverSockets) {
         corpus_.doc(expected.hits[i].doc_index).timestamp_ms));
   }
 
-  // Legacy flat shape still decodes (deprecated aliases).
+  // The removed flat shape is an unknown field: 400 naming it.
   json::Value legacy = json::Value::Object();
   legacy.Set("query", json::Value::Str(reference.query));
   legacy.Set("k", json::Value::Uint(4));
   legacy.Set("beta", json::Value::Number(0.3));
-  ASSERT_EQ(StatusOf(Request(port, "POST", "/v1/search", legacy.Dump())),
-            200);
+  const std::string legacy_reply =
+      Request(port, "POST", "/v1/search", legacy.Dump());
+  EXPECT_EQ(StatusOf(legacy_reply), 400) << legacy_reply;
+  EXPECT_NE(BodyOf(legacy_reply).find("unknown search request field"),
+            std::string::npos);
 
-  // Mixing the two shapes in one request is a 400 naming the alias.
+  // So is a flat field mixed with the grouped shape.
   json::Value mixed = json::Value::Object();
   mixed.Set("query", json::Value::Str(reference.query));
   mixed.Set("beta", json::Value::Number(0.3));
@@ -344,7 +347,8 @@ TEST_F(ServerTest, TimeAwareSearchShapesOverSockets) {
   const std::string mixed_reply =
       Request(port, "POST", "/v1/search", mixed.Dump());
   EXPECT_EQ(StatusOf(mixed_reply), 400) << mixed_reply;
-  EXPECT_NE(BodyOf(mixed_reply).find("deprecated alias"), std::string::npos);
+  EXPECT_NE(BodyOf(mixed_reply).find("unknown search request field"),
+            std::string::npos);
 }
 
 TEST_F(ServerTest, IngestedTimestampIsFilterableImmediately) {

@@ -135,14 +135,12 @@ TEST(ShardCodecs, SearchMessagesKeepScoresBitExact) {
 }
 
 TEST(ShardCodecs, TimeFieldsRoundTripExactly) {
-  // The v2 time-aware fields: window, half-life, and pinned now on the
-  // query; has_timestamps on plans; per-candidate timestamps on results.
+  // The time-aware fields: the window on the query (v2); has_timestamps
+  // and the pinned now on plans (v3); per-candidate timestamps on results.
   ShardQuery query = SampleQuery();
   query.has_time_range = true;
   query.after_ms = 1699999999999;
   query.before_ms = 1700000360000;
-  query.recency_half_life_s = 0.1 + 0.2;  // awkward double, must survive
-  query.now_ms = 1700000400123;
 
   ShardPlanRpcRequest request;
   request.shard = 2;
@@ -152,14 +150,22 @@ TEST(ShardCodecs, TimeFieldsRoundTripExactly) {
   EXPECT_TRUE(back.query.has_time_range);
   EXPECT_EQ(back.query.after_ms, query.after_ms);
   EXPECT_EQ(back.query.before_ms, query.before_ms);
-  EXPECT_EQ(back.query.recency_half_life_s, query.recency_half_life_s);
-  EXPECT_EQ(back.query.now_ms, query.now_ms);
 
   ShardPlanRpcResponse plan_response;
   plan_response.plan.has_timestamps = true;
+  plan_response.plan.now_ms = 1700000400123;
   const ShardPlanRpcResponse pback = WireTrip(
       plan_response, ShardPlanResponseToJson, ShardPlanResponseFromJson);
   EXPECT_TRUE(pback.plan.has_timestamps);
+  EXPECT_EQ(pback.plan.now_ms, plan_response.plan.now_ms);
+
+  // The merge takes the newest pinned now; shards never see it.
+  ShardGlobalStats merged;
+  MergeShardPlan(pback.plan, &merged);
+  ShardPlan older;
+  older.now_ms = 1700000000000;
+  MergeShardPlan(older, &merged);
+  EXPECT_EQ(merged.now_ms, plan_response.plan.now_ms);
 
   ShardSearchRpcRequest search_request;
   search_request.query = query;
@@ -230,6 +236,30 @@ TEST(ShardCodecs, ApiVersionSkewFailsLoudlyInBothDirections) {
   EXPECT_TRUE(ShardSearchResponseFromJson(skewed_response)
                   .status()
                   .IsFailedPrecondition());
+
+  // A v2 peer (recency knobs on the query, no now_ms on plans) is refused
+  // with 409 rather than merged against a wall-clock "now".
+  EXPECT_EQ(kShardApiVersion, 3u);
+  json::Value v2_request = ShardPlanRequestToJson({});
+  v2_request.Set("api_version", json::Value::Uint(2));
+  EXPECT_TRUE(
+      ShardPlanRequestFromJson(v2_request).status().IsFailedPrecondition());
+  json::Value v2_plan = ShardPlanResponseToJson({});
+  v2_plan.Set("api_version", json::Value::Uint(2));
+  EXPECT_TRUE(
+      ShardPlanResponseFromJson(v2_plan).status().IsFailedPrecondition());
+
+  // The v2 query fields are gone from the v3 surface: unknown → 400.
+  for (const char* dropped : {"recency_half_life_s", "now_ms"}) {
+    ShardPlanRpcRequest request;
+    request.query = SampleQuery();
+    json::Value wire = ShardPlanRequestToJson(request);
+    json::Value query = *wire.Find("query");
+    query.Set(dropped, json::Value::Uint(1));
+    wire.Set("query", std::move(query));
+    EXPECT_TRUE(ShardPlanRequestFromJson(wire).status().IsInvalidArgument())
+        << dropped;
+  }
 }
 
 TEST(ShardCodecs, SearchResponseShardBlockIsAdditive) {
