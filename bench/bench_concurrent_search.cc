@@ -27,11 +27,11 @@
 //
 // --ne-gate runs ONLY the NE (LCAG) hot-path gate and exits: two engines
 // over the same corpus and an entity-heavy query mix built from KG labels —
-// a baseline (sequential frontier, no sketches) against the accelerated
-// path (parallel frontier rounds + precomputed distance sketches, DESIGN.md
-// Sec. 14). The LCAG result cache is disabled on both so every query pays
-// the full NE cost. Gates: identical hits on every query (the bit-exactness
-// contract) and accelerated p99 of the "ne" span >= 2x better.
+// a baseline (sequential search, no sketches) against the accelerated
+// path (precomputed distance sketches, DESIGN.md Sec. 14). The LCAG result
+// cache is disabled on both so every query pays the full NE cost. Gates:
+// identical hits on every query (the bit-exactness contract) and
+// accelerated p99 of the "ne" span >= 2x better.
 //
 // Env knobs: NEWSLINK_BENCH_STORIES (corpus size, default 120),
 //            NEWSLINK_BENCH_THREADS (worker threads, default 4).
@@ -192,10 +192,11 @@ double SamplePercentile(std::vector<double> values, double q) {
 /// The NE (LCAG) hot-path gate (--ne-gate). Builds one small corpus and an
 /// entity-heavy query mix straight from KG labels, then serves it twice:
 /// once on a baseline engine (sequential MultiLabelDijkstra, no sketches)
-/// and once on the accelerated engine (LcagOptions::parallel + distance
-/// sketches). Both run with the LCAG cache disabled so every Search() pays
-/// the real NE cost, and the gate demands (a) bit-identical hits on every
-/// query and (b) accelerated p99 of the per-query "ne" span >= 2x better.
+/// and once on the accelerated engine (distance sketches, the same
+/// sequential search on a sketch miss). Both run with the LCAG cache
+/// disabled so every Search() pays the real NE cost, and the gate demands
+/// (a) bit-identical hits on every query and (b) accelerated p99 of the
+/// per-query "ne" span >= 2x better.
 bool RunNeGate() {
   std::printf("NewsLink reproduction — NE (LCAG) hot-path gate\n\n");
   auto world = bench::MakeWorld(7);
@@ -210,7 +211,6 @@ bool RunNeGate() {
   // No result cache: the gate measures the search itself, not memoization.
   base_config.lcag_cache_capacity = 0;
   NewsLinkConfig fast_config = base_config;
-  fast_config.lcag.parallel = true;
   fast_config.lcag_sketch.enabled = true;
 
   NewsLinkEngine baseline(&world->kg.graph, &world->index, base_config);
@@ -262,10 +262,9 @@ bool RunNeGate() {
   const double base_p50 = SamplePercentile(base_ne, 0.50);
   const double fast_p50 = SamplePercentile(fast_ne, 0.50);
 
-  // Bit-exactness across the two engines: parallel rounds and sketch
-  // answers must reproduce the sequential oracle's embeddings exactly, so
-  // every downstream score — and therefore every hit — must match to the
-  // last bit (no epsilon).
+  // Bit-exactness across the two engines: sketch answers must reproduce
+  // the sequential oracle's embeddings exactly, so every downstream score —
+  // and therefore every hit — must match to the last bit (no epsilon).
   bool exact = true;
   for (const std::string& q : queries) {
     baselines::SearchRequest request;
@@ -299,8 +298,8 @@ bool RunNeGate() {
   bench::PrintRule(54);
   std::printf("%-28s %12.1f %12.1f\n", "sequential, no sketch",
               base_p50 * 1e6, base_p99 * 1e6);
-  std::printf("%-28s %12.1f %12.1f\n", "parallel + sketch", fast_p50 * 1e6,
-              fast_p99 * 1e6);
+  std::printf("%-28s %12.1f %12.1f\n", "sketch, sequential fallback",
+              fast_p50 * 1e6, fast_p99 * 1e6);
   std::printf(
       "\nsketch answered %zu groups, fell back on %zu; p99 speedup %.2fx "
       "(gate 2.00x): %s, hits bit-identical: %s\n",

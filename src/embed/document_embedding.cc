@@ -20,7 +20,6 @@ LcagSegmentEmbedder::LcagSegmentEmbedder(const kg::KnowledgeGraph* graph,
       search_(graph, index),
       options_(options),
       cache_(cache_capacity, cache_shards, registry_),
-      pool_(options.parallel ? std::make_unique<ThreadPool>() : nullptr),
       segments_(registry_->GetCounter(kEmbedderSegments,
                                       "EmbedSegment calls")),
       embedded_(registry_->GetCounter(kEmbedderEmbedded,
@@ -53,7 +52,6 @@ bool LcagSegmentEmbedder::EmbedSegment(const std::vector<std::string>& labels,
   LcagSearchContext ctx;
   ctx.cache = cache_.enabled() ? &cache_ : nullptr;
   ctx.sketch = sketch.get();
-  ctx.pool = pool_.get();
   LcagResult result = search_.Find(labels, options_, ctx);
   segments_->Inc();
   if (result.timed_out) timeouts_->Inc();

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "embed/ancestor_graph.h"
 #include "embed/lcag_cache.h"
@@ -109,11 +108,6 @@ class LcagSegmentEmbedder : public SegmentEmbedder {
   LcagSearch search_;
   LcagOptions options_;
   mutable LcagCache cache_;
-  /// Workers for LcagOptions::parallel round expansion; null when the
-  /// option is off. A pool separate from the engine's index pool: its
-  /// workers never wait on another pool, so index-time EmbedSegment calls
-  /// running on engine workers cannot form a wait cycle.
-  std::unique_ptr<ThreadPool> pool_;
   mutable std::mutex sketch_mu_;
   std::shared_ptr<const LcagSketchIndex> sketch_;
   metrics::Counter* segments_;

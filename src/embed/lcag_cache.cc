@@ -24,9 +24,9 @@ std::string LcagCacheKey(const std::vector<std::vector<kg::NodeId>>& sources,
   //    request with a larger budget that would have searched further.
   //  - timeout_seconds is excluded because timed-out results are never
   //    inserted (non-deterministic truncation; see LcagSearch::Find).
-  //  - parallel — and the sketch/pool members of LcagSearchContext — are
-  //    excluded because they are result-invariant accelerators; keying
-  //    them would fragment the cache without changing any cached value.
+  //  - LcagSearchContext::sketch is excluded because it is a
+  //    result-invariant accelerator; keying it would fragment the cache
+  //    without changing any cached value.
   AppendU64(options.max_expansions, &key);
   key.push_back(options.all_shortest_paths ? '\1' : '\0');
   key.push_back(options.depth_only_root ? '\1' : '\0');

@@ -42,10 +42,10 @@ inline constexpr std::string_view kLcagCacheEntries = "lcag_cache_entries";
 /// ordered by label) resolved source node sets, the resolved labels, and
 /// every LcagOptions field that changes the search result — including the
 /// `max_expansions` budget, so truncated results never leak across budget
-/// configurations (execution-strategy fields like `parallel` stay out; see
-/// LcagCacheKey in the .cc for the full rationale). Two label sets aliasing
-/// to the same nodes still get distinct entries because the result carries
-/// the label strings.
+/// configurations (see LcagCacheKey in the .cc for the full rationale).
+/// No accelerator input takes part. Two label sets aliasing to the same
+/// nodes still get distinct entries because the result carries the label
+/// strings.
 std::string LcagCacheKey(const std::vector<std::vector<kg::NodeId>>& sources,
                          const std::vector<std::string>& resolved_labels,
                          const LcagOptions& options);

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "embed/lcag_cache.h"
 #include "embed/lcag_sketch.h"
@@ -84,7 +83,27 @@ bool MultiLabelDijkstra::PopNext(PopEvent* event) {
 
   LabelState& state = states_[best_label];
   state.frontier.pop();
-  SettleAndRelax(&state, best_node, best_distance);
+  NodeState& st = state.nodes[best_node];
+  NL_DCHECK(!st.settled);
+  st.settled = true;
+
+  // Relax neighbours in the bi-directed view (Alg. 2 lines 4-8).
+  for (const kg::Arc& arc : graph_->OutArcs(best_node)) {
+    const double nd = best_distance + arc.weight;
+    NodeState& nb = state.nodes[arc.dst];
+    if (nb.settled) continue;  // weights are positive: cannot improve
+    if (nd < nb.distance) {
+      nb.distance = nd;
+      nb.preds.clear();
+      nb.preds.push_back(
+          PredLink{best_node, arc.predicate, arc.weight, arc.forward});
+      state.frontier.push(QueueEntry{nd, arc.dst});
+    } else if (nd == nb.distance) {
+      // A tied shortest path: extend the DAG (coverage property).
+      nb.preds.push_back(
+          PredLink{best_node, arc.predicate, arc.weight, arc.forward});
+    }
+  }
   ++settled_count_[best_node];
   ++total_pops_;
 
@@ -92,99 +111,6 @@ bool MultiLabelDijkstra::PopNext(PopEvent* event) {
   event->node = best_node;
   event->distance = best_distance;
   return true;
-}
-
-void MultiLabelDijkstra::SettleAndRelax(LabelState* state, kg::NodeId node,
-                                        double distance) {
-  NodeState& st = state->nodes[node];
-  NL_DCHECK(!st.settled);
-  st.settled = true;
-
-  // Relax neighbours in the bi-directed view (Alg. 2 lines 4-8).
-  for (const kg::Arc& arc : graph_->OutArcs(node)) {
-    const double nd = distance + arc.weight;
-    NodeState& nb = state->nodes[arc.dst];
-    if (nb.settled) continue;  // weights are positive: cannot improve
-    if (nd < nb.distance) {
-      nb.distance = nd;
-      nb.preds.clear();
-      nb.preds.push_back(PredLink{node, arc.predicate, arc.weight, arc.forward});
-      state->frontier.push(QueueEntry{nd, arc.dst});
-    } else if (nd == nb.distance) {
-      // A tied shortest path: extend the DAG (coverage property).
-      nb.preds.push_back(PredLink{node, arc.predicate, arc.weight, arc.forward});
-    }
-  }
-}
-
-bool MultiLabelDijkstra::PopRound(std::vector<PopEvent>* events,
-                                  ThreadPool* pool) {
-  const double d = PeekMinDistance();
-  if (d == kInfDistance) return false;
-
-  // Extract the round: every frontier entry at the global minimum d. These
-  // are final (positive weights), and nothing the round's relaxations push
-  // can land at d, so extraction and settlement commute with the
-  // sequential pop order. A priority_queue pops equal-distance entries in
-  // ascending node order (QueueEntry ties on node), which is exactly the
-  // per-label subsequence of the Equation 2 global order.
-  std::vector<std::vector<kg::NodeId>> batches(states_.size());
-  size_t round_size = 0;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    LabelState& state = states_[i];
-    std::vector<kg::NodeId>& batch = batches[i];
-    while (true) {
-      SkimFrontier(&state);
-      if (state.frontier.empty() || state.frontier.top().distance != d) break;
-      const kg::NodeId node = state.frontier.top().node;
-      state.frontier.pop();
-      // Defensive: with deduped sources and strict-improvement pushes a
-      // (node, distance) pair is unique per frontier, but a duplicate here
-      // would settle twice and corrupt the DAG.
-      if (batch.empty() || batch.back() != node) batch.push_back(node);
-    }
-    round_size += batch.size();
-  }
-
-  // Per-label partitions touch disjoint state; parallelism only pays for
-  // itself on non-trivial rounds. Both branches are deterministic.
-  constexpr size_t kParallelRoundMinBatch = 16;
-  auto settle_label = [&](size_t i) {
-    LabelState& state = states_[i];
-    for (kg::NodeId node : batches[i]) SettleAndRelax(&state, node, d);
-  };
-  if (pool != nullptr && round_size >= kParallelRoundMinBatch) {
-    pool->ParallelFor(states_.size(), settle_label);
-  } else {
-    for (size_t i = 0; i < states_.size(); ++i) settle_label(i);
-  }
-
-  // Merge: (node, label) ascending == the sequential Equation 2 pop order
-  // (PopNext breaks distance ties on the smaller node, then implicitly on
-  // the smaller label index via its strict scan).
-  const size_t begin = events->size();
-  for (size_t i = 0; i < batches.size(); ++i) {
-    for (kg::NodeId node : batches[i]) {
-      events->push_back(PopEvent{i, node, d});
-    }
-  }
-  std::sort(events->begin() + static_cast<ptrdiff_t>(begin), events->end(),
-            [](const PopEvent& a, const PopEvent& b) {
-              if (a.node != b.node) return a.node < b.node;
-              return a.label_index < b.label_index;
-            });
-  return true;
-}
-
-void MultiLabelDijkstra::CountPop(kg::NodeId node) {
-  ++settled_count_[node];
-  ++total_pops_;
-}
-
-size_t MultiLabelDijkstra::FrontierUpperBound() const {
-  size_t total = 0;
-  for (const LabelState& state : states_) total += state.frontier.size();
-  return total;
 }
 
 double MultiLabelDijkstra::Distance(size_t label_index, kg::NodeId v) const {
@@ -332,39 +258,16 @@ std::vector<std::vector<kg::NodeId>> LcagSearch::ResolveSources(
 }
 
 LcagResult LcagSearch::Find(const std::vector<std::string>& labels,
-                            const LcagOptions& options) const {
-  std::vector<std::string> resolved;
-  std::vector<std::vector<kg::NodeId>> sources =
-      ResolveSources(labels, &resolved);
-  return FindResolved(std::move(sources), std::move(resolved), options,
-                      LcagSearchContext{});
-}
-
-LcagResult LcagSearch::Find(const std::vector<std::string>& labels,
-                            const LcagOptions& options,
-                            LcagCache* cache) const {
-  LcagSearchContext ctx;
-  ctx.cache = cache;
-  return Find(labels, options, ctx);
-}
-
-LcagResult LcagSearch::Find(const std::vector<std::string>& labels,
                             const LcagOptions& options,
                             const LcagSearchContext& ctx) const {
-  if (ctx.cache == nullptr) {
-    std::vector<std::string> resolved;
-    std::vector<std::vector<kg::NodeId>> sources =
-        ResolveSources(labels, &resolved);
-    return FindResolved(std::move(sources), std::move(resolved), options, ctx);
-  }
-  LcagCache* cache = ctx.cache;
   std::vector<std::string> resolved;
   std::vector<std::vector<kg::NodeId>> sources =
       ResolveSources(labels, &resolved);
   // Only the m >= 2 case runs Algorithms 1-3 (the expensive search worth
   // caching); empty / single-label groups are answered directly.
-  if (sources.size() < 2) {
-    return FindResolved(std::move(sources), std::move(resolved), options, ctx);
+  if (ctx.cache == nullptr || sources.size() < 2) {
+    return FindResolved(std::move(sources), std::move(resolved), options,
+                        ctx.sketch);
   }
 
   // Canonicalize: sort node ids within each source set, then sort the
@@ -391,22 +294,22 @@ LcagResult LcagSearch::Find(const std::vector<std::string>& labels,
   // The key covers exactly the result-determining inputs: the canonical
   // source sets and the options that change what is returned
   // (max_expansions — a truncated small-budget result must never serve a
-  // larger budget — plus the two ablation knobs). `parallel` and the
-  // sketch/pool context are result-invariant accelerators and stay out.
+  // larger budget — plus the two ablation knobs). The sketch is a
+  // result-invariant accelerator and stays out.
   const std::string key = LcagCacheKey(canon_sources, canon_labels, options);
   LcagResult result;
-  if (cache->Lookup(key, &result)) return result;
+  if (ctx.cache->Lookup(key, &result)) return result;
   result = FindResolved(std::move(canon_sources), std::move(canon_labels),
-                        options, ctx);
+                        options, ctx.sketch);
   // Wall-clock timeouts are non-deterministic; never serve them from cache.
-  if (!result.timed_out) cache->Insert(key, result);
+  if (!result.timed_out) ctx.cache->Insert(key, result);
   return result;
 }
 
 LcagResult LcagSearch::FindResolved(
     std::vector<std::vector<kg::NodeId>> sources,
     std::vector<std::string> resolved_labels,
-    const LcagOptions& options, const LcagSearchContext& ctx) const {
+    const LcagOptions& options, const LcagSketchIndex* sketch) const {
   LcagResult result;
   result.resolved_labels = std::move(resolved_labels);
   if (sources.empty()) return result;
@@ -431,8 +334,8 @@ LcagResult LcagSearch::FindResolved(
   // Sketch fast path: answer from precomputed distance balls when the
   // sketch can prove exactness (lcag_sketch.h); a miss falls through to
   // the full search untouched.
-  if (ctx.sketch != nullptr &&
-      TrySketchLcag(*graph_, *ctx.sketch, sources, result.resolved_labels,
+  if (sketch != nullptr &&
+      TrySketchLcag(*graph_, *sketch, sources, result.resolved_labels,
                     options, &result)) {
     return result;
   }
@@ -447,58 +350,20 @@ LcagResult LcagSearch::FindResolved(
   double min_depth = kInfDistance;
 
   WallTimer timer;
-  const bool use_parallel = options.parallel && ctx.pool != nullptr;
-
-  // Alg. 3: the frontier becomes a candidate root once every label has
-  // settled it (so its distance vector is exact).
-  auto collect_candidate = [&](const MultiLabelDijkstra::PopEvent& e) {
-    if (dijkstra.SettledCount(e.node) == static_cast<int>(m)) {
+  MultiLabelDijkstra::PopEvent event;
+  while (dijkstra.PopNext(&event)) {
+    ++result.expansions;
+    // Alg. 3: the frontier becomes a candidate root once every label has
+    // settled it (so its distance vector is exact).
+    if (dijkstra.SettledCount(event.node) == static_cast<int>(m)) {
       std::vector<double> dists(m);
       for (size_t i = 0; i < m; ++i) {
-        dists[i] = dijkstra.Distance(i, e.node);
+        dists[i] = dijkstra.Distance(i, event.node);
       }
       std::vector<double> sorted = SortedDescending(dists);
       min_depth = std::min(min_depth, sorted[0]);
-      candidates.push_back(Candidate{e.node, std::move(sorted)});
+      candidates.push_back(Candidate{event.node, std::move(sorted)});
     }
-  };
-
-  std::vector<MultiLabelDijkstra::PopEvent> round;
-  MultiLabelDijkstra::PopEvent event;
-  while (!result.timed_out) {
-    if (use_parallel && result.expansions + dijkstra.FrontierUpperBound() <
-                            options.max_expansions) {
-      // The frontier bound proves a whole round fits in the budget: settle
-      // it in parallel and replay the events in the sequential pop order.
-      // Candidate collection and SettledCount replay pop-for-pop; the
-      // C1/C2 test can only fire at a round boundary (a mid-round
-      // candidate's depth equals the round distance, which the remaining
-      // same-distance frontier never strictly exceeds), so checking once
-      // after the replay is exact — and the budget cannot fire at all.
-      round.clear();
-      if (!dijkstra.PopRound(&round, ctx.pool)) break;  // graph exhausted
-      for (const MultiLabelDijkstra::PopEvent& e : round) {
-        dijkstra.CountPop(e.node);
-        ++result.expansions;
-        collect_candidate(e);
-        if ((result.expansions & 0xFF) == 0 &&
-            timer.ElapsedSeconds() > options.timeout_seconds) {
-          result.timed_out = true;
-          break;
-        }
-      }
-      if (!result.timed_out && !candidates.empty()) {
-        const double next = dijkstra.PeekMinDistance();
-        if (min_depth < next) break;
-      }
-      continue;
-    }
-
-    // Sequential pop — the oracle path, and the exact-truncation tail once
-    // the budget bound no longer proves a full round fits.
-    if (!dijkstra.PopNext(&event)) break;  // graph exhausted
-    ++result.expansions;
-    collect_candidate(event);
 
     // Termination: C1 (a candidate exists) and C2 (the next frontier
     // distance strictly exceeds min_depth, so no better root can appear;

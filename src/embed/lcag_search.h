@@ -23,9 +23,6 @@
 #include "kg/label_index.h"
 
 namespace newslink {
-
-class ThreadPool;
-
 namespace embed {
 
 class LcagSketchIndex;
@@ -62,27 +59,6 @@ class MultiLabelDijkstra {
 
   /// Settle the next (label, node) pair. False when all frontiers are empty.
   bool PopNext(PopEvent* event);
-
-  /// Settle EVERY (label, node) pair at the current global minimum distance
-  /// in one round, relaxing the per-label partitions across `pool` (inline
-  /// when null or the round is small). Because weights are strictly
-  /// positive, all such pairs are final and every entry relaxation pushes
-  /// lies strictly beyond the round distance, so the per-label settle order
-  /// (ascending node id) and the appended events — sorted by (node, label),
-  /// which IS the Equation 2 pop order — replay the sequential machinery
-  /// bit-exactly. Does NOT update SettledCount()/total_pops(): the caller
-  /// replays the events through CountPop() so Alg. 3 candidate detection
-  /// observes the same per-pop counts as the sequential path.
-  /// False when all frontiers are empty (no events appended).
-  bool PopRound(std::vector<PopEvent>* events, ThreadPool* pool);
-
-  /// Replay bookkeeping for one PopRound() event (see above).
-  void CountPop(kg::NodeId node);
-
-  /// Upper bound on the size of the next PopRound (total frontier entries,
-  /// stale ones included). Lets callers prove a whole round fits in the
-  /// `max_expansions` budget before committing to it.
-  size_t FrontierUpperBound() const;
 
   /// D'_min of Alg. 1 line 11: smallest tentative distance over all queue
   /// tops; kInfDistance when every frontier is exhausted.
@@ -130,11 +106,6 @@ class MultiLabelDijkstra {
   /// Drop stale (already settled / superseded) entries from a frontier top.
   void SkimFrontier(LabelState* state);
 
-  /// The settle+relax body shared by PopNext and PopRound. Touches only
-  /// `state` (and the immutable graph), so distinct labels are safe to
-  /// settle concurrently.
-  void SettleAndRelax(LabelState* state, kg::NodeId node, double distance);
-
   const kg::KnowledgeGraph* graph_;
   std::vector<LabelState> states_;
   std::unordered_map<kg::NodeId, int> settled_count_;
@@ -155,11 +126,6 @@ struct LcagOptions {
   /// Ablation knob: true selects the root by depth only (first key of the
   /// compactness order), ignoring the lower-order distances of Def. 4.
   bool depth_only_root = false;
-  /// Expand frontiers round-by-round across LcagSearchContext::pool instead
-  /// of pop-by-pop. Bit-exact with the sequential path (which remains the
-  /// oracle): roots, distances, predecessor DAGs, and tie order are
-  /// identical, so this field is deliberately NOT part of the cache key.
-  bool parallel = false;
 };
 
 /// Statistics and outcome of one G* search.
@@ -190,18 +156,15 @@ struct LcagResult {
 
 class LcagCache;
 
-/// Optional accelerators threaded through LcagSearch::Find. All three are
+/// Optional accelerators threaded through LcagSearch::Find. Both are
 /// result-invariant — they change how fast Algorithms 1-3 run, never what
-/// they return — which is why none of them participates in the cache key.
+/// they return — which is why neither participates in the cache key.
 struct LcagSearchContext {
   /// Canonical-key result cache (lcag_cache.h); null skips caching.
   LcagCache* cache = nullptr;
   /// Distance sketches (lcag_sketch.h); null (or a sketch miss) runs the
   /// full search.
   const LcagSketchIndex* sketch = nullptr;
-  /// Worker pool for LcagOptions::parallel round expansion; null forces
-  /// the sequential oracle path even when `parallel` is set.
-  ThreadPool* pool = nullptr;
 };
 
 /// \brief Algorithm 1: find the Lowest Common Ancestor Graph for a label set.
@@ -211,23 +174,16 @@ class LcagSearch {
   LcagSearch(const kg::KnowledgeGraph* graph, const kg::LabelIndex* index)
       : graph_(graph), index_(index) {}
 
-  /// Find G* for the labels of one news segment.
+  /// Find G* for the labels of one news segment. `ctx.cache`, when set, is
+  /// consulted first (keyed by the canonicalized resolved source sets + the
+  /// result-determining options); the canonical key is label-order
+  /// independent, so permuted label sets share one entry and a cached
+  /// lookup returns its labels in canonical, not caller, order.
+  /// `ctx.sketch`, when set, answers provably exact groups without a graph
+  /// search. With an empty `ctx` this is the sequential oracle.
   LcagResult Find(const std::vector<std::string>& labels,
-                  const LcagOptions& options = {}) const;
-
-  /// Like Find, but consults `cache` (keyed by the canonicalized resolved
-  /// source sets + the relevant options) before running Algorithms 1-3.
-  /// The canonical key is label-order independent, so permuted label sets
-  /// share one entry; the returned result's label order is canonical, not
-  /// the caller's. `cache == nullptr` falls back to the uncached path.
-  LcagResult Find(const std::vector<std::string>& labels,
-                  const LcagOptions& options, LcagCache* cache) const;
-
-  /// Full entry point: cache, sketch fast path, and parallel expansion as
-  /// configured by `ctx` (each member optional and result-invariant).
-  LcagResult Find(const std::vector<std::string>& labels,
-                  const LcagOptions& options,
-                  const LcagSearchContext& ctx) const;
+                  const LcagOptions& options = {},
+                  const LcagSearchContext& ctx = {}) const;
 
   /// Reference implementation for testing: settles the *entire* graph from
   /// every label and scans all common ancestors. Exponentially safer, much
@@ -241,11 +197,12 @@ class LcagSearch {
       std::vector<std::string>* resolved) const;
 
   /// The core of Algorithm 1, after label resolution. `sources[i]` is the
-  /// (already resolved) S(l_i) of `resolved_labels[i]`.
+  /// (already resolved) S(l_i) of `resolved_labels[i]`; `sketch` may be
+  /// null.
   LcagResult FindResolved(std::vector<std::vector<kg::NodeId>> sources,
                           std::vector<std::string> resolved_labels,
                           const LcagOptions& options,
-                          const LcagSearchContext& ctx) const;
+                          const LcagSketchIndex* sketch) const;
 
   const kg::KnowledgeGraph* graph_;
   const kg::LabelIndex* index_;

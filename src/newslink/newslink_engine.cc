@@ -436,10 +436,10 @@ uint64_t NewsLinkEngine::ConfigFingerprint(const NewsLinkConfig& config) {
   // parameters) is fine, but a different embedder or reduction setting
   // means the persisted embeddings and BON postings are simply wrong for
   // this engine. Wall-clock limits (timeouts) are excluded on purpose —
-  // they bound effort, not output, on any input that completes. Execution
-  // strategies with bit-exact results (lcag.parallel, lcag_sketch) are
-  // also excluded: a snapshot carries its own sketches, and embeddings
-  // computed with or without them are identical.
+  // they bound effort, not output, on any input that completes. The
+  // bit-exact sketch accelerator (lcag_sketch) is also excluded: a
+  // snapshot carries its own sketches, and embeddings computed with or
+  // without them are identical.
   Fingerprinter fp;
   fp.Add(static_cast<uint64_t>(config.embedder))
       .Add(static_cast<uint64_t>(config.bon_doc_tf_cap))

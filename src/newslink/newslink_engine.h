@@ -90,8 +90,8 @@ struct NewsLinkConfig {
   /// LCAG distance sketches (embed/lcag_sketch.h): when enabled, built once
   /// at bulk-index time (or restored from a snapshot's "lcag_sketch"
   /// section) and used to answer most entity groups without a graph
-  /// search. Result-invariant — bit-exact vs the full search — so, like
-  /// lcag.parallel, excluded from ConfigFingerprint: a snapshot carries
+  /// search. Result-invariant — bit-exact vs the full search — so
+  /// excluded from ConfigFingerprint: a snapshot carries
   /// its own sketches, and a sketch-free engine may load a sketch-built
   /// snapshot (and vice versa, rebuilding them on demand).
   embed::LcagSketchOptions lcag_sketch;

@@ -6,12 +6,14 @@
 #include <algorithm>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "embed/lcag_cache.h"
 #include "embed/lcag_search.h"
+#include "embed/lcag_sketch.h"
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 
@@ -150,8 +152,8 @@ TEST_F(LcagCacheSearchTest, CachedFindMatchesUncached) {
   const std::vector<std::string> labels = {"upper dir", "swat valley",
                                            "pakistan", "taliban"};
   const LcagResult plain = search.Find(labels);
-  const LcagResult cached_miss = search.Find(labels, {}, &cache);
-  const LcagResult cached_hit = search.Find(labels, {}, &cache);
+  const LcagResult cached_miss = search.Find(labels, {}, {.cache = &cache});
+  const LcagResult cached_hit = search.Find(labels, {}, {.cache = &cache});
 
   ASSERT_TRUE(plain.found);
   ASSERT_TRUE(cached_miss.found);
@@ -174,9 +176,9 @@ TEST_F(LcagCacheSearchTest, PermutedLabelsShareOneEntry) {
   LcagSearch search(&graph_, &index_);
   LcagCache cache(128);
   const LcagResult a =
-      search.Find({"taliban", "upper dir", "pakistan"}, {}, &cache);
+      search.Find({"taliban", "upper dir", "pakistan"}, {}, {.cache = &cache});
   const LcagResult b =
-      search.Find({"pakistan", "taliban", "upper dir"}, {}, &cache);
+      search.Find({"pakistan", "taliban", "upper dir"}, {}, {.cache = &cache});
   ASSERT_TRUE(a.found);
   ASSERT_TRUE(b.found);
   EXPECT_EQ(a.graph.root, b.graph.root);
@@ -189,7 +191,7 @@ TEST_F(LcagCacheSearchTest, PermutedLabelsShareOneEntry) {
 TEST_F(LcagCacheSearchTest, SingleLabelGroupsBypassTheCache) {
   LcagSearch search(&graph_, &index_);
   LcagCache cache(128);
-  const LcagResult r = search.Find({"taliban"}, {}, &cache);
+  const LcagResult r = search.Find({"taliban"}, {}, {.cache = &cache});
   ASSERT_TRUE(r.found);
   EXPECT_EQ(cache.hits() + cache.misses(), 0u);
   EXPECT_EQ(cache.entries(), 0u);
@@ -216,9 +218,10 @@ TEST_F(LcagCacheSearchTest, BudgetExhaustedResultsAreCacheable) {
   LcagCache cache(128);
   LcagOptions tight;
   tight.max_expansions = 1;
-  const LcagResult first = search.Find({"taliban", "upper dir"}, tight, &cache);
+  const LcagResult first =
+      search.Find({"taliban", "upper dir"}, tight, {.cache = &cache});
   const LcagResult second =
-      search.Find({"taliban", "upper dir"}, tight, &cache);
+      search.Find({"taliban", "upper dir"}, tight, {.cache = &cache});
   EXPECT_TRUE(first.budget_exhausted);
   EXPECT_TRUE(second.budget_exhausted);
   EXPECT_EQ(cache.hits(), 1u);
@@ -233,13 +236,14 @@ TEST_F(LcagCacheSearchTest, TruncatedSmallBudgetEntryNeverServesLargerBudget) {
   LcagOptions tight;
   tight.max_expansions = 1;
   const LcagResult truncated =
-      search.Find({"taliban", "upper dir"}, tight, &cache);
+      search.Find({"taliban", "upper dir"}, tight, {.cache = &cache});
   ASSERT_TRUE(truncated.budget_exhausted);
   ASSERT_FALSE(truncated.found);
   ASSERT_EQ(cache.entries(), 1u);
 
   // Same labels, default budget: a fresh search (cache miss), full answer.
-  const LcagResult full = search.Find({"taliban", "upper dir"}, {}, &cache);
+  const LcagResult full =
+      search.Find({"taliban", "upper dir"}, {}, {.cache = &cache});
   EXPECT_TRUE(full.found);
   EXPECT_FALSE(full.budget_exhausted);
   EXPECT_FALSE(full.cache_hit);
@@ -248,27 +252,34 @@ TEST_F(LcagCacheSearchTest, TruncatedSmallBudgetEntryNeverServesLargerBudget) {
 }
 
 TEST_F(LcagCacheSearchTest, AcceleratorKnobsShareCacheEntries) {
-  // parallel / sketch / pool are result-invariant, so they are deliberately
-  // NOT in the key: a sequential miss must serve a parallel lookup.
-  const std::vector<std::vector<kg::NodeId>> sources = {{1, 2}, {5}};
-  const std::vector<std::string> labels = {"a", "b"};
-  LcagOptions sequential;
-  LcagOptions parallel = sequential;
-  parallel.parallel = true;
-  EXPECT_EQ(LcagCacheKey(sources, labels, sequential),
-            LcagCacheKey(sources, labels, parallel));
+  // The sketch is result-invariant, so it is deliberately NOT in the key:
+  // the key is built from the resolved sources, labels and options alone,
+  // and a sketch-free miss must serve a sketch-enabled lookup.
+  using KeyFn = std::string (*)(const std::vector<std::vector<kg::NodeId>>&,
+                                const std::vector<std::string>&,
+                                const LcagOptions&);
+  static_assert(std::is_same_v<decltype(&LcagCacheKey), KeyFn>);
+  LcagSketchOptions sketch_options;
+  sketch_options.radius = 1e6;
+  const LcagSketchIndex sketch = LcagSketchIndex::Build(graph_, sketch_options);
 
   LcagSearch search(&graph_, &index_);
   LcagCache cache(128);
   const LcagResult miss =
-      search.Find({"taliban", "upper dir"}, sequential, &cache);
-  LcagSearchContext ctx;
-  ctx.cache = &cache;
-  const LcagResult hit = search.Find({"taliban", "upper dir"}, parallel, ctx);
+      search.Find({"taliban", "upper dir"}, {}, {.cache = &cache});
+  const LcagResult hit = search.Find({"taliban", "upper dir"}, {},
+                                     {.cache = &cache, .sketch = &sketch});
   ASSERT_TRUE(miss.found);
   ASSERT_TRUE(hit.found);
+  // Without the cache the sketch answers this group, so `hit` came from the
+  // sketch-free entry, not from the sketch.
+  ASSERT_TRUE(search.Find({"taliban", "upper dir"}, {}, {.sketch = &sketch})
+                  .sketch_hit);
+  EXPECT_FALSE(miss.cache_hit);
   EXPECT_TRUE(hit.cache_hit);
+  EXPECT_FALSE(hit.sketch_hit);
   EXPECT_EQ(hit.graph.root, miss.graph.root);
+  EXPECT_EQ(hit.graph.nodes, miss.graph.nodes);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.entries(), 1u);
 }
@@ -293,7 +304,7 @@ TEST_F(LcagCacheSearchTest, ConcurrentFindsAreSafeAndConsistent) {
     workers.emplace_back([&, t] {
       for (int round = 0; round < kRounds; ++round) {
         const size_t g = (t + round) % groups.size();
-        const LcagResult r = search.Find(groups[g], {}, &cache);
+        const LcagResult r = search.Find(groups[g], {}, {.cache = &cache});
         if (r.found != expected[g].found ||
             r.graph.root != expected[g].graph.root ||
             r.graph.nodes != expected[g].graph.nodes) {

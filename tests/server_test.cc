@@ -496,12 +496,26 @@ TEST_F(ServerTest, ConcurrentSearchesWhileIngesting) {
   constexpr int kQueriesPerReader = 6;
   std::atomic<int> failures{0};
 
+  // Every request body is built before any thread starts: ingest appends to
+  // corpus_, so reading it (QueryFor, doc texts) from a thread would race
+  // with the service's writes.
+  std::vector<std::string> doc_bodies;
+  for (int d = 0; d < 5; ++d) {
+    json::Value doc = json::Value::Object();
+    doc.Set("text", json::Value::Str(corpus_.doc(d % 3).text));
+    doc_bodies.push_back(doc.Dump());
+  }
+  std::vector<std::string> probe_bodies;
+  for (int d = 0; d < 8; ++d) {
+    json::Value probe = json::Value::Object();
+    probe.Set("query", json::Value::Str(QueryFor(d)));
+    probe.Set("k", json::Value::Uint(5));
+    probe_bodies.push_back(probe.Dump());
+  }
+
   std::thread writer([&] {
-    for (int d = 0; d < 5; ++d) {
-      json::Value doc = json::Value::Object();
-      doc.Set("text", json::Value::Str(corpus_.doc(d % 3).text));
-      if (StatusOf(Request(port, "POST", "/v1/documents", doc.Dump())) !=
-          201) {
+    for (const std::string& body : doc_bodies) {
+      if (StatusOf(Request(port, "POST", "/v1/documents", body)) != 201) {
         failures.fetch_add(1);
       }
     }
@@ -510,11 +524,8 @@ TEST_F(ServerTest, ConcurrentSearchesWhileIngesting) {
   for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       for (int q = 0; q < kQueriesPerReader; ++q) {
-        json::Value probe = json::Value::Object();
-        probe.Set("query", json::Value::Str(QueryFor((t + q) % 8)));
-        probe.Set("k", json::Value::Uint(5));
-        const std::string reply =
-            Request(port, "POST", "/v1/search", probe.Dump());
+        const std::string reply = Request(port, "POST", "/v1/search",
+                                          probe_bodies[(t + q) % 8]);
         if (StatusOf(reply) != 200) {
           failures.fetch_add(1);
           continue;
