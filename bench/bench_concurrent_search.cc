@@ -39,11 +39,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -389,7 +389,7 @@ int main(int argc, char** argv) {
                   warm_seconds * 10.0 <= cold_seconds;
       }
     }
-    // The file stays on disk: the block-max A/B engine below warm-loads it.
+    std::remove(snapshot_path.c_str());
   }
   std::printf(
       "cold build %.3fs, warm snapshot load %.3fs (%.0fx, gate 10x): %s\n\n",
@@ -427,47 +427,31 @@ int main(int argc, char** argv) {
   std::snprintf(label, sizeof(label), "maxscore x%d", num_threads);
   PrintReport(label, prunedN);
 
-  // Block-max A/B: a classic-MaxScore engine (per-block bounds off) warm-
-  // loaded from the same snapshot. The block-max engine must return the
-  // same hits while scoring no more text-side documents.
-  bool blockmax_ok = true;
+  // Pruned vs oracle: every hit of the pruned fusion must carry, bit for
+  // bit, the score the exhaustive oracle gives that document when it ranks
+  // every document (pruned and exhaustive scoring sum in one order).
+  bool oracle_ok = true;
   {
-    NewsLinkConfig plain_config = config;
-    plain_config.use_block_max = false;
-    NewsLinkEngine plain(&world->kg.graph, &world->index, plain_config);
-    const Status loaded = plain.LoadSnapshot(snapshot_path);
-    if (!loaded.ok()) {
-      std::printf("\nplain-maxscore snapshot load FAILED: %s\n",
-                  loaded.ToString().c_str());
-      blockmax_ok = false;
-    } else {
-      const RunReport plain1 =
-          RunWorkload(plain, queries, 1, 1, kK, /*exhaustive=*/false);
-      PrintReport("maxscore(no blkmax)", plain1);
-      bool parity = true;
-      for (const std::string& q : queries) {
-        baselines::SearchRequest request;
-        request.query = q;
-        request.k = kK;
-        const auto a = engine.Search(request).hits;
-        const auto b = plain.Search(request).hits;
-        parity = parity && a.size() == b.size();
-        for (size_t i = 0; parity && i < a.size(); ++i) {
-          parity = a[i].doc_index == b[i].doc_index &&
-                   std::fabs(a[i].score - b[i].score) <= 1e-6;
-        }
+    size_t hits = 0;
+    for (const std::string& q : queries) {
+      baselines::SearchRequest request;
+      request.query = q;
+      request.k = kK;
+      const auto pruned = engine.Search(request).hits;
+      request.k = engine.num_indexed_docs();
+      request.exhaustive_fusion = true;
+      std::map<size_t, double> exact;
+      for (const auto& hit : engine.Search(request).hits) {
+        exact[hit.doc_index] = hit.score;
       }
-      const bool work_ok = pruned1.bow_docs_scored <= plain1.bow_docs_scored;
-      std::printf(
-          "\nblock-max A/B: %zu bow docs/query vs %zu plain, blocks "
-          "skipped/query %zu, hit parity: %s, no extra work: %s\n",
-          static_cast<size_t>(pruned1.bow_docs_scored / pruned1.queries),
-          static_cast<size_t>(plain1.bow_docs_scored / plain1.queries),
-          static_cast<size_t>(pruned1.bow_blocks_skipped / pruned1.queries),
-          parity ? "ok" : "FAIL", work_ok ? "ok" : "FAIL");
-      blockmax_ok = parity && work_ok;
+      for (const auto& hit : pruned) {
+        const auto it = exact.find(hit.doc_index);
+        oracle_ok = oracle_ok && it != exact.end() && it->second == hit.score;
+        ++hits;
+      }
     }
-    std::remove(snapshot_path.c_str());
+    std::printf("\npruned vs oracle: %zu hits, scores bit-identical: %s\n",
+                hits, oracle_ok ? "ok" : "FAIL");
   }
 
   // --batch: the same query set as ONE SearchBatch() call (the server's
@@ -516,7 +500,8 @@ int main(int argc, char** argv) {
 
   // --shards N: the same concurrent workload against in-process
   // ShardedEngines at shard counts 1..N (round-robin partition). The merge
-  // is score-safe, so every count must reproduce the single engine's hits.
+  // is score-safe and every composition sums BM25 terms in one order, so
+  // every count must reproduce the single engine's hits bit for bit.
   bool shards_ok = true;
   if (max_shards > 0) {
     std::printf("\nscatter-gather (ShardedEngine, round-robin):\n");
@@ -544,7 +529,7 @@ int main(int argc, char** argv) {
         bool parity = expected.size() == actual.size();
         for (size_t i = 0; parity && i < expected.size(); ++i) {
           parity = expected[i].doc_index == actual[i].doc_index &&
-                   std::fabs(expected[i].score - actual[i].score) <= 1e-6;
+                   expected[i].score == actual[i].score;
         }
         if (!parity) {
           std::printf("  hit parity vs single engine FAILED at n=%zu\n", n);
@@ -662,7 +647,7 @@ int main(int argc, char** argv) {
       no_violations ? "yes" : "NO", 100.0 * prunedN.span_coverage,
       coverage_ok ? "ok" : "FAIL");
   return (fewer_docs && cache_ok && no_violations && ingest_ok &&
-          coverage_ok && warm_ok && batch_ok && blockmax_ok && shards_ok)
+          coverage_ok && warm_ok && batch_ok && oracle_ok && shards_ok)
              ? 0
              : 1;
 }

@@ -68,9 +68,8 @@ void BM_Bm25Query(benchmark::State& state) {
 }
 BENCHMARK(BM_Bm25Query)->Arg(4)->Arg(8)->Arg(16);
 
-// MaxScore retrieval, block-max pruning on (arg 1) vs off (arg 0). The
-// docs-scored and blocks-skipped counters quantify how much of the work
-// the per-block bounds eliminate at identical top-k results.
+// Block-Max MaxScore retrieval. The docs-scored and blocks-skipped
+// counters quantify how much of the work the per-block bounds eliminate.
 void BM_MaxScoreTopK(benchmark::State& state) {
   // Short documents (tf mostly 1) with doc-id locality: documents in the
   // same stripe inflate a shared slice of the vocabulary. BM25's tf
@@ -86,9 +85,7 @@ void BM_MaxScoreTopK(benchmark::State& state) {
   }
   ir::InvertedIndex index;
   for (const auto& d : docs) index.AddDocument(d);
-  const bool use_block_max = state.range(0) != 0;
-  ir::MaxScoreRetriever retriever(&index, {},
-                                  ir::MaxScoreOptions{use_block_max});
+  ir::MaxScoreRetriever retriever(&index);
 
   Rng rng(37);
   std::vector<ir::TermCounts> queries;
@@ -123,7 +120,7 @@ void BM_MaxScoreTopK(benchmark::State& state) {
       static_cast<double>(blocks_skipped) / static_cast<double>(calls);
   state.SetItemsProcessed(static_cast<int64_t>(calls));
 }
-BENCHMARK(BM_MaxScoreTopK)->Arg(0)->Arg(1);
+BENCHMARK(BM_MaxScoreTopK);
 
 void BM_TopKSelect(benchmark::State& state) {
   Rng rng(31);

@@ -1,9 +1,5 @@
 #include "baselines/search_engine.h"
 
-#include <algorithm>
-
-#include "common/thread_pool.h"
-
 namespace newslink {
 namespace baselines {
 
@@ -42,13 +38,11 @@ std::vector<SearchResponse> SearchEngine::SearchBatch(
     return responses;
   }
   // Each request is an independent Search with its own snapshot
-  // acquisition; a small pool keeps peak memory proportional to the
-  // hardware, not the batch.
-  const size_t workers = std::min<size_t>(
-      requests.size(),
-      std::max<size_t>(1, std::thread::hardware_concurrency()));
-  ThreadPool pool(workers);
-  pool.ParallelFor(requests.size(), [&](size_t i) {
+  // acquisition; a pool sized by the hardware keeps peak memory
+  // proportional to it, not to the batch.
+  std::call_once(batch_pool_once_,
+                 [this] { batch_pool_ = std::make_unique<ThreadPool>(); });
+  batch_pool_->ParallelFor(requests.size(), [&](size_t i) {
     responses[i] = Search(requests[i]);
   });
   return responses;

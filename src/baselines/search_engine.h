@@ -24,6 +24,8 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -33,6 +35,7 @@
 #include "common/metrics.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "corpus/corpus.h"
@@ -82,8 +85,9 @@ struct SearchRequest {
   std::optional<double> beta;
   /// Per-side candidate depth k' of the pruned fusion path.
   std::optional<size_t> rerank_depth;
-  /// Score every posting on both sides instead of pruned retrieval.
-  std::optional<bool> exhaustive_fusion;
+  /// Score every posting on both sides instead of pruned retrieval: the
+  /// exactness oracle of the fused search.
+  bool exhaustive_fusion = false;
 
   /// Recency half-life, seconds (DESIGN.md Sec. 15): the fused Eq. 3 score
   /// is multiplied by 2^(-age / half_life), age measured against the
@@ -189,9 +193,11 @@ class SearchEngine {
   virtual SearchResponse Search(const SearchRequest& request) const = 0;
 
   /// Answer many requests, responses aligned with `requests`. The default
-  /// adapter fans the batch out across a thread pool — each request is an
-  /// independent Search call with its own snapshot acquisition, so a batch
-  /// straddling a concurrent ingest may observe multiple epochs.
+  /// adapter fans the batch out across the engine's batch pool (one thread
+  /// per hardware thread, built by the first batch and reused) — each
+  /// request is an independent Search call with its own snapshot
+  /// acquisition, so a batch straddling a concurrent ingest may observe
+  /// multiple epochs.
   virtual std::vector<SearchResponse> SearchBatch(
       std::span<const SearchRequest> requests) const;
 
@@ -240,6 +246,8 @@ class SearchEngine {
   mutable metrics::Registry registry_;
   metrics::Counter* queries_;
   metrics::Histogram* query_seconds_;
+  mutable std::once_flag batch_pool_once_;
+  mutable std::unique_ptr<ThreadPool> batch_pool_;
 };
 
 }  // namespace baselines

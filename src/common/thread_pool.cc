@@ -57,19 +57,24 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
   // One task per worker strided over [0, n): cheap for small n, balanced
-  // enough for our document-granularity workloads.
-  auto counter = std::make_shared<std::atomic<size_t>>(0);
+  // enough for our document-granularity workloads. The caller waits for
+  // its own tasks only, not for the whole pool to go idle: a long-lived
+  // pool shared by concurrent callers would otherwise hold each of them
+  // until nobody else has work queued.
+  std::atomic<size_t> next{0};
   const size_t workers = std::min(n, threads_.size());
+  size_t running = workers;  // guarded by mu_
   for (size_t w = 0; w < workers; ++w) {
-    Submit([counter, n, &fn] {
-      while (true) {
-        const size_t i = counter->fetch_add(1);
-        if (i >= n) return;
+    Submit([this, &next, &running, n, &fn] {
+      for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
         fn(i);
       }
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--running == 0) all_done_.notify_all();
     });
   }
-  Wait();
+  std::unique_lock<std::mutex> lock(mu_);
+  all_done_.wait(lock, [&running] { return running == 0; });
 }
 
 void ThreadPool::WorkerLoop() {

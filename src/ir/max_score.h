@@ -3,8 +3,8 @@
 // processing the paper cites for the NS component ([49]). Extended to
 // Block-Max MaxScore (Ding & Suel 2011): per-block max-tf bounds let the
 // essential lists skip whole blocks whose best possible score cannot beat
-// the heap threshold. Either way the retriever returns the top-k of
-// exhaustive TAAT scoring while skipping documents that cannot make the
+// the heap threshold. The retriever returns the top-k of exhaustive TAAT
+// scoring, bit for bit, while skipping documents that cannot make the
 // heap.
 
 #ifndef NEWSLINK_IR_MAX_SCORE_H_
@@ -23,24 +23,12 @@
 namespace newslink {
 namespace ir {
 
-struct MaxScoreOptions {
-  /// Use block-max bounds: per-term bounds tightened from the term's max
-  /// observed tf, plus whole-block skipping over the essential lists when
-  /// no doc in the current block range can beat the heap threshold.
-  /// `false` reverts to classic MaxScore with the loose (k1+1) term bound
-  /// — kept for A/B measurement; the returned top-k is identical either
-  /// way, only the amount of work differs.
-  bool use_block_max = true;
-};
-
-/// \brief BM25 top-k with (Block-Max) MaxScore dynamic pruning.
+/// \brief BM25 top-k with Block-Max MaxScore dynamic pruning.
 class MaxScoreRetriever {
  public:
   explicit MaxScoreRetriever(const InvertedIndex* index,
-                             Bm25Params params = {},
-                             MaxScoreOptions options = {})
-      : index_(index), scorer_(index, params), params_(params),
-        options_(options) {}
+                             Bm25Params params = {})
+      : index_(index), params_(params) {}
 
   /// Register cumulative retrieval series (`<prefix>_maxscore_calls_total`,
   /// `<prefix>_maxscore_docs_scored_total`,
@@ -57,15 +45,13 @@ class MaxScoreRetriever {
         "posting blocks skipped without decoding (block-max pruning)");
   }
 
-  /// Top-k documents for the query within `snapshot`: the documents of
-  /// SelectTopK(Bm25Scorer::ScoreAll(query, snapshot), k), each score
-  /// within 1e-9 of its ScoreAll value. Not bit for bit: a document's
-  /// per-term contributions are summed essential terms first in bound
-  /// order, then non-essential ones in descending bound order, where
-  /// ScoreAll sums in query order. So documents whose scores tie in one
-  /// method may differ in the last bits in the other, and swap places (at
-  /// the k-th position, swap in and out). Exact ties among the returned
-  /// documents order by doc id.
+  /// Top-k documents for the query within `snapshot`: exactly
+  /// SelectTopK(Bm25Scorer::ScoreAll(query, snapshot), k), documents,
+  /// order and scores bit for bit. Every document that is scored is
+  /// scored through the Bm25Query kernel, contributions summed in query
+  /// order; pruning only decides which documents those are, with a margin
+  /// that absorbs the rounding of its bound-order estimates (see TopK's
+  /// body). Exact ties order by doc id.
   ///
   /// Safe to call from many threads concurrently, including while a writer
   /// appends documents: the per-term upper bounds, idf, and avgdl are all
@@ -116,22 +102,9 @@ class MaxScoreRetriever {
     return last_blocks_skipped_.load(std::memory_order_relaxed);
   }
 
-  const MaxScoreOptions& options() const { return options_; }
-
  private:
-  /// BM25 length norm k1 * (1 - b + b * dl / avgdl) of one document; a
-  /// term's contribution is qtf * idf * tf * (k1+1) / (tf + norm).
-  double Norm(DocId doc, double avgdl) const;
-
-  /// Upper bound on tf * (k1+1) / (tf + norm) over all documents, given
-  /// only that the term frequency is at most `max_tf`: norm is minimized
-  /// at dl == 0, and the expression is nondecreasing in tf.
-  double TfBound(uint32_t max_tf, double norm_min) const;
-
   const InvertedIndex* index_;
-  Bm25Scorer scorer_;
   Bm25Params params_;
-  MaxScoreOptions options_;
   mutable std::atomic<size_t> last_docs_scored_{0};
   mutable std::atomic<size_t> last_blocks_skipped_{0};
   metrics::Counter* calls_ = nullptr;  // null until EnableMetrics

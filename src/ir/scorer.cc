@@ -1,6 +1,5 @@
 #include "ir/scorer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 
@@ -28,93 +27,69 @@ double Bm25Scorer::Idf(TermId term, const IndexSnapshot& snapshot) const {
                   static_cast<double>(index_->DocFreq(term, snapshot)));
 }
 
+Bm25Query::Bm25Query(const InvertedIndex& index, const Bm25Params& params,
+                     const TermCounts& query, const IndexSnapshot& snapshot,
+                     const CollectionStats* collection)
+    : index_(&index),
+      params_(params),
+      k1_plus_1_(params.k1 + 1.0),
+      avgdl_(collection ? collection->avg_doc_length()
+                        : snapshot.avg_doc_length()) {
+  // The live MinDocLength() only ever decreases, so it lower-bounds this
+  // snapshot's prefix even under concurrent append; a collection-wide
+  // minimum (shard serving) is <= the local one. Either way no document
+  // has a smaller norm.
+  norm_min_ = Norm(collection ? collection->min_doc_length
+                              : index.MinDocLength());
+  const double n = static_cast<double>(
+      collection ? collection->num_docs : snapshot.num_docs);
+  terms_.reserve(query.size());
+  for (size_t i = 0; i < query.size(); ++i) {
+    const auto& [term, qtf] = query[i];
+    const PostingView postings = index.Postings(term, snapshot);
+    if (postings.empty()) continue;
+    const double df = static_cast<double>(
+        collection ? collection->df[i] : postings.size());
+    terms_.push_back(
+        Term{term, i, postings, qtf * Bm25Scorer::IdfValue(n, df)});
+  }
+}
+
 std::vector<ScoredDoc> Bm25Scorer::ScoreAll(
     const TermCounts& query, const IndexSnapshot& snapshot,
     const CollectionStats* collection, const DocFilter* filter) const {
+  const Bm25Query bm25(*index_, params_, query, snapshot, collection);
+  // Term at a time in query order: every accumulator receives its
+  // document's contributions in the kernel's summation order.
   std::unordered_map<DocId, double> acc;
-  const double avgdl =
-      collection ? collection->avg_doc_length() : snapshot.avg_doc_length();
-  const double n = static_cast<double>(
-      collection ? collection->num_docs : snapshot.num_docs);
-  for (size_t i = 0; i < query.size(); ++i) {
-    const auto& [term, qtf] = query[i];
-    const double df = static_cast<double>(
-        collection ? collection->df[i] : index_->DocFreq(term, snapshot));
-    const double idf = IdfValue(n, df);
-    for (const Posting& p : index_->Postings(term, snapshot)) {
+  for (const Bm25Query::Term& term : bm25.terms()) {
+    for (const Posting& p : term.postings) {
       if (filter != nullptr && !filter->Accept(p.doc)) continue;
-      const double dl = static_cast<double>(index_->DocLength(p.doc));
-      const double norm =
-          params_.k1 * (1.0 - params_.b +
-                        params_.b * (avgdl > 0 ? dl / avgdl : 0.0));
-      const double tf = static_cast<double>(p.tf);
-      acc[p.doc] += qtf * idf * tf * (params_.k1 + 1.0) / (tf + norm);
+      acc[p.doc] += bm25.Contribution(term, p.tf, bm25.DocNorm(p.doc));
     }
   }
   return AccumulatorsToVector(acc);
 }
 
-double Bm25Scorer::ScoreDoc(const TermCounts& query, DocId doc,
-                            const IndexSnapshot& snapshot,
-                            const CollectionStats* collection) const {
-  const double avgdl =
-      collection ? collection->avg_doc_length() : snapshot.avg_doc_length();
-  const double n = static_cast<double>(
-      collection ? collection->num_docs : snapshot.num_docs);
-  const double dl = static_cast<double>(index_->DocLength(doc));
-  const double norm =
-      params_.k1 *
-      (1.0 - params_.b + params_.b * (avgdl > 0 ? dl / avgdl : 0.0));
-  double score = 0.0;
-  for (size_t i = 0; i < query.size(); ++i) {
-    const auto& [term, qtf] = query[i];
-    const PostingView postings = index_->Postings(term, snapshot);
-    const auto it = std::lower_bound(
-        postings.begin(), postings.end(), doc,
-        [](const Posting& p, DocId d) { return p.doc < d; });
-    if (it == postings.end() || it->doc != doc) continue;
-    const double df = static_cast<double>(
-        collection ? collection->df[i] : index_->DocFreq(term, snapshot));
-    const double tf = static_cast<double>(it->tf);
-    score += qtf * IdfValue(n, df) * tf * (params_.k1 + 1.0) / (tf + norm);
-  }
-  return score;
-}
-
 std::vector<double> Bm25Scorer::ScoreDocs(
     const TermCounts& query, std::span<const DocId> docs,
     const IndexSnapshot& snapshot, const CollectionStats* collection) const {
-  const double avgdl =
-      collection ? collection->avg_doc_length() : snapshot.avg_doc_length();
-  const double n = static_cast<double>(
-      collection ? collection->num_docs : snapshot.num_docs);
-  struct Term {
-    PostingCursor cursor;
-    double weight;  // qtf * idf, the leading factor of ScoreDoc's product
-  };
-  std::vector<Term> terms;
-  terms.reserve(query.size());
-  for (size_t i = 0; i < query.size(); ++i) {
-    const auto& [term, qtf] = query[i];
-    const PostingView postings = index_->Postings(term, snapshot);
-    if (postings.empty()) continue;  // matches no document
-    const double df = static_cast<double>(
-        collection ? collection->df[i] : postings.size());
-    terms.push_back(Term{PostingCursor(postings), qtf * IdfValue(n, df)});
+  const Bm25Query bm25(*index_, params_, query, snapshot, collection);
+  std::vector<PostingCursor> cursors;
+  cursors.reserve(bm25.terms().size());
+  for (const Bm25Query::Term& term : bm25.terms()) {
+    cursors.emplace_back(term.postings);
   }
   std::vector<double> scores(docs.size(), 0.0);
   for (size_t j = 0; j < docs.size(); ++j) {
     const DocId doc = docs[j];
-    const double dl = static_cast<double>(index_->DocLength(doc));
-    const double norm =
-        params_.k1 *
-        (1.0 - params_.b + params_.b * (avgdl > 0 ? dl / avgdl : 0.0));
+    const double norm = bm25.DocNorm(doc);
     double score = 0.0;
-    for (Term& t : terms) {  // query order, as ScoreDoc sums
-      t.cursor.SeekAtLeast(doc);
-      if (t.cursor.doc() != doc) continue;
-      const double tf = static_cast<double>(t.cursor.posting().tf);
-      score += t.weight * tf * (params_.k1 + 1.0) / (tf + norm);
+    for (size_t t = 0; t < cursors.size(); ++t) {  // query order
+      cursors[t].SeekAtLeast(doc);
+      if (cursors[t].doc() != doc) continue;
+      score += bm25.Contribution(bm25.terms()[t], cursors[t].posting().tf,
+                                 norm);
     }
     scores[j] = score;
   }

@@ -11,6 +11,8 @@
 #ifndef NEWSLINK_IR_SCORER_H_
 #define NEWSLINK_IR_SCORER_H_
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -90,6 +92,89 @@ struct CollectionStats {
   }
 };
 
+/// \brief One query's BM25 terms prepared against one snapshot: the single
+/// place the BM25 scoring decision is made.
+///
+/// Every query term with postings in the snapshot is kept, in query order,
+/// with its weight qtf * idf (df from `collection` when given, else from
+/// the snapshot). The kernel also owns the document length norm
+/// k1 * (1 - b + b * dl / avgdl), a term's contribution
+/// weight * tf * (k1 + 1) / (tf + norm), and the summation rule: **a
+/// document's score is the sum of its contributions in query-term order,
+/// starting from 0.0.** Bm25Scorer::ScoreAll (the oracle),
+/// Bm25Scorer::ScoreDocs (the fill-in) and MaxScoreRetriever::TopK all
+/// score through it, so they agree bit for bit.
+class Bm25Query {
+ public:
+  struct Term {
+    TermId id = kInvalidTerm;
+    /// Position in the TermCounts the kernel was built from (the index
+    /// CollectionStats::df / max_tf are aligned by).
+    size_t query_index = 0;
+    PostingView postings;
+    double weight = 0.0;  // qtf * idf
+  };
+
+  /// `index` must outlive the kernel; `collection` is only read here.
+  Bm25Query(const InvertedIndex& index, const Bm25Params& params,
+            const TermCounts& query, const IndexSnapshot& snapshot,
+            const CollectionStats* collection);
+
+  /// Query order; terms without postings in the snapshot are dropped
+  /// (they match no document).
+  const std::vector<Term>& terms() const { return terms_; }
+
+  /// Length norm of a document of `length` tokens. Nondecreasing in
+  /// `length`, in floating point too (each operation rounds monotonically).
+  double Norm(uint32_t length) const {
+    const double dl = static_cast<double>(length);
+    return params_.k1 *
+           (1.0 - params_.b + params_.b * (avgdl_ > 0 ? dl / avgdl_ : 0.0));
+  }
+  double DocNorm(DocId doc) const { return Norm(index_->DocLength(doc)); }
+
+  /// The contribution of `term` at frequency `tf` to a document with
+  /// length norm `norm`.
+  double Contribution(const Term& term, uint32_t tf, double norm) const {
+    const double t = static_cast<double>(tf);
+    return term.weight * t * k1_plus_1_ / (t + norm);
+  }
+
+  /// Upper bound (before rounding) on `term`'s contribution to any
+  /// collection document whose tf is at most `max_tf`: the real-valued
+  /// contribution rises with tf and falls with the norm, and no document
+  /// is shorter than the collection's minimum length. `max_tf == 0` means
+  /// unknown and gives the supremum over all tf, weight * (k1 + 1).
+  double Bound(const Term& term, uint32_t max_tf) const {
+    return max_tf == 0 ? term.weight * k1_plus_1_
+                       : Contribution(term, max_tf, norm_min_);
+  }
+
+  /// A document's score from its contributions, under the one summation
+  /// order: `matched` is a bitset over terms() positions (bit p % 64 of
+  /// word p / 64) marking the terms the document matches, and
+  /// `contribution[p]` is terms()[p]'s contribution. Walking the set bits
+  /// upwards adds them in query order, without sorting.
+  static double Sum(std::span<const uint64_t> matched,
+                    std::span<const double> contribution) {
+    double score = 0.0;
+    for (size_t w = 0; w < matched.size(); ++w) {
+      for (uint64_t bits = matched[w]; bits != 0; bits &= bits - 1) {
+        score += contribution[w * 64 + std::countr_zero(bits)];
+      }
+    }
+    return score;
+  }
+
+ private:
+  const InvertedIndex* index_;
+  Bm25Params params_;
+  double k1_plus_1_;
+  double avgdl_;
+  double norm_min_;  // Norm of the collection's shortest document
+  std::vector<Term> terms_;
+};
+
 /// \brief Term-at-a-time BM25 scorer.
 class Bm25Scorer {
  public:
@@ -105,7 +190,8 @@ class Bm25Scorer {
   /// shard given the collection's (N, df) reproduces the exact bits.
   static double IdfValue(double num_docs, double df);
 
-  /// Score every snapshot document containing at least one query term.
+  /// Score every snapshot document containing at least one query term:
+  /// the exhaustive oracle every pruned path is checked against.
   /// Query term multiplicity contributes linearly, as in Lucene.
   /// With non-null `collection`, N / avgdl / df come from it (df by query
   /// position) instead of the snapshot; postings and doc lengths are still
@@ -119,23 +205,11 @@ class Bm25Scorer {
     return ScoreAll(query, index_->Capture());
   }
 
-  /// BM25 score of one document (binary search per postings list): the
-  /// random-access path used to complete candidate scores after pruned
-  /// retrieval. Equals the doc's ScoreAll entry (0 when no term matches).
-  /// `collection` as in ScoreAll.
-  double ScoreDoc(const TermCounts& query, DocId doc,
-                  const IndexSnapshot& snapshot,
-                  const CollectionStats* collection = nullptr) const;
-  double ScoreDoc(const TermCounts& query, DocId doc) const {
-    return ScoreDoc(query, doc, index_->Capture());
-  }
-
-  /// Batched ScoreDoc over strictly ascending `docs` (each below
-  /// snapshot.num_docs): element j equals ScoreDoc(query, docs[j],
-  /// snapshot, collection) bit for bit. Each term's snapshot postings and
-  /// qtf * idf are resolved once per call, and every list is walked by one
-  /// forward cursor across the whole batch — the candidate fill-in after
-  /// pruned retrieval.
+  /// BM25 scores of strictly ascending `docs` (each below
+  /// snapshot.num_docs): element j equals docs[j]'s ScoreAll score bit for
+  /// bit (0 when no term matches). Every list is walked by one forward
+  /// cursor across the whole batch — the candidate fill-in after pruned
+  /// retrieval. `collection` as in ScoreAll.
   std::vector<double> ScoreDocs(
       const TermCounts& query, std::span<const DocId> docs,
       const IndexSnapshot& snapshot,

@@ -174,10 +174,8 @@ NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
       ner_(label_index),
       text_scorer_(&text_index_, config_.bm25),
       node_scorer_(&node_index_, config_.bon_bm25),
-      text_retriever_(&text_index_, config_.bm25,
-                      ir::MaxScoreOptions{config_.use_block_max}),
-      node_retriever_(&node_index_, config_.bon_bm25,
-                      ir::MaxScoreOptions{config_.use_block_max}),
+      text_retriever_(&text_index_, config_.bm25),
+      node_retriever_(&node_index_, config_.bon_bm25),
       bow_docs_scored_(registry()->GetCounter(
           kBowDocsScored, "documents BM25-scored on the text (BOW) side")),
       bon_docs_scored_(registry()->GetCounter(
@@ -736,8 +734,7 @@ ShardQuery NewsLinkEngine::PrepareShardQuery(
   query.use_bon = beta > 0.0;
   query.kprime =
       std::max(request.k, request.rerank_depth.value_or(config_.rerank_depth));
-  query.exhaustive =
-      request.exhaustive_fusion.value_or(config_.exhaustive_fusion);
+  query.exhaustive = request.exhaustive_fusion;
   if (query.use_bow) {
     query.text_stems = ir::TextVectorizer::StemsForQuery(request.query);
   }

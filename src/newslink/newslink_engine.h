@@ -122,10 +122,6 @@ struct NewsLinkConfig {
   /// fusion (overridable per request). Larger values close the (tiny) gap
   /// to the exhaustive oracle at the cost of scoring more documents.
   size_t rerank_depth = 64;
-  /// Exactness oracle default: score every posting on both sides instead
-  /// of MaxScore top-k' retrieval + union rescoring (overridable per
-  /// request).
-  bool exhaustive_fusion = false;
   /// Default recency half-life, seconds (DESIGN.md Sec. 15): fused scores
   /// are multiplied by 2^(-age / half_life) against the snapshot's pinned
   /// "now". 0 (the default) disables decay; +infinity runs the decay path
@@ -154,10 +150,6 @@ struct NewsLinkConfig {
   /// or without it. Excluded from ConfigFingerprint for the same reason: a
   /// snapshot carries its own doc map.
   bool reorder_docs = false;
-  /// Block-Max MaxScore on both retrieval sides (false = classic MaxScore
-  /// term bounds; identical results, more documents scored). Query-side
-  /// only, so also excluded from ConfigFingerprint.
-  bool use_block_max = true;
 };
 
 /// \brief A search hit with optional relationship-path explanations.
@@ -173,9 +165,8 @@ class NewsLinkEngine : public PipelineEngine {
 
   std::string name() const override;
 
-  /// The configuration; its query knobs (β, rerank depth, exhaustive
-  /// mode, recency half-life) are the defaults for requests that do not
-  /// set their own.
+  /// The configuration; its query knobs (β, rerank depth, recency
+  /// half-life) are the defaults for requests that do not set their own.
   const NewsLinkConfig& config() const { return config_; }
   const kg::KnowledgeGraph* graph() const { return graph_; }
 
@@ -248,8 +239,8 @@ class NewsLinkEngine : public PipelineEngine {
   /// publishes new epochs concurrently.
   ShardEpochPin PinEpoch() const;
 
-  /// Build the shard-portable query: resolves β / rerank depth /
-  /// exhaustive mode against this engine's config, stems the text side,
+  /// Build the shard-portable query: resolves β and rerank depth against
+  /// this engine's config, stems the text side,
   /// and weights the query embedding's nodes (sources boosted).
   /// `query_embedding` may be empty when β == 0 — pass
   /// EmbedText(request.query) otherwise.

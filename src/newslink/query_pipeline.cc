@@ -5,7 +5,6 @@
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -58,8 +57,7 @@ std::vector<ShardEpochPin> PinAll(const PipelineView& view) {
 QueryPipeline::QueryPipeline(metrics::Registry* registry,
                              const NewsLinkConfig& config,
                              size_t fanout_threads)
-    : pool_(fanout_threads > 1 ? std::make_unique<ThreadPool>(fanout_threads)
-                               : nullptr),
+    : fanout_threads_(fanout_threads),
       queries_(registry->GetCounter(baselines::kEngineQueries)),
       slow_queries_(registry->GetCounter(
           kSlowQueries, "queries over the slow-query threshold")),
@@ -77,11 +75,19 @@ QueryPipeline::QueryPipeline(metrics::Registry* registry,
 
 void QueryPipeline::ForEachBackend(
     size_t n, const std::function<void(size_t)>& fn) const {
-  if (n == 1 || pool_ == nullptr) {
+  if (n == 1 || fanout_threads_ <= 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  pool_->ParallelFor(n, fn);
+  Pool().ParallelFor(n, fn);
+}
+
+ThreadPool& QueryPipeline::Pool() const {
+  std::call_once(pool_once_, [this] {
+    pool_ = std::make_unique<ThreadPool>(
+        fanout_threads_ > 1 ? fanout_threads_ : 0);  // 0 = hardware
+  });
+  return *pool_;
 }
 
 baselines::SearchResponse QueryPipeline::Search(
@@ -100,14 +106,7 @@ std::vector<baselines::SearchResponse> QueryPipeline::SearchBatch(
   };
   // ParallelFor is reentrant: a query's own backend fan-out runs inline
   // when it is called from one of the pool's workers.
-  if (pool_ != nullptr) {
-    pool_->ParallelFor(requests.size(), run);
-    return responses;
-  }
-  ThreadPool batch_pool(std::min<size_t>(
-      requests.size(),
-      std::max<size_t>(1, std::thread::hardware_concurrency())));
-  batch_pool.ParallelFor(requests.size(), run);
+  Pool().ParallelFor(requests.size(), run);
   return responses;
 }
 

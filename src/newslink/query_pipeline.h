@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -150,8 +151,9 @@ class QueryPipeline {
  public:
   /// Registers the stage series in `registry` (which must outlive the
   /// pipeline). `config` supplies the slow-query log settings;
-  /// `fanout_threads` > 1 gives the pipeline a pool for multi-backend
-  /// fan-out and batches.
+  /// `fanout_threads` > 1 fans multi-backend queries out on the pipeline's
+  /// pool and sizes it; otherwise backends run inline and the pool (built
+  /// only for batches) has one thread per hardware thread.
   QueryPipeline(metrics::Registry* registry, const NewsLinkConfig& config,
                 size_t fanout_threads);
 
@@ -179,8 +181,13 @@ class QueryPipeline {
   /// on the single-engine path), on the pool otherwise.
   void ForEachBackend(size_t n, const std::function<void(size_t)>& fn) const;
 
-  /// Null when fanout_threads <= 1.
-  std::unique_ptr<ThreadPool> pool_;
+  /// The pool, built on first use and reused by every later fan-out and
+  /// batch.
+  ThreadPool& Pool() const;
+
+  size_t fanout_threads_;
+  mutable std::once_flag pool_once_;
+  mutable std::unique_ptr<ThreadPool> pool_;
 
   metrics::Counter* queries_;
   metrics::Counter* slow_queries_;

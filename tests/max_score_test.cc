@@ -1,7 +1,7 @@
-// Tests for the MaxScore document-at-a-time retriever: agreement with
-// exhaustive TAAT scoring (same documents, scores within 1e-9), plus
-// evidence that pruning actually skips work; and the batched
-// Bm25Scorer::ScoreDocs fill-in, bit for bit against ScoreDoc.
+// Tests for the Block-Max MaxScore document-at-a-time retriever: agreement
+// with exhaustive TAAT scoring bit for bit (same documents, same order,
+// same scores), plus evidence that pruning actually skips work; and the
+// batched Bm25Scorer::ScoreDocs fill-in, bit for bit against ScoreAll.
 
 #include <algorithm>
 #include <atomic>
@@ -23,41 +23,24 @@ namespace newslink {
 namespace ir {
 namespace {
 
-/// Same documents, each scoring within 1e-9 of its own oracle score, with
-/// rank-wise scores within 1e-9 and exact ties ordered by doc id. DAAT and
-/// TAAT sum a document's terms in different orders (and DAAT's order
-/// changes as terms turn non-essential), so two documents whose scores tie
-/// exactly on one side can differ in the last bits on the other; the only
-/// documents allowed to differ are such near-ties at the cut, scoring
-/// within 1e-9 of the k-th score.
+/// The pruned top-k is the oracle's: the same documents in the same order
+/// with bit-identical scores (both sum a document's contributions in query
+/// order, and both break exact ties towards smaller doc ids).
 void ExpectSameTopK(const std::vector<ScoredDoc>& pruned,
                     const std::vector<ScoredDoc>& exact,
                     const std::string& context = "") {
   ASSERT_EQ(pruned.size(), exact.size()) << context;
-  if (exact.empty()) return;
-  const double cut = exact.back().score;
-  std::map<DocId, double> pruned_docs, exact_docs;
-  for (const ScoredDoc& s : pruned) pruned_docs[s.doc] = s.score;
-  for (const ScoredDoc& s : exact) exact_docs[s.doc] = s.score;
-  for (const auto& [doc, score] : pruned_docs) {
-    const auto it = exact_docs.find(doc);
-    if (it != exact_docs.end()) {
-      EXPECT_NEAR(score, it->second, 1e-9) << context << ": doc " << doc;
-    } else {
-      EXPECT_NEAR(score, cut, 1e-9) << context << ": extra doc " << doc;
-    }
+  for (size_t i = 0; i < exact.size(); ++i) {
+    EXPECT_EQ(pruned[i].doc, exact[i].doc) << context << ": rank " << i;
+    EXPECT_EQ(pruned[i].score, exact[i].score) << context << ": rank " << i;
   }
-  for (const auto& [doc, score] : exact_docs) {
-    if (!pruned_docs.contains(doc)) {
-      EXPECT_NEAR(score, cut, 1e-9) << context << ": missing doc " << doc;
-    }
-  }
-  for (size_t i = 0; i < pruned.size(); ++i) {
-    EXPECT_NEAR(pruned[i].score, exact[i].score, 1e-9) << context;
-    if (i > 0 && pruned[i].score == pruned[i - 1].score) {
-      EXPECT_LT(pruned[i - 1].doc, pruned[i].doc) << context;
-    }
-  }
+}
+
+/// ScoreAll as a doc -> score map (documents matching no term are absent).
+std::map<DocId, double> ScoreMap(const std::vector<ScoredDoc>& scores) {
+  std::map<DocId, double> out;
+  for (const ScoredDoc& s : scores) out[s.doc] = s.score;
+  return out;
 }
 
 InvertedIndex MakeRandomIndex(uint64_t seed, size_t num_docs, size_t vocab,
@@ -166,8 +149,8 @@ TEST(MaxScoreTest, PruningSkipsDocuments) {
 
 TEST(MaxScoreTest, EquivalencePropertyRandomCorporaAndQueries) {
   // Property sweep: on random corpora and random queries the pruned
-  // retriever returns the SAME document set as exhaustive TAAT, each score
-  // within 1e-9, with ties broken towards smaller doc ids on both sides.
+  // retriever returns exactly the exhaustive TAAT top-k — documents, order
+  // and score bits, ties broken towards smaller doc ids on both sides.
   for (const uint64_t seed : {21u, 22u, 23u, 24u, 25u}) {
     const size_t num_docs = 100 + (seed % 7) * 50;
     InvertedIndex index = MakeRandomIndex(seed, num_docs, 250, 30);
@@ -188,48 +171,45 @@ TEST(MaxScoreTest, EquivalencePropertyRandomCorporaAndQueries) {
       std::sort(query.begin(), query.end());
       const size_t k = 1 + rng.Uniform(30);
 
-      const auto pruned = retriever.TopK(query, k);
-      const auto exact = SelectTopK(scorer.ScoreAll(query), k);
-      ASSERT_EQ(pruned.size(), exact.size()) << "seed " << seed;
-
-      std::vector<DocId> pruned_docs, exact_docs;
-      for (const ScoredDoc& s : pruned) pruned_docs.push_back(s.doc);
-      for (const ScoredDoc& s : exact) exact_docs.push_back(s.doc);
-      std::vector<DocId> pruned_sorted = pruned_docs;
-      std::vector<DocId> exact_sorted = exact_docs;
-      std::sort(pruned_sorted.begin(), pruned_sorted.end());
-      std::sort(exact_sorted.begin(), exact_sorted.end());
-      ASSERT_EQ(pruned_sorted, exact_sorted)
-          << "seed " << seed << " trial " << trial << ": doc sets differ";
-
-      for (size_t i = 0; i < pruned.size(); ++i) {
-        EXPECT_NEAR(pruned[i].score, exact[i].score, 1e-9);
-        if (i > 0 && pruned[i].score == pruned[i - 1].score) {
-          EXPECT_LT(pruned[i - 1].doc, pruned[i].doc)
-              << "exact ties must order by doc id";
-        }
-      }
+      ExpectSameTopK(retriever.TopK(query, k),
+                     SelectTopK(scorer.ScoreAll(query), k),
+                     "seed " + std::to_string(seed) + " trial " +
+                         std::to_string(trial));
     }
   }
 }
 
-TEST(MaxScoreTest, BlockMaxAgreesWithPlainMaxScoreAndScoresFewerDocs) {
-  // Three-way agreement — Block-Max MaxScore, classic MaxScore, exhaustive
-  // TAAT — plus the monotone work bound: per-block upper bounds are at
-  // least as tight as whole-list bounds, so block-max never scores more.
+TEST(MaxScoreTest, BlockMaxAgreesWithExhaustiveAndSkipsBlocks) {
+  // Agreement with exhaustive TAAT plus evidence of the work saved: no
+  // document is scored twice or without matching a term, and over the
+  // sweep whole posting blocks are skipped without decoding.
+  size_t total_skipped = 0;
   for (const uint64_t seed : {61u, 62u, 63u}) {
-    InvertedIndex index = MakeRandomIndex(seed, 600, 200, 35);
+    // Doc-id locality, the block shape reordering manufactures: short
+    // documents (tf mostly 1) where each stripe of 256 documents inflates
+    // its own slice of the vocabulary, so block maxima differ by block.
+    Rng doc_rng(seed);
+    ZipfTable zipf(200, 1.0);
+    InvertedIndex index;
+    for (size_t d = 0; d < 2048; ++d) {
+      std::map<TermId, uint32_t> counts;
+      for (int t = 0; t < 12; ++t) {
+        const TermId term = static_cast<TermId>(zipf.Sample(&doc_rng));
+        counts[term] += term % 8 == (d / 256) % 8 ? 6 : 1;
+      }
+      index.AddDocument(TermCounts(counts.begin(), counts.end()));
+    }
     Bm25Scorer scorer(&index);
-    MaxScoreRetriever block_max(&index, {}, MaxScoreOptions{true});
-    MaxScoreRetriever plain(&index, {}, MaxScoreOptions{false});
+    MaxScoreRetriever retriever(&index);
     Rng rng(seed * 131 + 5);
 
     for (int trial = 0; trial < 10; ++trial) {
+      // Head terms: long, many-block lists.
       TermCounts query;
       std::set<TermId> used;
-      const size_t num_terms = 2 + rng.Uniform(6);
+      const size_t num_terms = 2 + rng.Uniform(4);
       while (query.size() < num_terms) {
-        const TermId t = static_cast<TermId>(rng.Uniform(200));
+        const TermId t = static_cast<TermId>(rng.Uniform(48));
         if (used.insert(t).second) {
           query.push_back({t, 1 + static_cast<uint32_t>(rng.Uniform(3))});
         }
@@ -237,26 +217,27 @@ TEST(MaxScoreTest, BlockMaxAgreesWithPlainMaxScoreAndScoresFewerDocs) {
       std::sort(query.begin(), query.end());
       const size_t k = 1 + rng.Uniform(20);
 
-      size_t blocked_scored = 0, blocks_skipped = 0, plain_scored = 0;
-      const auto blocked = block_max.TopK(query, k, &blocked_scored,
-                                          &blocks_skipped);
-      const auto unblocked = plain.TopK(query, k, &plain_scored);
-      const auto exact = SelectTopK(scorer.ScoreAll(query), k);
-      ExpectSameTopK(blocked, exact);
-      ExpectSameTopK(unblocked, exact);
-      EXPECT_LE(blocked_scored, plain_scored)
-          << "seed " << seed << " trial " << trial;
+      size_t docs_scored = 0, blocks_skipped = 0;
+      const auto pruned =
+          retriever.TopK(query, k, &docs_scored, &blocks_skipped);
+      const std::vector<ScoredDoc> all = scorer.ScoreAll(query);
+      const std::string context =
+          "seed " + std::to_string(seed) + " trial " + std::to_string(trial);
+      ExpectSameTopK(pruned, SelectTopK(all, k), context);
+      EXPECT_LE(docs_scored, all.size()) << context;
+      total_skipped += blocks_skipped;
     }
   }
+  EXPECT_GT(total_skipped, 0u);
 }
 
 TEST(MaxScoreTest, BlockMaxSkipsWholeBlocks) {
   // term 1's first posting block is all tf == 10 and every later block is
   // tf == 1. Once the heap fills from the first block, every tf == 1
-  // block's upper bound falls below the threshold and classic MaxScore's
-  // doc-at-a-time walk turns into whole-block skips. (b must stay well
-  // inside (0, 1): at b == 0 the bound is exact and the threshold ties the
-  // total bound, ending the walk via the essential split instead.)
+  // block's upper bound falls below the threshold and the doc-at-a-time
+  // walk turns into whole-block skips. (b must stay well inside (0, 1): at
+  // b == 0 the bound is exact and the threshold ties the total bound,
+  // ending the walk via the essential split instead.)
   InvertedIndex index;
   const int n = 64 * static_cast<int>(kPostingBlockSize);
   for (int d = 0; d < n; ++d) {
@@ -282,16 +263,71 @@ TEST(MaxScoreTest, BlockMaxSkipsWholeBlocks) {
   EXPECT_EQ(blocks_skipped, retriever.last_blocks_skipped());
   EXPECT_LT(docs_scored, static_cast<size_t>(n) / 8)
       << "block-max should prune nearly all tf == 1 blocks";
+}
 
-  // Classic MaxScore on the same query cannot skip those blocks: the term
-  // bound (tf == 10) keeps every candidate's upper estimate above the
-  // threshold, so it scores far more documents.
-  MaxScoreRetriever plain(&index, params, MaxScoreOptions{false});
-  size_t plain_scored = 0;
-  ExpectSameTopK(plain.TopK(query, 5, &plain_scored),
-                 SelectTopK(scorer.ScoreAll(query), 5));
-  EXPECT_GT(plain_scored, 2 * docs_scored)
-      << "the per-block bound must beat the whole-list bound here";
+TEST(MaxScoreTest, TiesAtTheCutOnBoundReachingDocumentsStayExact) {
+  // "Full" documents hold every query term at that term's maximum tf and
+  // have the collection's minimum length, so each of their contributions
+  // equals its term's bound, and their scores tie exactly with the k-th
+  // score: k cuts through them. Their bound-order estimates differ from
+  // their query-order scores only by rounding — the case the pruning
+  // margin exists for. No full document may be dropped, and no rounding
+  // difference may reorder the tie: the result is the oracle's, bit for
+  // bit, the smallest-id full documents first.
+  for (const Bm25Params params : {Bm25Params{}, Bm25Params{0.8, 0.0}}) {
+    for (uint64_t seed = 0; seed < 16; ++seed) {
+      Rng rng(seed + 1000);
+      const size_t num_terms = 3 + rng.Uniform(6);
+      std::vector<uint32_t> max_tf(num_terms);
+      uint32_t full_length = 0;
+      for (uint32_t& tf : max_tf) {
+        tf = 2 + static_cast<uint32_t>(rng.Uniform(6));
+        full_length += tf;
+      }
+      InvertedIndex index;
+      std::vector<DocId> full;
+      for (DocId d = 0; d < 240; ++d) {
+        TermCounts counts;
+        if (d % 40 == 17) {
+          for (size_t t = 0; t < num_terms; ++t) {
+            counts.push_back({static_cast<TermId>(t), max_tf[t]});
+          }
+          full.push_back(d);
+        } else {
+          // A random subset of the query terms at tf 1 (so dfs differ),
+          // padded by a non-query term to at least the full length.
+          for (size_t t = 0; t < num_terms; ++t) {
+            if (rng.Uniform(num_terms + 1) <= t) {
+              counts.push_back({static_cast<TermId>(t), 1});
+            }
+          }
+          counts.push_back(
+              {static_cast<TermId>(100 + rng.Uniform(50)),
+               full_length + static_cast<uint32_t>(rng.Uniform(5))});
+        }
+        index.AddDocument(counts);
+      }
+      TermCounts query;
+      for (size_t t = num_terms; t-- > 0;) {
+        query.push_back(
+            {static_cast<TermId>(t), 1 + static_cast<uint32_t>(rng.Uniform(3))});
+      }
+      Bm25Scorer scorer(&index, params);
+      MaxScoreRetriever retriever(&index, params);
+      for (const size_t k : {size_t{2}, size_t{3}, size_t{5}}) {
+        const std::string context = "b " + std::to_string(params.b) +
+                                    " seed " + std::to_string(seed) + " k " +
+                                    std::to_string(k);
+        const auto top = retriever.TopK(query, k);
+        ExpectSameTopK(top, SelectTopK(scorer.ScoreAll(query), k), context);
+        ASSERT_EQ(top.size(), k) << context;
+        for (size_t i = 0; i < k; ++i) {
+          EXPECT_EQ(top[i].doc, full[i]) << context;
+          EXPECT_EQ(top[i].score, top[0].score) << context;
+        }
+      }
+    }
+  }
 }
 
 TEST(MaxScoreTest, BlockMaxHandlesPartialTailBlock) {
@@ -607,7 +643,7 @@ TEST(MaxScoreBoundaryTest, BlockSkipsAcrossChunkEdgesAgreeWithExhaustive) {
 
 // --- Batched fill-in ----------------------------------------------------
 
-TEST(ScoreDocsTest, BatchedFillInEqualsScoreDocBitForBit) {
+TEST(ScoreDocsTest, BatchedFillInEqualsScoreAllBitForBit) {
   const EdgeIndex edge = MakeEdgeIndex(103);
   for (const Bm25Params params : {Bm25Params{}, Bm25Params{0.8, 0.0}}) {
     Bm25Scorer scorer(&edge.index, params);
@@ -644,9 +680,12 @@ TEST(ScoreDocsTest, BatchedFillInEqualsScoreDocBitForBit) {
           const CollectionStats* c = use_stats ? &stats : nullptr;
           const std::vector<double> batched =
               scorer.ScoreDocs(q, docs, snapshot, c);
+          const std::map<DocId, double> exact =
+              ScoreMap(scorer.ScoreAll(q, snapshot, c));
           ASSERT_EQ(batched.size(), docs.size());
           for (size_t j = 0; j < docs.size(); ++j) {
-            EXPECT_EQ(batched[j], scorer.ScoreDoc(q, docs[j], snapshot, c))
+            const auto it = exact.find(docs[j]);
+            EXPECT_EQ(batched[j], it == exact.end() ? 0.0 : it->second)
                 << "doc " << docs[j] << " stats " << use_stats;
           }
         }
@@ -706,8 +745,11 @@ TEST(MaxScoreWriterVsReadersTest, TopKAndFillInMatchPinnedOracle) {
         }
         const std::vector<double> batched =
             scorer.ScoreDocs(query, docs, snapshot);
+        const std::map<DocId, double> exact =
+            ScoreMap(scorer.ScoreAll(query, snapshot));
         for (size_t j = 0; j < docs.size(); ++j) {
-          if (batched[j] != scorer.ScoreDoc(query, docs[j], snapshot)) {
+          const auto it = exact.find(docs[j]);
+          if (batched[j] != (it == exact.end() ? 0.0 : it->second)) {
             violations.fetch_add(1);
           }
         }

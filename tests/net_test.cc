@@ -261,8 +261,7 @@ TEST(ApiJsonTest, SearchRequestDecodesAllFields) {
   EXPECT_DOUBLE_EQ(*r->beta, 0.5);
   ASSERT_TRUE(r->rerank_depth.has_value());
   EXPECT_EQ(*r->rerank_depth, 25u);
-  ASSERT_TRUE(r->exhaustive_fusion.has_value());
-  EXPECT_TRUE(*r->exhaustive_fusion);
+  EXPECT_TRUE(r->exhaustive_fusion);
   EXPECT_TRUE(r->explain);
   EXPECT_EQ(r->max_paths_per_result, 2u);
   EXPECT_TRUE(r->trace);
@@ -312,8 +311,7 @@ TEST(ApiJsonTest, SearchRequestDecodesGroupedRankingAndFilter) {
   EXPECT_DOUBLE_EQ(*r->beta, 0.4);
   ASSERT_TRUE(r->rerank_depth.has_value());
   EXPECT_EQ(*r->rerank_depth, 50u);
-  ASSERT_TRUE(r->exhaustive_fusion.has_value());
-  EXPECT_TRUE(*r->exhaustive_fusion);
+  EXPECT_TRUE(r->exhaustive_fusion);
   ASSERT_TRUE(r->recency_half_life_seconds.has_value());
   EXPECT_DOUBLE_EQ(*r->recency_half_life_seconds, 7200.0);
   ASSERT_TRUE(r->time_range.has_value());

@@ -299,10 +299,10 @@ TEST_F(NewsLinkEngineTest, TreeEmbeddingsAreSmallerThanLcag) {
 
 TEST_F(NewsLinkEngineTest, ReorderedIndexReturnsSameHitsAsNaturalOrder) {
   // reorder_docs renumbers internal doc ids by SimHash signature but the
-  // API speaks corpus row numbers throughout, so searches must surface the
-  // same documents with the same scores. Exact score ties break on corpus
-  // rows in both engines, so ranks may swap only between docs whose fused
-  // scores differ by less than the tolerance below.
+  // API speaks corpus row numbers throughout, and a document's BM25 score
+  // does not depend on its id: searches must surface the same documents
+  // in the same order with bit-identical scores (exact ties break on
+  // corpus rows in both engines).
   NewsLinkEngine natural = MakeEngine(0.2);
   NewsLinkConfig config;
   config.beta = 0.2;
@@ -318,20 +318,10 @@ TEST_F(NewsLinkEngineTest, ReorderedIndexReturnsSameHitsAsNaturalOrder) {
     const auto a = natural.Search({q, 8}).hits;
     const auto b = reordered.Search({q, 8}).hits;
     ASSERT_EQ(a.size(), b.size()) << "query doc " << d;
-    std::map<size_t, double> a_scores, b_scores;
-    for (const auto& h : a) a_scores[h.doc_index] = h.score;
-    for (const auto& h : b) b_scores[h.doc_index] = h.score;
-    for (const auto& [doc, score] : a_scores) {
-      const auto it = b_scores.find(doc);
-      if (it != b_scores.end()) {
-        EXPECT_NEAR(score, it->second, 1e-9) << "doc " << doc;
-      } else {
-        // Boundary swap: only legal between tying scores.
-        EXPECT_NEAR(score, a.back().score, 1e-9) << "doc " << doc;
-      }
-    }
-    for (size_t i = 0; i < b.size(); ++i) {
-      EXPECT_NEAR(b[i].score, a[i].score, 1e-9) << "rank " << i;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(b[i].doc_index, a[i].doc_index)
+          << "query doc " << d << " rank " << i;
+      EXPECT_EQ(b[i].score, a[i].score) << "query doc " << d << " rank " << i;
     }
   }
 }
