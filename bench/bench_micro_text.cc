@@ -1,5 +1,6 @@
 // Microbenchmarks for the NLP substrate and corpus utilities: tokenizer,
-// NER + segmentation throughput, SimHash, and VByte posting compression.
+// NER + segmentation throughput, SimHash, and decoding an inverted index
+// from its snapshot bytes.
 
 #include <benchmark/benchmark.h>
 
@@ -7,10 +8,13 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
+#include "common/binary_io.h"
 #include "corpus/synthetic_news.h"
+#include "ir/index_io.h"
+#include "ir/inverted_index.h"
 #include "ir/simhash.h"
-#include "ir/varbyte.h"
+#include "ir/term_dictionary.h"
+#include "ir/text_vectorizer.h"
 #include "kg/label_index.h"
 #include "kg/synthetic_kg.h"
 #include "text/gazetteer_ner.h"
@@ -104,28 +108,35 @@ void BM_SimHash(benchmark::State& state) {
 }
 BENCHMARK(BM_SimHash);
 
-void BM_VarBytePostings(benchmark::State& state) {
-  Rng rng(23);
-  std::vector<ir::Posting> postings;
-  uint32_t doc = 0;
-  for (int i = 0; i < 10000; ++i) {
-    doc += 1 + static_cast<uint32_t>(rng.Uniform(20));
-    postings.push_back(
-        ir::Posting{doc, 1 + static_cast<uint32_t>(rng.Uniform(4))});
+void BM_DeserializeInvertedIndex(benchmark::State& state) {
+  // The BOW index of the synthetic corpus, as a snapshot's text_index
+  // section stores it: the decode a warm start pays per section byte.
+  const corpus::Corpus& corpus = World().news.corpus;
+  ir::TermDictionary dict;
+  ir::InvertedIndex index;
+  for (size_t d = 0; d < corpus.size(); ++d) {
+    index.AddDocument(
+        ir::TextVectorizer::CountsForIndexing(corpus.doc(d).text, &dict));
   }
-  const ir::CompressedPostingList list({postings.data(), postings.size()});
+  ByteWriter writer;
+  ir::SerializeInvertedIndex(index, &writer);
+  const std::vector<uint8_t>& bytes = writer.bytes();
+  size_t postings = 0;
+  for (ir::TermId t = 0; t < index.num_terms(); ++t) {
+    postings += index.DocFreq(t);
+  }
   for (auto _ : state) {
-    uint64_t acc = 0;
-    const Status s =
-        list.ForEach([&acc](const ir::Posting& p) { acc += p.doc + p.tf; });
+    ir::InvertedIndex loaded;
+    ByteReader reader(bytes);
+    const Status s = ir::DeserializeInvertedIndex(&reader, &loaded);
     if (!s.ok()) state.SkipWithError(s.ToString().c_str());
-    benchmark::DoNotOptimize(acc);
+    benchmark::DoNotOptimize(loaded.num_docs());
   }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(postings.size()));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes.size()));
   state.counters["bytes/posting"] =
-      static_cast<double>(list.byte_size()) / postings.size();
+      static_cast<double>(bytes.size()) / static_cast<double>(postings);
 }
-BENCHMARK(BM_VarBytePostings);
+BENCHMARK(BM_DeserializeInvertedIndex);
 
 }  // namespace

@@ -79,12 +79,20 @@ Status ByteReader::ReadDouble(double* out) {
 
 Status ByteReader::ReadVarint(uint32_t* out) {
   uint32_t value = 0;
-  for (int shift = 0; shift < 35; shift += 7) {
+  // A uint32_t needs at most 5 groups of 7 bits, and the 5th may carry only
+  // the top 4 bits (shift 28): capping the loop there is what keeps a run
+  // of continuation bytes from shifting past 31 bits or reading on.
+  for (int shift = 0; shift <= 28; shift += 7) {
     if (AtEnd()) return Truncated("varint", 1, 0);
     const uint8_t byte = data_[pos_++];
     const uint32_t group = byte & 0x7F;
     if (shift == 28 && group > 0x0F) {
       return Status::IOError("varint overflows 32 bits");
+    }
+    if (shift > 0 && byte == 0) {
+      // WriteVarint never ends a multi-byte encoding with a byte that
+      // carries no payload bits; such an overlong encoding is not ours.
+      return Status::IOError("overlong varint encoding");
     }
     value |= group << shift;
     if ((byte & 0x80) == 0) {

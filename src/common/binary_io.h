@@ -1,5 +1,8 @@
 // Bounds-checked binary serialization primitives shared by every on-disk
-// artifact (engine snapshots, compressed index sections, embedding codecs).
+// artifact (engine snapshots: index sections, embeddings, sketches). Its
+// varint is the one variable-byte codec in the tree: posting gaps and
+// frequencies, doc lengths, doc maps, sketch deltas and embedding counts
+// are all written by ByteWriter and read back by ByteReader.
 // All multi-byte integers are little-endian regardless of host order, so a
 // snapshot written on one machine loads on any other.
 //
@@ -120,7 +123,10 @@ class ByteReader {
   Status ReadU64(uint64_t* out);
   Status ReadFloat(float* out);
   Status ReadDouble(double* out);
-  /// Rejects encodings longer than 5 bytes or overflowing 32 bits.
+  /// Decodes one WriteVarint encoding. IOError on truncation, on an
+  /// encoding longer than 5 bytes or overflowing 32 bits, and on an
+  /// overlong one (a multi-byte encoding whose last byte carries no
+  /// payload bits), so every accepted value has exactly one encoding.
   Status ReadVarint(uint32_t* out);
   /// Rejects length prefixes larger than `max_len` or the remaining bytes.
   Status ReadString(std::string* out, size_t max_len = kDefaultMaxString);

@@ -11,7 +11,6 @@ LcagSegmentEmbedder::LcagSegmentEmbedder(const kg::KnowledgeGraph* graph,
                                          const kg::LabelIndex* index,
                                          LcagOptions options,
                                          size_t cache_capacity,
-                                         size_t cache_shards,
                                          metrics::Registry* registry)
     : owned_registry_(registry == nullptr
                           ? std::make_unique<metrics::Registry>()
@@ -19,7 +18,7 @@ LcagSegmentEmbedder::LcagSegmentEmbedder(const kg::KnowledgeGraph* graph,
       registry_(registry == nullptr ? owned_registry_.get() : registry),
       search_(graph, index),
       options_(options),
-      cache_(cache_capacity, cache_shards, registry_),
+      cache_(cache_capacity, LcagCache::kDefaultShards, registry_),
       segments_(registry_->GetCounter(kEmbedderSegments,
                                       "EmbedSegment calls")),
       embedded_(registry_->GetCounter(kEmbedderEmbedded,

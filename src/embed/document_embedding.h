@@ -81,7 +81,7 @@ class LcagSegmentEmbedder : public SegmentEmbedder {
   /// gives the embedder a private registry reachable via Metrics().
   LcagSegmentEmbedder(const kg::KnowledgeGraph* graph,
                       const kg::LabelIndex* index, LcagOptions options = {},
-                      size_t cache_capacity = 4096, size_t cache_shards = 16,
+                      size_t cache_capacity = 4096,
                       metrics::Registry* registry = nullptr);
 
   bool EmbedSegment(const std::vector<std::string>& labels, AncestorGraph* out,

@@ -1,8 +1,6 @@
 #include "embed/embedding_io.h"
 
-#include <fstream>
 #include <map>
-#include <sstream>
 
 #include "common/string_util.h"
 
@@ -19,134 +17,7 @@ void RecomputeNodeCounts(DocumentEmbedding* embedding) {
   embedding->node_counts.assign(counts.begin(), counts.end());
 }
 
-Status Malformed(const std::string& line) {
-  return Status::IOError(StrCat("malformed embedding line: ", line));
-}
-
 }  // namespace
-
-Status SaveEmbeddings(const std::vector<DocumentEmbedding>& embeddings,
-                      const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError(StrCat("cannot open ", path));
-  for (const DocumentEmbedding& embedding : embeddings) {
-    out << "doc " << embedding.segment_graphs.size() << '\n';
-    for (const AncestorGraph& g : embedding.segment_graphs) {
-      out << "seg " << g.root << '\n';
-      out << "labels";
-      for (const std::string& l : g.labels) out << '\t' << l;
-      out << '\n';
-      out << "dists";
-      for (double d : g.label_distances) out << ' ' << d;
-      out << '\n';
-      out << "nodes";
-      for (kg::NodeId v : g.nodes) out << ' ' << v;
-      out << '\n';
-      out << "sources";
-      for (kg::NodeId v : g.source_nodes) out << ' ' << v;
-      out << '\n';
-      out << "edges";
-      for (const PathEdge& e : g.edges) {
-        out << ' ' << e.from << ':' << e.to << ':' << e.predicate << ':'
-            << e.weight << ':' << (e.forward ? 1 : 0);
-      }
-      out << '\n';
-    }
-  }
-  if (!out) return Status::IOError("embedding write failed");
-  return Status::OK();
-}
-
-Result<std::vector<DocumentEmbedding>> LoadEmbeddings(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError(StrCat("cannot open ", path));
-
-  std::vector<DocumentEmbedding> out;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (!StartsWith(line, "doc ")) return Malformed(line);
-    uint64_t segments;
-    if (!ParseUint64(Trim(std::string_view(line).substr(4)), &segments)) {
-      return Malformed(line);
-    }
-    DocumentEmbedding embedding;
-    for (uint64_t s = 0; s < segments; ++s) {
-      AncestorGraph g;
-      if (!std::getline(in, line) || !StartsWith(line, "seg ")) {
-        return Malformed(line);
-      }
-      uint32_t root;
-      if (!ParseUint32(Trim(std::string_view(line).substr(4)), &root)) {
-        return Malformed(line);
-      }
-      g.root = static_cast<kg::NodeId>(root);
-
-      if (!std::getline(in, line) || !StartsWith(line, "labels")) {
-        return Malformed(line);
-      }
-      if (line.size() > 6) {
-        for (const std::string& l : Split(line.substr(7), '\t')) {
-          g.labels.push_back(l);
-        }
-      }
-
-      if (!std::getline(in, line) || !StartsWith(line, "dists")) {
-        return Malformed(line);
-      }
-      for (const std::string& tok : SplitWhitespace(line.substr(5))) {
-        double d;
-        if (!ParseDouble(tok, &d)) return Malformed(line);
-        g.label_distances.push_back(d);
-      }
-
-      if (!std::getline(in, line) || !StartsWith(line, "nodes")) {
-        return Malformed(line);
-      }
-      for (const std::string& tok : SplitWhitespace(line.substr(5))) {
-        uint32_t v;
-        if (!ParseUint32(tok, &v)) return Malformed(line);
-        g.nodes.push_back(static_cast<kg::NodeId>(v));
-      }
-
-      if (!std::getline(in, line) || !StartsWith(line, "sources")) {
-        return Malformed(line);
-      }
-      for (const std::string& tok : SplitWhitespace(line.substr(7))) {
-        uint32_t v;
-        if (!ParseUint32(tok, &v)) return Malformed(line);
-        g.source_nodes.push_back(static_cast<kg::NodeId>(v));
-      }
-
-      if (!std::getline(in, line) || !StartsWith(line, "edges")) {
-        return Malformed(line);
-      }
-      for (const std::string& tok : SplitWhitespace(line.substr(5))) {
-        const std::vector<std::string> parts = Split(tok, ':');
-        if (parts.size() != 5) return Malformed(line);
-        PathEdge e;
-        uint32_t from, to, predicate;
-        if (!ParseUint32(parts[0], &from) || !ParseUint32(parts[1], &to) ||
-            !ParseUint32(parts[2], &predicate) ||
-            !ParseFloat(parts[3], &e.weight) ||
-            (parts[4] != "0" && parts[4] != "1")) {
-          return Malformed(line);
-        }
-        e.from = static_cast<kg::NodeId>(from);
-        e.to = static_cast<kg::NodeId>(to);
-        e.predicate = static_cast<kg::PredicateId>(predicate);
-        e.forward = parts[4] == "1";
-        g.edges.push_back(e);
-      }
-      embedding.segment_graphs.push_back(std::move(g));
-    }
-    RecomputeNodeCounts(&embedding);
-    out.push_back(std::move(embedding));
-  }
-  if (in.bad()) return Status::IOError(StrCat("read failed on ", path));
-  return out;
-}
 
 void SerializeEmbeddings(const std::vector<DocumentEmbedding>& embeddings,
                          ByteWriter* out) {

@@ -1,47 +1,29 @@
-// Persistence for document subgraph embeddings. Embedding a large corpus is
-// the dominant indexing cost (paper Fig. 7), so production deployments save
-// embeddings once and rebuild the cheap inverted indexes at load time.
-//
-// Line-based text format (one embedding store per file):
-//   doc <segment_count>
-//   seg <root>
-//   labels <tab-separated normalized labels>
-//   dists <space-separated doubles>
-//   nodes <space-separated node ids>
-//   sources <space-separated node ids>
-//   edges <from:to:predicate:weight:fwd> ...
+// Binary codec for document subgraph embeddings, the "embeddings" section
+// of an engine snapshot (DESIGN.md Sec. 9). Embedding a corpus is the
+// dominant indexing cost (paper Fig. 7), so a snapshot carries the
+// embeddings and a warm start skips NE entirely. Every read goes through
+// ByteReader, so a corrupt or truncated payload is a Status, never a
+// silently incomplete embedding.
 
 #ifndef NEWSLINK_EMBED_EMBEDDING_IO_H_
 #define NEWSLINK_EMBED_EMBEDDING_IO_H_
 
-#include <string>
 #include <vector>
 
 #include "common/binary_io.h"
-#include "common/result.h"
 #include "common/status.h"
 #include "embed/document_embedding.h"
 
 namespace newslink {
 namespace embed {
 
-/// Write one embedding per corpus document (empty embeddings included, so
-/// indices stay aligned with the corpus).
-Status SaveEmbeddings(const std::vector<DocumentEmbedding>& embeddings,
-                      const std::string& path);
-
-/// Load a store written by SaveEmbeddings. Node counts are recomputed from
-/// the segment graphs, so the result is bit-identical to the original.
-/// Every numeric field is strictly parsed: trailing junk, overflow, or a
-/// truncated record returns Status instead of a silently-zeroed embedding.
-Result<std::vector<DocumentEmbedding>> LoadEmbeddings(
-    const std::string& path);
-
-/// Binary codec for engine snapshots (DESIGN.md Sec. 9): same payload as
-/// the text format, ~4x smaller and deterministic. Node counts are
-/// recomputed on load, exactly as in LoadEmbeddings.
+/// One record per corpus document (empty embeddings included, so indices
+/// stay aligned with the corpus). Deterministic bytes.
 void SerializeEmbeddings(const std::vector<DocumentEmbedding>& embeddings,
                          ByteWriter* out);
+/// Parse a payload written by SerializeEmbeddings. Node counts are
+/// recomputed from the segment graphs, so the result is bit-identical to
+/// the original.
 Status DeserializeEmbeddings(ByteReader* reader,
                              std::vector<DocumentEmbedding>* out);
 

@@ -56,9 +56,13 @@ std::string LcagCacheKey(const std::vector<std::vector<kg::NodeId>>& sources,
 /// Capacity 0 disables the cache (Lookup always misses, Insert drops).
 class LcagCache {
  public:
+  /// Lock shards when the caller does not choose (the engine's embedder).
+  static constexpr size_t kDefaultShards = 16;
+
   /// `registry`, when given, receives the cache's counters/gauge and must
   /// outlive the cache; nullptr gives the cache a private registry.
-  explicit LcagCache(size_t capacity = 4096, size_t num_shards = 16,
+  explicit LcagCache(size_t capacity = 4096,
+                     size_t num_shards = kDefaultShards,
                      metrics::Registry* registry = nullptr);
 
   LcagCache(const LcagCache&) = delete;

@@ -1,11 +1,12 @@
 // Binary (de)serialization of the IR layer for engine snapshots
 // (DESIGN.md Sec. 9): TermDictionary and InvertedIndex to/from section
-// payloads of a snapshot file. Posting lists use the same delta-gap +
-// varint layout as CompressedPostingList, so the on-disk form inherits the
-// varbyte codec's compression; every read is bounds-checked and every
-// structural invariant (monotonic doc ids, in-range lengths, positive term
-// frequencies) is re-validated on load, so a corrupt payload that slipped
-// past the CRCs still fails with a Status instead of poisoning the index.
+// payloads of a snapshot file. Posting lists are stored as delta-gap
+// (doc, tf) varint pairs through ByteWriter/ByteReader, the one varint
+// codec; every read is bounds-checked, only canonical varints are
+// accepted, and every structural invariant (monotonic doc ids, in-range
+// doc ids, positive term frequencies) is re-validated on load, so a
+// corrupt payload that slipped past the CRCs still fails with a Status
+// instead of poisoning the index.
 
 #ifndef NEWSLINK_IR_INDEX_IO_H_
 #define NEWSLINK_IR_INDEX_IO_H_

@@ -15,14 +15,6 @@ namespace net {
 
 namespace {
 
-HttpResponse JsonOk(const json::Value& body, int status = 200) {
-  HttpResponse response;
-  response.status = status;
-  response.body = body.Dump();
-  response.body.push_back('\n');
-  return response;
-}
-
 /// One shard server as a pipeline backend. Documents are round-robin
 /// partitioned, so shard s's local row l is global row l*n + s.
 class RemoteShardBackend final : public ShardBackend {

@@ -12,18 +12,6 @@
 namespace newslink {
 namespace net {
 
-namespace {
-
-HttpResponse JsonOk(const json::Value& body, int status = 200) {
-  HttpResponse response;
-  response.status = status;
-  response.body = body.Dump();
-  response.body.push_back('\n');
-  return response;
-}
-
-}  // namespace
-
 SearchService::SearchService(newslink::NewsLinkEngine* engine,
                              corpus::Corpus* corpus,
                              const kg::KnowledgeGraph* graph,

@@ -1,6 +1,5 @@
 #include "net/status_http.h"
 
-#include "common/json.h"
 #include "common/logging.h"
 
 namespace newslink {
@@ -67,6 +66,14 @@ Status StatusFromWire(std::string_view code_name, std::string_view message) {
   if (code_name == "Timeout") return Status::Timeout(message);
   if (code_name == "Unimplemented") return Status::Unimplemented(message);
   return Status::Internal(message);
+}
+
+HttpResponse JsonOk(const json::Value& body, int status) {
+  HttpResponse response;
+  response.status = status;
+  response.body = body.Dump();
+  response.body.push_back('\n');
+  return response;
 }
 
 HttpResponse ErrorResponse(const Status& status) {

@@ -3,12 +3,15 @@
 // its failures through ErrorResponse so clients always see the same shape:
 //
 //   {"error": {"code": "InvalidArgument", "status": 400, "message": "..."}}
+//
+// and its successes through JsonOk, so every body ends the same way.
 
 #ifndef NEWSLINK_NET_STATUS_HTTP_H_
 #define NEWSLINK_NET_STATUS_HTTP_H_
 
 #include <string_view>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "net/http.h"
 
@@ -27,6 +30,11 @@ std::string_view StatusCodeName(Status::Code code);
 /// error body describes. An unrecognized code name becomes Internal (the
 /// message survives either way).
 Status StatusFromWire(std::string_view code_name, std::string_view message);
+
+/// `body` serialized as the response body (newline-terminated) at
+/// `status`, 200 unless a handler says otherwise (201 for a created
+/// document).
+HttpResponse JsonOk(const json::Value& body, int status = 200);
 
 /// JSON error body + mapped HTTP status for a non-OK Status.
 HttpResponse ErrorResponse(const Status& status);

@@ -203,7 +203,7 @@ NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
   if (config_.embedder == EmbedderKind::kLcag) {
     auto lcag = std::make_unique<embed::LcagSegmentEmbedder>(
         graph_, label_index_, config_.lcag, config_.lcag_cache_capacity,
-        config_.lcag_cache_shards, registry());
+        registry());
     lcag_embedder_ = lcag.get();
     embedder_ = std::move(lcag);
   } else {

@@ -133,8 +133,6 @@ struct NewsLinkConfig {
   /// Entry capacity of the LCAG result cache shared by the index-time
   /// workers and the query path (0 disables caching).
   size_t lcag_cache_capacity = 4096;
-  /// Lock shards of the LCAG cache (parallel index builds contend here).
-  size_t lcag_cache_shards = 16;
   /// Queries at least this slow (end-to-end seconds) are recorded — with
   /// their full span tree — in slow_query_log(). <= 0 disables the log.
   double slow_query_threshold_seconds = 0.0;
@@ -176,9 +174,9 @@ class NewsLinkEngine : public PipelineEngine {
   /// FailedPrecondition.
   Status Index(const corpus::Corpus& corpus) override;
 
-  /// Index with precomputed embeddings (one per document, as produced by
-  /// embed::LoadEmbeddings) — the NS half of Index, skipping the expensive
-  /// NE stage. Like Index, requires an empty engine (the doc-id map starts
+  /// Index with precomputed embeddings (one per document, e.g. an older
+  /// engine's SnapshotEmbeddings() when compaction folds tiers) — the NS
+  /// half of Index, skipping the expensive NE stage. Like Index, requires an empty engine (the doc-id map starts
   /// at row 0).
   Status IndexWithEmbeddings(const corpus::Corpus& corpus,
                              std::vector<embed::DocumentEmbedding> embeddings);
@@ -191,7 +189,7 @@ class NewsLinkEngine : public PipelineEngine {
   size_t AddDocument(const corpus::Document& doc);
 
   /// Copy of the embeddings visible in the current epoch, aligned with
-  /// corpus order (for persistence via embed::SaveEmbeddings). A copy —
+  /// corpus order (persisted by SaveSnapshot's embeddings section). A copy —
   /// not a reference — so the caller's view stays stable while ingestion
   /// continues.
   std::vector<embed::DocumentEmbedding> SnapshotEmbeddings() const;

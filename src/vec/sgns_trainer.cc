@@ -53,25 +53,6 @@ void WordVocab::Build(const std::vector<std::vector<std::string>>& docs,
   }
 }
 
-void WordVocab::Restore(std::vector<std::string> words,
-                        std::vector<uint64_t> counts) {
-  NL_CHECK(words.size() == counts.size());
-  ids_.clear();
-  words_ = std::move(words);
-  counts_ = std::move(counts);
-  total_ = 0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    ids_.emplace(words_[i], static_cast<int>(i));
-    total_ += counts_[i];
-  }
-  negative_cdf_.resize(words_.size());
-  double acc = 0.0;
-  for (size_t i = 0; i < words_.size(); ++i) {
-    acc += std::pow(static_cast<double>(counts_[i]), 0.75);
-    negative_cdf_[i] = acc;
-  }
-}
-
 int WordVocab::Find(const std::string& word) const {
   auto it = ids_.find(word);
   return it == ids_.end() ? -1 : it->second;
@@ -161,18 +142,6 @@ void Word2VecModel::Train(const std::vector<std::vector<std::string>>& docs,
       }
     }
   }
-}
-
-void Word2VecModel::Restore(WordVocab vocab, const SgnsConfig& config,
-                            std::vector<float> input,
-                            std::vector<float> output) {
-  const size_t dim = static_cast<size_t>(config.dim);
-  NL_CHECK(input.size() == vocab.size() * dim);
-  NL_CHECK(output.size() == vocab.size() * dim);
-  vocab_ = std::move(vocab);
-  config_ = config;
-  input_ = std::move(input);
-  output_ = std::move(output);
 }
 
 const float* Word2VecModel::WordVector(const std::string& word) const {

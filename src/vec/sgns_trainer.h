@@ -55,10 +55,6 @@ class WordVocab {
   /// Keep-probability for frequent-word subsampling (word2vec formula).
   double KeepProbability(int id, double subsample) const;
 
-  /// Rebuild from persisted (word, count) pairs; recomputes the sampling
-  /// table. Ids are assigned in the given order.
-  void Restore(std::vector<std::string> words, std::vector<uint64_t> counts);
-
  private:
   std::unordered_map<std::string, int> ids_;
   std::vector<std::string> words_;
@@ -92,10 +88,6 @@ class Word2VecModel {
   const std::vector<float>& output_matrix() const { return output_; }
   const std::vector<float>& input_matrix() const { return input_; }
   const SgnsConfig& config() const { return config_; }
-
-  /// Reconstitute a trained model from persisted state (model_io).
-  void Restore(WordVocab vocab, const SgnsConfig& config,
-               std::vector<float> input, std::vector<float> output);
 
  protected:
   friend class Doc2VecModel;

@@ -12,7 +12,6 @@
 #include "kg/synthetic_kg.h"
 #include "newslink/newslink_engine.h"
 #include "newslink/snippet.h"
-#include "test_temp.h"
 
 namespace newslink {
 namespace {
@@ -78,6 +77,17 @@ class FeaturesTest : public ::testing::Test {
   std::string Sentence(size_t doc) const {
     const std::string& text = news_.corpus.doc(doc).text;
     return text.substr(0, text.find('.') + 1);
+  }
+
+  /// Embeddings through the snapshot codec and back; the whole payload
+  /// must be consumed.
+  static Status RoundTrip(const std::vector<embed::DocumentEmbedding>& in,
+                          std::vector<embed::DocumentEmbedding>* out) {
+    ByteWriter writer;
+    embed::SerializeEmbeddings(in, &writer);
+    ByteReader reader(writer.bytes());
+    NL_RETURN_IF_ERROR(embed::DeserializeEmbeddings(&reader, out));
+    return reader.ExpectEnd();
   }
 
   kg::SyntheticKg world_;
@@ -170,18 +180,15 @@ TEST_F(FeaturesTest, EmbeddingStoreRoundTripsExactly) {
   NewsLinkEngine engine(&world_.graph, &labels_, {});
   ASSERT_TRUE(engine.Index(news_.corpus).ok());
 
-  const ScopedTempDir temp;
-  const std::string path = temp.File("ft_embeddings.txt");
   const std::vector<embed::DocumentEmbedding> embeddings =
       engine.SnapshotEmbeddings();
-  ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
-  Result<std::vector<embed::DocumentEmbedding>> loaded =
-      embed::LoadEmbeddings(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ASSERT_EQ(loaded->size(), embeddings.size());
-  for (size_t i = 0; i < loaded->size(); ++i) {
+  std::vector<embed::DocumentEmbedding> loaded;
+  const Status status = RoundTrip(embeddings, &loaded);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(loaded.size(), embeddings.size());
+  for (size_t i = 0; i < loaded.size(); ++i) {
     const embed::DocumentEmbedding& a = embeddings[i];
-    const embed::DocumentEmbedding& b = (*loaded)[i];
+    const embed::DocumentEmbedding& b = loaded[i];
     ASSERT_EQ(a.segment_graphs.size(), b.segment_graphs.size()) << i;
     EXPECT_EQ(a.node_counts, b.node_counts) << i;
     for (size_t s = 0; s < a.segment_graphs.size(); ++s) {
@@ -201,16 +208,12 @@ TEST_F(FeaturesTest, IndexWithEmbeddingsMatchesFreshIndex) {
   NewsLinkEngine fresh(&world_.graph, &labels_, {});
   ASSERT_TRUE(fresh.Index(news_.corpus).ok());
 
-  const ScopedTempDir temp;
-  const std::string path = temp.File("ft_emb2.txt");
-  ASSERT_TRUE(embed::SaveEmbeddings(fresh.SnapshotEmbeddings(), path).ok());
-  Result<std::vector<embed::DocumentEmbedding>> loaded =
-      embed::LoadEmbeddings(path);
-  ASSERT_TRUE(loaded.ok());
+  std::vector<embed::DocumentEmbedding> loaded;
+  ASSERT_TRUE(RoundTrip(fresh.SnapshotEmbeddings(), &loaded).ok());
 
   NewsLinkEngine restored(&world_.graph, &labels_, {});
   ASSERT_TRUE(
-      restored.IndexWithEmbeddings(news_.corpus, std::move(*loaded)).ok());
+      restored.IndexWithEmbeddings(news_.corpus, std::move(loaded)).ok());
 
   for (size_t d : {1u, 9u, 17u}) {
     const auto a = fresh.Search({Sentence(d), 10}).hits;

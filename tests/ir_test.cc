@@ -1,12 +1,16 @@
-// Tests for src/ir: term dictionary, inverted index, BM25 and TF-IDF
-// scoring, top-k selection, text vectorization.
+// Tests for src/ir: term dictionary, inverted index, the index snapshot
+// codec, BM25 and TF-IDF scoring, top-k selection, text vectorization.
 
 #include <algorithm>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
+#include "ir/index_io.h"
 #include "ir/inverted_index.h"
 #include "ir/scorer.h"
 #include "ir/term_dictionary.h"
@@ -78,6 +82,131 @@ TEST(InvertedIndexTest, UnknownTermEmpty) {
   index.AddDocument({{0, 1}});
   EXPECT_TRUE(index.Postings(99).empty());
   EXPECT_EQ(index.DocFreq(99), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Index snapshot codec: DeserializeInvertedIndex over untrusted bytes
+// ---------------------------------------------------------------------------
+
+Status Deserialize(std::span<const uint8_t> bytes, InvertedIndex* index,
+                   size_t* consumed = nullptr) {
+  ByteReader reader(bytes);
+  const Status status = DeserializeInvertedIndex(&reader, index);
+  if (consumed != nullptr) *consumed = bytes.size() - reader.remaining();
+  return status;
+}
+
+std::vector<uint8_t> Serialize(const InvertedIndex& index) {
+  ByteWriter writer;
+  SerializeInvertedIndex(index, &writer);
+  return writer.TakeBytes();
+}
+
+/// A payload of one term over 8 documents (each of length 1) whose
+/// postings are the given raw (gap, tf) varint pairs.
+std::vector<uint8_t> OneTermPayload(
+    const std::vector<std::pair<uint32_t, uint32_t>>& gaps_and_tfs,
+    uint32_t declared_count) {
+  ByteWriter w;
+  w.WriteU64(8);
+  for (int d = 0; d < 8; ++d) w.WriteVarint(1);
+  w.WriteU64(1);
+  w.WriteVarint(declared_count);
+  for (const auto& [gap, tf] : gaps_and_tfs) {
+    w.WriteVarint(gap);
+    w.WriteVarint(tf);
+  }
+  return w.TakeBytes();
+}
+
+TEST(IndexIoTest, DeserializeRejectsStructurallyInvalidPostings) {
+  // Each payload is varint-clean yet describes an impossible index; every
+  // one must be rejected before anything is installed.
+  InvertedIndex valid;
+  ASSERT_TRUE(Deserialize(OneTermPayload({{0, 1}, {3, 2}}, 2), &valid).ok())
+      << "the payload builder itself must produce loadable bytes";
+  ASSERT_EQ(valid.Postings(0).size(), 2u);
+  EXPECT_EQ(valid.Postings(0)[1].doc, 3u);
+
+  const auto rejected = [](const std::vector<uint8_t>& bytes) {
+    InvertedIndex index;
+    return Deserialize(bytes, &index);
+  };
+  const Status zero_gap = rejected(OneTermPayload({{3, 1}, {0, 2}}, 2));
+  EXPECT_TRUE(zero_gap.IsIOError()) << zero_gap.ToString();
+  EXPECT_NE(zero_gap.ToString().find("zero doc-id gap"), std::string::npos);
+
+  EXPECT_FALSE(rejected(OneTermPayload({{3, 0}}, 1)).ok()) << "zero tf";
+
+  const Status overflow =
+      rejected(OneTermPayload({{5, 1}, {0xFFFFFFFFu, 1}}, 2));
+  EXPECT_TRUE(overflow.IsIOError()) << overflow.ToString();
+  EXPECT_NE(overflow.ToString().find("overflows"), std::string::npos);
+
+  EXPECT_FALSE(rejected(OneTermPayload({{0xFFFFFFFFu, 1}}, 1)).ok())
+      << "doc id 2^32-1 lies past the 8 documents";
+  EXPECT_TRUE(rejected(OneTermPayload({{3, 1}}, 2)).IsIOError())
+      << "the declared count demands more bytes";
+}
+
+TEST(IndexIoTest, TruncatedAndBitFlippedPayloadsNeverCrash) {
+  // 200 postings over 600 documents; term 4 holds docs 0 and 300 only, so
+  // the payload also carries multi-byte gaps, lengths and frequencies.
+  Rng rng(41);
+  InvertedIndex source;
+  size_t postings = 0;
+  for (DocId d = 0; d < 600; ++d) {
+    if (d % 3 != 0) {
+      source.AddDocument({});
+      continue;
+    }
+    const TermId term =
+        d % 300 == 0 ? 4 : static_cast<TermId>(rng.Uniform(4));
+    source.AddDocument(
+        {{term, 1 + static_cast<uint32_t>(rng.Uniform(200))}});
+    ++postings;
+  }
+  ASSERT_EQ(postings, 200u);
+  const std::vector<uint8_t> clean = Serialize(source);
+  {
+    InvertedIndex loaded;
+    size_t consumed = 0;
+    ASSERT_TRUE(Deserialize(clean, &loaded, &consumed).ok());
+    EXPECT_EQ(consumed, clean.size());
+    EXPECT_EQ(Serialize(loaded), clean);
+  }
+
+  // Every strict prefix is missing bytes its own headers promised.
+  for (size_t cut = 0; cut < clean.size(); ++cut) {
+    InvertedIndex index;
+    const Status s =
+        Deserialize(std::span<const uint8_t>(clean.data(), cut), &index);
+    EXPECT_TRUE(s.IsIOError()) << "cut=" << cut << " " << s.ToString();
+  }
+
+  // Every single-bit flip either fails with a Status or decodes a valid
+  // index. Validity is checked by re-serializing: since the decoder takes
+  // only canonical varints and well-formed postings, whatever it accepts
+  // re-encodes to exactly the bytes it consumed.
+  size_t rejected = 0;
+  for (size_t byte = 0; byte < clean.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> mutated = clean;
+      mutated[byte] ^= static_cast<uint8_t>(1u << bit);
+      InvertedIndex index;
+      size_t consumed = 0;
+      if (!Deserialize(mutated, &index, &consumed).ok()) {
+        ++rejected;
+        continue;
+      }
+      ASSERT_LE(consumed, mutated.size());
+      EXPECT_EQ(Serialize(index),
+                std::vector<uint8_t>(mutated.begin(),
+                                     mutated.begin() + consumed))
+          << "byte " << byte << " bit " << bit;
+    }
+  }
+  EXPECT_GT(rejected, 0u) << "some flips must be structurally invalid";
 }
 
 // ---------------------------------------------------------------------------

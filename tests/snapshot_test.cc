@@ -302,6 +302,54 @@ TEST_F(SnapshotTest, BitFlippedSnapshotsAlwaysFailCleanly) {
   }
 }
 
+TEST_F(SnapshotTest, OverlongVarintInIndexSectionIsRejected) {
+  // A CRC-clean text_index section whose first doc length is re-encoded
+  // one byte too long (same value, final byte without payload bits). The
+  // loader reads it through ByteReader, which accepts only the canonical
+  // encodings WriteVarint produces: IOError, and the engine stays empty.
+  SharedState& s = State();
+  const Result<SnapshotFile> file = ReadSnapshotFile(snapshot_path_);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  const SnapshotSection* text_index = file->Find("text_index");
+  ASSERT_NE(text_index, nullptr);
+
+  // Payload layout: u64 num_docs, then one varint length per document.
+  constexpr size_t kFirstLength = 8;
+  ByteReader reader(text_index->payload);
+  uint64_t num_docs = 0;
+  uint32_t length = 0;
+  ASSERT_TRUE(reader.ReadU64(&num_docs).ok());
+  ASSERT_GT(num_docs, 0u);
+  const size_t before = reader.remaining();
+  ASSERT_TRUE(reader.ReadVarint(&length).ok());
+  const size_t width = before - reader.remaining();
+  ASSERT_LT(width, 5u) << "a 5-byte varint has no overlong form";
+
+  std::vector<uint8_t> payload = text_index->payload;
+  payload[kFirstLength + width - 1] |= 0x80;
+  payload.insert(payload.begin() + static_cast<std::ptrdiff_t>(
+                                       kFirstLength + width),
+                 uint8_t{0x00});
+  std::vector<SnapshotSection> sections;
+  for (const SnapshotSection& section : file->sections) {
+    sections.push_back(section.name == "text_index"
+                           ? SnapshotSection{section.name, payload}
+                           : section);
+  }
+  const std::string path = temp_.File("snapshot_overlong.snap");
+  ASSERT_TRUE(WriteSnapshotFile(path, file->header, sections).ok());
+
+  NewsLinkEngine engine(&s.world.graph, &s.labels, NewsLinkConfig{});
+  const Status status = engine.LoadSnapshot(path);
+  EXPECT_TRUE(status.IsIOError()) << status.ToString();
+  EXPECT_NE(status.ToString().find("overlong"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(engine.num_indexed_docs(), 0u);
+  // The same engine still loads the intact file afterwards.
+  ASSERT_TRUE(engine.LoadSnapshot(snapshot_path_).ok());
+  EXPECT_EQ(engine.num_indexed_docs(), s.news.corpus.size());
+}
+
 TEST_F(SnapshotTest, StaleFormatVersionIsRejectedOutright) {
   // A v1 file (pre doc-map) with a VALID file CRC must still be refused:
   // the version gate, not checksumming, is what protects against silently
@@ -670,51 +718,8 @@ TEST_F(SnapshotTest, MissingTimestampsSectionLoadsWithRecencyDisabled) {
 }
 
 // ---------------------------------------------------------------------------
-// Hardened readers: embeddings (text + binary) and corpus TSV.
+// Hardened readers: the embedding codec and corpus TSV.
 // ---------------------------------------------------------------------------
-
-TEST_F(SnapshotTest, LoadEmbeddingsRejectsTruncatedRecord) {
-  SharedState& s = State();
-  const std::string path = temp_.File("embeddings_trunc.txt");
-  const std::vector<embed::DocumentEmbedding> embeddings =
-      s.engine.SnapshotEmbeddings();
-  ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_TRUE(embed::LoadEmbeddings(path).ok());
-
-  // Cut inside a segment record ("nodes" line onward missing): the loader
-  // must report truncation, not return a silently incomplete embedding.
-  const size_t cut = bytes.find("nodes ");
-  ASSERT_NE(cut, std::string::npos);
-  WriteFileBytes(path, bytes.substr(0, cut + 2));
-  const Result<std::vector<embed::DocumentEmbedding>> truncated =
-      embed::LoadEmbeddings(path);
-  EXPECT_FALSE(truncated.ok());
-}
-
-TEST_F(SnapshotTest, LoadEmbeddingsRejectsCorruptNumbers) {
-  SharedState& s = State();
-  const std::string path = temp_.File("embeddings_corrupt.txt");
-  const std::vector<embed::DocumentEmbedding> embeddings =
-      s.engine.SnapshotEmbeddings();
-  ASSERT_TRUE(embed::SaveEmbeddings(embeddings, path).ok());
-  const std::string bytes = ReadFileBytes(path);
-
-  // Non-numeric junk inside a dists line.
-  const size_t dists = bytes.find("dists ");
-  ASSERT_NE(dists, std::string::npos);
-  const std::string corrupt =
-      bytes.substr(0, dists + 6) + "x" + bytes.substr(dists + 6);
-  WriteFileBytes(path, corrupt);
-  EXPECT_FALSE(embed::LoadEmbeddings(path).ok());
-
-  // Segment count that overflows uint64.
-  const size_t eol = bytes.find('\n');
-  ASSERT_NE(eol, std::string::npos);
-  WriteFileBytes(path,
-                 "doc 99999999999999999999999" + bytes.substr(eol));
-  EXPECT_FALSE(embed::LoadEmbeddings(path).ok());
-}
 
 TEST_F(SnapshotTest, BinaryEmbeddingCodecRoundTripsAndRejectsTruncation) {
   SharedState& s = State();
