@@ -33,7 +33,8 @@
 // a baseline (sequential search, no sketches) against the accelerated
 // path (precomputed distance sketches, DESIGN.md Sec. 14). The LCAG result
 // cache is disabled on both so every query pays the full NE cost. Gates:
-// identical hits on every query (the bit-exactness contract) and
+// identical hits on every query (the bit-exactness contract) and, as the
+// median over 5 alternating baseline / accelerated window pairs,
 // accelerated p99 of the "ne" span >= 2x better.
 //
 // Env knobs: NEWSLINK_BENCH_STORIES (corpus size, default 120),
@@ -202,7 +203,7 @@ double SamplePercentile(std::vector<double> values, double q) {
 /// sequential search on a sketch miss). Both run with the LCAG cache
 /// disabled so every Search() pays the real NE cost, and the gate demands
 /// (a) bit-identical hits on every query and (b) accelerated p99 of the
-/// per-query "ne" span >= 2x better.
+/// per-query "ne" span >= 2x better, as the median over window pairs.
 bool RunNeGate() {
   std::printf("NewsLink reproduction — NE (LCAG) hot-path gate\n\n");
   auto world = bench::MakeWorld(7);
@@ -257,16 +258,38 @@ bool RunNeGate() {
     return ne_seconds;
   };
 
-  // One untimed warm-up pass each (allocator + page-cache warm), then the
-  // measured rounds. Baseline first, accelerated second.
+  // One untimed warm-up pass each (allocator + page-cache warm), then
+  // kNeWindows measured window pairs, alternating which engine goes first.
+  // Each pair yields one p99 ratio; the gate reads their median, so one
+  // window disturbed by a noisy neighbour cannot decide it.
   (void)collect_ne(baseline);
   (void)collect_ne(fast);
-  const std::vector<double> base_ne = collect_ne(baseline);
-  const std::vector<double> fast_ne = collect_ne(fast);
-  const double base_p99 = SamplePercentile(base_ne, 0.99);
-  const double fast_p99 = SamplePercentile(fast_ne, 0.99);
-  const double base_p50 = SamplePercentile(base_ne, 0.50);
-  const double fast_p50 = SamplePercentile(fast_ne, 0.50);
+  constexpr int kNeWindows = 5;
+  std::vector<double> ratios;
+  std::printf("%-28s %12s %12s\n", "ne span", "p50 us", "p99 us");
+  bench::PrintRule(54);
+  for (int window = 0; window < kNeWindows; ++window) {
+    std::vector<double> base_ne;
+    std::vector<double> fast_ne;
+    if (window % 2 == 0) {
+      base_ne = collect_ne(baseline);
+      fast_ne = collect_ne(fast);
+    } else {
+      fast_ne = collect_ne(fast);
+      base_ne = collect_ne(baseline);
+    }
+    const double base_p99 = SamplePercentile(base_ne, 0.99);
+    const double fast_p99 = SamplePercentile(fast_ne, 0.99);
+    ratios.push_back(fast_p99 > 0 ? base_p99 / fast_p99 : 0.0);
+    std::printf("%d: %-25s %12.1f %12.1f\n", window + 1,
+                "sequential, no sketch", SamplePercentile(base_ne, 0.50) * 1e6,
+                base_p99 * 1e6);
+    std::printf("%d: %-25s %12.1f %12.1f\n", window + 1,
+                "sketch, sequential fallback",
+                SamplePercentile(fast_ne, 0.50) * 1e6, fast_p99 * 1e6);
+  }
+  std::sort(ratios.begin(), ratios.end());
+  const double speedup = ratios[ratios.size() / 2];
 
   // Bit-exactness across the two engines: sketch answers must reproduce
   // the sequential oracle's embeddings exactly, so every downstream score —
@@ -294,24 +317,18 @@ bool RunNeGate() {
       fast.Metrics().CounterValue(embed::kEmbedderSketchHits);
   const uint64_t sketch_fallbacks =
       fast.Metrics().CounterValue(embed::kEmbedderSketchFallbacks);
-  const double speedup = fast_p99 > 0 ? base_p99 / fast_p99 : 0.0;
-  const bool gate_ok = base_p99 >= 2.0 * fast_p99;
+  const bool gate_ok = speedup >= 2.0;
   const bool sketch_used = sketch_hits > 0;
   std::printf(
-      "corpus %zu docs, KG %zu nodes, %zu queries x %d rounds, cache off\n",
+      "\ncorpus %zu docs, KG %zu nodes, %zu queries x %d rounds per "
+      "window, cache off\n",
       dataset.corpus.size(), num_nodes, queries.size(), kNeRounds);
-  std::printf("%-28s %12s %12s\n", "ne span", "p50 us", "p99 us");
-  bench::PrintRule(54);
-  std::printf("%-28s %12.1f %12.1f\n", "sequential, no sketch",
-              base_p50 * 1e6, base_p99 * 1e6);
-  std::printf("%-28s %12.1f %12.1f\n", "sketch, sequential fallback",
-              fast_p50 * 1e6, fast_p99 * 1e6);
   std::printf(
-      "\nsketch answered %zu groups, fell back on %zu; p99 speedup %.2fx "
-      "(gate 2.00x): %s, hits bit-identical: %s\n",
+      "sketch answered %zu groups, fell back on %zu; median p99 speedup "
+      "over %d windows %.2fx (gate 2.00x): %s, hits bit-identical: %s\n",
       static_cast<size_t>(sketch_hits),
-      static_cast<size_t>(sketch_fallbacks), speedup, gate_ok ? "ok" : "FAIL",
-      exact ? "ok" : "FAIL");
+      static_cast<size_t>(sketch_fallbacks), kNeWindows, speedup,
+      gate_ok ? "ok" : "FAIL", exact ? "ok" : "FAIL");
   return gate_ok && exact && sketch_used;
 }
 

@@ -100,6 +100,14 @@ Status DeserializeInvertedIndex(ByteReader* reader, InvertedIndex* index) {
       if (next > std::numeric_limits<DocId>::max()) {
         return Status::IOError(StrCat("term ", t, ": doc id overflows"));
       }
+      if (next >= num_docs) {
+        return Status::IOError(StrCat("term ", t, ": doc id ", next,
+                                      " out of range (", num_docs, " docs)"));
+      }
+      if (tf == 0) {
+        return Status::IOError(
+            StrCat("term ", t, ": zero term frequency at posting ", i));
+      }
       doc = static_cast<DocId>(next);
       postings.push_back(Posting{doc, tf});
     }

@@ -96,82 +96,5 @@ std::vector<double> Bm25Scorer::ScoreDocs(
   return scores;
 }
 
-TfIdfCosineScorer::TfIdfCosineScorer(const InvertedIndex* index)
-    : index_(index) {
-  Norms(index_->Capture());  // eager first computation, as before
-}
-
-std::shared_ptr<const std::vector<double>> TfIdfCosineScorer::ComputeNorms(
-    const IndexSnapshot& snapshot) const {
-  auto norms = std::make_shared<std::vector<double>>(snapshot.num_docs, 0.0);
-  for (TermId t = 0; t < snapshot.num_terms; ++t) {
-    const double idf = Idf(t, snapshot);
-    for (const Posting& p : index_->Postings(t, snapshot)) {
-      const double w = (1.0 + std::log(static_cast<double>(p.tf))) * idf;
-      (*norms)[p.doc] += w * w;
-    }
-  }
-  for (double& n : *norms) n = n > 0 ? std::sqrt(n) : 1.0;
-  return norms;
-}
-
-std::shared_ptr<const std::vector<double>> TfIdfCosineScorer::Norms(
-    const IndexSnapshot& snapshot) const {
-  {
-    std::lock_guard<std::mutex> lock(norms_mu_);
-    if (doc_norms_ != nullptr && doc_norms_->size() == snapshot.num_docs) {
-      return doc_norms_;
-    }
-  }
-  // Computed outside the lock: a slow recompute must not serialize queries
-  // that already have a matching cache entry.
-  auto norms = ComputeNorms(snapshot);
-  std::lock_guard<std::mutex> lock(norms_mu_);
-  // Keep the cache monotone: only advance it, so one stale reader cannot
-  // evict the entry every concurrent fresh reader wants.
-  if (doc_norms_ == nullptr || doc_norms_->size() < norms->size()) {
-    doc_norms_ = norms;
-  }
-  return norms;
-}
-
-double TfIdfCosineScorer::Idf(TermId term,
-                              const IndexSnapshot& snapshot) const {
-  const double n = static_cast<double>(snapshot.num_docs);
-  const double df = static_cast<double>(index_->DocFreq(term, snapshot));
-  if (df == 0.0) return 0.0;
-  return std::log(1.0 + n / df);
-}
-
-std::vector<ScoredDoc> TfIdfCosineScorer::ScoreAll(
-    const TermCounts& query, const IndexSnapshot& snapshot) const {
-  const std::shared_ptr<const std::vector<double>> doc_norms = Norms(snapshot);
-  // Query norm.
-  double qnorm = 0.0;
-  for (const auto& [term, qtf] : query) {
-    const double w =
-        (1.0 + std::log(static_cast<double>(qtf))) * Idf(term, snapshot);
-    qnorm += w * w;
-  }
-  qnorm = qnorm > 0 ? std::sqrt(qnorm) : 1.0;
-
-  std::unordered_map<DocId, double> acc;
-  for (const auto& [term, qtf] : query) {
-    const double idf = Idf(term, snapshot);
-    if (idf == 0.0) continue;
-    const double qw = (1.0 + std::log(static_cast<double>(qtf))) * idf;
-    for (const Posting& p : index_->Postings(term, snapshot)) {
-      const double dw = (1.0 + std::log(static_cast<double>(p.tf))) * idf;
-      acc[p.doc] += qw * dw;
-    }
-  }
-  std::vector<ScoredDoc> out;
-  out.reserve(acc.size());
-  for (const auto& [doc, dot] : acc) {
-    out.push_back(ScoredDoc{doc, dot / (qnorm * (*doc_norms)[doc])});
-  }
-  return out;
-}
-
 }  // namespace ir
 }  // namespace newslink

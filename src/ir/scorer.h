@@ -1,6 +1,5 @@
 // Relevance scoring over an InvertedIndex: BM25 (Robertson & Zaragoza 2009,
-// the paper's term weighting, with Lucene 7.x default parameters) and
-// TF-IDF / cosine VSM (Salton et al. 1975).
+// the paper's term weighting, with Lucene 7.x default parameters).
 //
 // Every scoring method is parameterized by an ir::IndexSnapshot so that all
 // collection statistics (N, df, avgdl, norms) come from one published epoch
@@ -13,8 +12,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -218,43 +215,6 @@ class Bm25Scorer {
  private:
   const InvertedIndex* index_;
   Bm25Params params_;
-};
-
-/// \brief TF-IDF cosine scorer (lnc.ltc-flavoured VSM).
-///
-/// Document weights use (1 + ln tf) * idf with idf = ln(1 + N / df);
-/// scores are cosine similarities (both vectors length-normalized).
-/// Document norms are recomputed per snapshot doc count (idf depends on N,
-/// so incremental patching would be wrong) and cached behind a mutex +
-/// shared_ptr, so concurrent ScoreAll calls against different epochs are
-/// each exact.
-class TfIdfCosineScorer {
- public:
-  explicit TfIdfCosineScorer(const InvertedIndex* index);
-
-  double Idf(TermId term, const IndexSnapshot& snapshot) const;
-  double Idf(TermId term) const { return Idf(term, index_->Capture()); }
-
-  std::vector<ScoredDoc> ScoreAll(const TermCounts& query,
-                                  const IndexSnapshot& snapshot) const;
-  std::vector<ScoredDoc> ScoreAll(const TermCounts& query) const {
-    return ScoreAll(query, index_->Capture());
-  }
-
- private:
-  /// Per-doc norms for exactly `snapshot`. The single-entry cache is keyed
-  /// by the snapshot's doc count (norms are a pure function of it); a query
-  /// holding an older epoch than the cache recomputes without clobbering
-  /// the newer entry.
-  std::shared_ptr<const std::vector<double>> Norms(
-      const IndexSnapshot& snapshot) const;
-
-  std::shared_ptr<const std::vector<double>> ComputeNorms(
-      const IndexSnapshot& snapshot) const;
-
-  const InvertedIndex* index_;
-  mutable std::mutex norms_mu_;
-  mutable std::shared_ptr<const std::vector<double>> doc_norms_;  // guarded
 };
 
 }  // namespace ir

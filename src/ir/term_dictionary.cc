@@ -5,14 +5,18 @@
 namespace newslink {
 namespace ir {
 
-TermId TermDictionary::GetOrAdd(std::string_view term) {
+std::vector<TermId> TermDictionary::GetOrAdd(
+    std::span<const std::string> terms) {
+  std::vector<TermId> ids;
+  ids.reserve(terms.size());
   std::unique_lock<std::shared_mutex> lock(mu_);
-  auto it = ids_.find(std::string(term));
-  if (it != ids_.end()) return it->second;
-  const TermId id = static_cast<TermId>(terms_.size());
-  terms_.emplace_back(term);
-  ids_.emplace(terms_.back(), id);
-  return id;
+  for (const std::string& term : terms) {
+    const auto [it, added] =
+        ids_.try_emplace(term, static_cast<TermId>(terms_.size()));
+    if (added) terms_.push_back(term);
+    ids.push_back(it->second);
+  }
+  return ids;
 }
 
 TermId TermDictionary::Find(std::string_view term) const {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -22,15 +23,18 @@ inline constexpr TermId kInvalidTerm = std::numeric_limits<TermId>::max();
 
 /// \brief Bidirectional string <-> TermId mapping.
 ///
-/// Interning (GetOrAdd) takes the writer lock; lookups (Find, term, size)
-/// take a shared lock, so any number of query threads may resolve terms
-/// while a single ingestion writer interns new vocabulary. A term interned
-/// after a reader's snapshot was published simply has no postings within
-/// that snapshot, so a "too fresh" id is harmless on the query path.
+/// Interning (GetOrAdd) takes the writer lock; lookups (Find, term,
+/// size) take a shared lock, so any number of query threads may
+/// resolve terms while a single ingestion writer interns new vocabulary.
+/// A term interned after a reader's snapshot was published simply has no
+/// postings within that snapshot, so a "too fresh" id is harmless on the
+/// query path.
 class TermDictionary {
  public:
-  /// Intern a term, assigning a fresh id on first sight (writer path).
-  TermId GetOrAdd(std::string_view term);
+  /// Intern `terms` in order under one writer lock, assigning fresh ids in
+  /// first-occurrence order; ids aligned with `terms`. One call per
+  /// document keeps readers from queueing behind one lock per token.
+  std::vector<TermId> GetOrAdd(std::span<const std::string> terms);
 
   /// Look up without interning; kInvalidTerm when absent.
   TermId Find(std::string_view term) const;

@@ -10,52 +10,42 @@
 namespace newslink {
 namespace ir {
 
-namespace {
+TermCounts TextVectorizer::CountsForIndexing(const std::string& text,
+                                             TermDictionary* dict) {
+  return CountsForIndexing(Stems(text), dict);
+}
 
-template <typename LookupFn>
-TermCounts Count(const std::string& text, LookupFn&& lookup) {
+TermCounts TextVectorizer::CountsForIndexing(std::span<const std::string> stems,
+                                             TermDictionary* dict) {
   std::map<TermId, uint32_t> counts;
-  for (const std::string& word : text::WordTokens(text)) {
-    if (word.size() < 2 || text::IsStopword(word)) continue;
-    const TermId id = lookup(text::PorterStem(word));
-    if (id == kInvalidTerm) continue;
-    ++counts[id];
-  }
+  for (const TermId id : dict->GetOrAdd(stems)) ++counts[id];
   return TermCounts(counts.begin(), counts.end());
 }
 
-}  // namespace
-
-TermCounts TextVectorizer::CountsForIndexing(const std::string& text,
-                                             TermDictionary* dict) {
-  return Count(text,
-               [dict](const std::string& stem) { return dict->GetOrAdd(stem); });
+std::vector<std::string> TextVectorizer::Stems(
+    const std::string& text) {
+  std::vector<std::string> stems;
+  for (const std::string& word : text::WordTokens(text)) {
+    if (word.size() < 2 || text::IsStopword(word)) continue;
+    stems.push_back(text::PorterStem(word));
+  }
+  return stems;
 }
 
 TermCounts TextVectorizer::CountsForQuery(const std::string& text,
                                           const TermDictionary& dict) {
-  return CountsFromStems(StemsForQuery(text), dict);
+  TermCounts counts;
+  for (const auto& [stem, qtf] : StemsForQuery(text)) {
+    const TermId id = dict.Find(stem);
+    if (id != kInvalidTerm) counts.push_back({id, qtf});
+  }
+  return counts;
 }
 
 StemCounts TextVectorizer::StemsForQuery(const std::string& text) {
   std::map<std::string, uint32_t> counts;
-  for (const std::string& word : text::WordTokens(text)) {
-    if (word.size() < 2 || text::IsStopword(word)) continue;
-    ++counts[text::PorterStem(word)];
-  }
+  for (std::string& stem : Stems(text)) ++counts[std::move(stem)];
   return StemCounts(counts.begin(), counts.end());
-}
-
-TermCounts TextVectorizer::CountsFromStems(const StemCounts& stems,
-                                           const TermDictionary& dict) {
-  TermCounts counts;
-  counts.reserve(stems.size());
-  for (const auto& [stem, qtf] : stems) {
-    const TermId id = dict.Find(stem);
-    if (id == kInvalidTerm) continue;
-    counts.push_back({id, qtf});
-  }
-  return counts;
 }
 
 }  // namespace ir

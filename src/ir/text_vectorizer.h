@@ -4,6 +4,7 @@
 #ifndef NEWSLINK_IR_TEXT_VECTORIZER_H_
 #define NEWSLINK_IR_TEXT_VECTORIZER_H_
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,14 @@ class TextVectorizer {
   /// Output is sorted by term id; stopwords and single characters dropped.
   static TermCounts CountsForIndexing(const std::string& text,
                                       TermDictionary* dict);
+  /// The same from Stems(text), the half a writer can run before it takes
+  /// its lock.
+  static TermCounts CountsForIndexing(std::span<const std::string> stems,
+                                      TermDictionary* dict);
+
+  /// Tokenize, drop stopwords and single characters, Porter-stem; token
+  /// order.
+  static std::vector<std::string> Stems(const std::string& text);
 
   /// Counts for querying: unknown terms are dropped (they match nothing).
   /// Output order is the canonical stem order of StemsForQuery, NOT term-id
@@ -36,14 +45,9 @@ class TextVectorizer {
   static TermCounts CountsForQuery(const std::string& text,
                                    const TermDictionary& dict);
 
-  /// The query pipeline without a dictionary: tokenize, drop stopwords and
-  /// single characters, Porter-stem, count. Sorted by stem.
+  /// The query pipeline without a dictionary: Stems, counted. Sorted by
+  /// stem.
   static StemCounts StemsForQuery(const std::string& text);
-
-  /// Map prepared stems through `dict`, preserving their order; unknown
-  /// stems are dropped. CountsForQuery == CountsFromStems(StemsForQuery).
-  static TermCounts CountsFromStems(const StemCounts& stems,
-                                    const TermDictionary& dict);
 };
 
 }  // namespace ir

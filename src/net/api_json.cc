@@ -106,9 +106,6 @@ Status RankingFromJson(const json::Value& value,
         return Status::InvalidArgument("\"ranking.beta\" must be a number");
       }
       request->beta = field.AsDouble();
-    } else if (key == "rerank_depth") {
-      NL_ASSIGN_OR_RETURN(const size_t depth, AsSize(field, key));
-      request->rerank_depth = depth;
     } else if (key == "exhaustive") {
       NL_ASSIGN_OR_RETURN(const bool flag, AsBoolStrict(field, key));
       request->exhaustive_fusion = flag;
@@ -837,6 +834,8 @@ json::Value ShardSearchResponseToJson(const ShardSearchRpcResponse& response) {
   out.Set("snapshot_docs", json::Value::Uint(response.result.snapshot_docs));
   out.Set("bow_max", json::Value::Number(response.result.bow_max));
   out.Set("bon_max", json::Value::Number(response.result.bon_max));
+  out.Set("bow_floor", json::Value::Number(response.result.bow_floor));
+  out.Set("bon_floor", json::Value::Number(response.result.bon_floor));
   out.Set("bow_scored", json::Value::Uint(response.result.bow_scored));
   out.Set("bon_scored", json::Value::Uint(response.result.bon_scored));
   json::Value candidates = json::Value::Array();
@@ -875,6 +874,12 @@ Result<ShardSearchRpcResponse> ShardSearchResponseFromJson(
       NL_ASSIGN_OR_RETURN(response.result.bow_max, AsNumberStrict(field, key));
     } else if (key == "bon_max") {
       NL_ASSIGN_OR_RETURN(response.result.bon_max, AsNumberStrict(field, key));
+    } else if (key == "bow_floor") {
+      NL_ASSIGN_OR_RETURN(response.result.bow_floor,
+                          AsNumberStrict(field, key));
+    } else if (key == "bon_floor") {
+      NL_ASSIGN_OR_RETURN(response.result.bon_floor,
+                          AsNumberStrict(field, key));
     } else if (key == "bow_scored") {
       NL_ASSIGN_OR_RETURN(response.result.bow_scored, AsU64(field, key));
     } else if (key == "bon_scored") {

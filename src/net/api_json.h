@@ -57,7 +57,7 @@ Result<json::Value> DecodeEnvelope(std::string_view body);
 /// Decode one search request object. The current shape groups the ranking
 /// knobs and the result filters (DESIGN.md Sec. 15):
 ///   {"query": "...", "k": 10,
-///    "ranking": {"beta": 0.6, "rerank_depth": 50, "exhaustive": false,
+///    "ranking": {"beta": 0.6, "exhaustive": false,
 ///                "recency_half_life_s": 86400},
 ///    "filter": {"time_range": {"after_ms": 0, "before_ms": 0}},
 ///    "explain": true, "max_paths": 5, "trace": false,
@@ -65,9 +65,10 @@ Result<json::Value> DecodeEnvelope(std::string_view body);
 /// Only "query" is required; everything else falls back to the engine's
 /// defaults. "time_range" is half-open [after_ms, before_ms): inclusive
 /// after, exclusive before; either bound may be omitted. Unknown fields
-/// (including the pre-grouping flat "beta" / "rerank_depth" /
-/// "exhaustive_fusion", removed after their one deprecated version) and
-/// wrong types are InvalidArgument.
+/// and wrong types are InvalidArgument; so are the pre-grouping flat
+/// ranking fields, removed after their one deprecated version, and the
+/// per-side candidate depth the "ranking" object once took (the query
+/// pipeline works out each shard's depth itself).
 Result<baselines::SearchRequest> SearchRequestFromJson(
     const json::Value& value);
 

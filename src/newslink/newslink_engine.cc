@@ -405,12 +405,16 @@ size_t NewsLinkEngine::AddDocument(const corpus::Document& doc) {
   timer.Restart();
   embed::DocumentEmbedding embedding = EmbedSegmented(segmented);
   index_ne_seconds_->Observe(timer.ElapsedSeconds());
+  timer.Restart();
+  // Stemming needs no dictionary; under the lock only interning remains.
+  const std::vector<std::string> stems = ir::TextVectorizer::Stems(doc.text);
+  const double stem_seconds = timer.ElapsedSeconds();
 
   std::lock_guard<std::mutex> writer(writer_mu_);
   timer.Restart();
   const size_t index = doc_embeddings_.size();
   text_index_.AddDocument(
-      ir::TextVectorizer::CountsForIndexing(doc.text, &text_dict_));
+      ir::TextVectorizer::CountsForIndexing(stems, &text_dict_));
   node_index_.AddDocument(BonCounts(embedding, config_.bon_doc_tf_cap));
   doc_embeddings_.Append(std::move(embedding));
   timestamps_.Append(doc.timestamp_ms);
@@ -423,17 +427,17 @@ size_t NewsLinkEngine::AddDocument(const corpus::Document& doc) {
       corpus::ChainCorpusFingerprint(
           corpus_fingerprint_.load(std::memory_order_relaxed), doc),
       std::memory_order_release);
-  index_ns_seconds_->Observe(timer.ElapsedSeconds());
+  index_ns_seconds_->Observe(stem_seconds + timer.ElapsedSeconds());
   PublishSnapshot();
   return index;
 }
 
 uint64_t NewsLinkEngine::ConfigFingerprint(const NewsLinkConfig& config) {
   // Only fields that shape the *stored* artifacts participate: loading a
-  // snapshot under a different query-side knob (β, rerank depth, BM25
-  // parameters) is fine, but a different embedder or reduction setting
-  // means the persisted embeddings and BON postings are simply wrong for
-  // this engine. Wall-clock limits (timeouts) are excluded on purpose —
+  // snapshot under a different query-side knob (β, BM25 parameters) is
+  // fine, but a different embedder or reduction setting means the
+  // persisted embeddings and BON postings are simply wrong for this
+  // engine. Wall-clock limits (timeouts) are excluded on purpose —
   // they bound effort, not output, on any input that completes. The
   // bit-exact sketch accelerator (lcag_sketch) is also excluded: a
   // snapshot carries its own sketches, and embeddings computed with or
@@ -656,9 +660,7 @@ Status NewsLinkEngine::LoadSnapshot(const std::string& path) {
   node_index_ = std::move(node_index);
   text_index_.EnableMetrics(registry(), "bow");
   node_index_.EnableMetrics(registry(), "bon");
-  for (size_t i = 0; i < terms.size(); ++i) {
-    text_dict_.GetOrAdd(terms[i]);
-  }
+  text_dict_.GetOrAdd(terms);
   for (embed::DocumentEmbedding& e : embeddings) {
     doc_embeddings_.Append(std::move(e));
   }
@@ -732,8 +734,7 @@ ShardQuery NewsLinkEngine::PrepareShardQuery(
   ShardQuery query;
   query.use_bow = beta < 1.0;
   query.use_bon = beta > 0.0;
-  query.kprime =
-      std::max(request.k, request.rerank_depth.value_or(config_.rerank_depth));
+  query.kprime = std::max<uint64_t>(request.k, kFirstRoundDepth);
   query.exhaustive = request.exhaustive_fusion;
   if (query.use_bow) {
     query.text_stems = ir::TextVectorizer::StemsForQuery(request.query);
@@ -869,9 +870,15 @@ ShardSearchResult NewsLinkEngine::SearchShard(const ShardQuery& query,
   }
 
   // Raw per-side list maxima (no >0-else-1 guard here: the coordinator
-  // applies it once, on the max over all shards).
+  // applies it once, on the max over all shards) and floors: the lists are
+  // best-first, and one shorter than k' (or exhaustive) holds every
+  // matching document of its side.
   for (const ir::ScoredDoc& s : bow) out.bow_max = std::max(out.bow_max, s.score);
   for (const ir::ScoredDoc& s : bon) out.bon_max = std::max(out.bon_max, s.score);
+  if (!query.exhaustive && query.kprime > 0) {
+    if (bow.size() == query.kprime) out.bow_floor = bow.back().score;
+    if (bon.size() == query.kprime) out.bon_floor = bon.back().score;
+  }
 
   // Candidate union with both raw sides; candidates retrieved on one side
   // only get their other side completed (the exhaustive lists are already

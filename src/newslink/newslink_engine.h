@@ -117,11 +117,6 @@ struct NewsLinkConfig {
   /// Ablation knob: false embeds EVERY news segment instead of only the
   /// maximal entity co-occurrence set of Definition 1.
   bool use_maximal_reduction = true;
-  /// Default per-side candidate depth k' of the pruned NS path: each index
-  /// side retrieves max(k, rerank_depth) candidates with MaxScore before
-  /// fusion (overridable per request). Larger values close the (tiny) gap
-  /// to the exhaustive oracle at the cost of scoring more documents.
-  size_t rerank_depth = 64;
   /// Default recency half-life, seconds (DESIGN.md Sec. 15): fused scores
   /// are multiplied by 2^(-age / half_life) against the snapshot's pinned
   /// "now". 0 (the default) disables decay; +infinity runs the decay path
@@ -163,8 +158,8 @@ class NewsLinkEngine : public PipelineEngine {
 
   std::string name() const override;
 
-  /// The configuration; its query knobs (β, rerank depth, recency
-  /// half-life) are the defaults for requests that do not set their own.
+  /// The configuration; its query knobs (β, recency half-life) are
+  /// the defaults for requests that do not set their own.
   const NewsLinkConfig& config() const { return config_; }
   const kg::KnowledgeGraph* graph() const { return graph_; }
 
@@ -237,9 +232,9 @@ class NewsLinkEngine : public PipelineEngine {
   /// publishes new epochs concurrently.
   ShardEpochPin PinEpoch() const;
 
-  /// Build the shard-portable query: resolves β and rerank depth against
-  /// this engine's config, stems the text side,
-  /// and weights the query embedding's nodes (sources boosted).
+  /// Build the shard-portable query: resolves β against this engine's
+  /// config, sets the first round's k', stems the text side, and weights
+  /// the query embedding's nodes (sources boosted).
   /// `query_embedding` may be empty when β == 0 — pass
   /// EmbedText(request.query) otherwise.
   ShardQuery PrepareShardQuery(
@@ -253,8 +248,8 @@ class NewsLinkEngine : public PipelineEngine {
 
   /// Phase 2: per-side top-k' candidates scored with the collection-wide
   /// statistics, missing sides completed by random access, raw per-side
-  /// list maxima attached. Candidate doc ids are this shard's corpus rows,
-  /// sorted ascending.
+  /// list maxima and floors attached. Candidate doc ids are this shard's
+  /// corpus rows, sorted ascending.
   ShardSearchResult SearchShard(const ShardQuery& query,
                                 const ShardGlobalStats& global,
                                 const ShardEpochPin& pin) const;

@@ -14,11 +14,13 @@
 //   2. SEARCH — every shard retrieves its per-side top-k' *scored with the
 //      collection statistics* (ir::CollectionStats), completes the missing
 //      side of each candidate by random access, and returns raw candidate
-//      scores plus its raw per-side list maxima. The coordinator takes the
-//      collection per-side max over shards, fuses (Eq. 3), and merges with
-//      one ir::TopKHeap over global corpus rows. Every engine composition
-//      runs this protocol (newslink/query_pipeline.h) — a single engine is
-//      a one-shard scatter — so they all share one arithmetic.
+//      scores plus its raw per-side list maxima and floors. The
+//      coordinator takes the collection per-side max over shards, fuses
+//      (Eq. 3), merges with one ir::TopKHeap over global corpus rows, and
+//      searches deeper where the floors could hide a top-k document. Every
+//      engine composition runs this protocol (newslink/query_pipeline.h)
+//      — a single engine is a one-shard scatter — so they all share one
+//      arithmetic.
 //
 // Epoch safety: both phases must read one immutable snapshot. In-process
 // that is a ShardEpochPin; over RPC the plan response carries the shard's
@@ -55,7 +57,12 @@ namespace newslink {
 ///      (now_ms; the merge decays against the newest), and ShardQuery
 ///      drops recency_half_life_s / now_ms, which no shard read (decay is
 ///      applied at merge).
-inline constexpr uint64_t kShardApiVersion = 3;
+///   4: search results report per-side floors, from which the coordinator
+///      decides whether to search a shard deeper (DESIGN.md Sec. 12).
+inline constexpr uint64_t kShardApiVersion = 4;
+
+/// A query's first SEARCH round retrieves k' = max(k, kFirstRoundDepth).
+inline constexpr uint64_t kFirstRoundDepth = 64;
 
 /// Multiplicative recency decay (DESIGN.md Sec. 15): 2^(-age / half_life),
 /// age clamped at 0 (documents "from the future" are treated as current).
@@ -84,8 +91,8 @@ struct ShardQuery {
   /// Which sides to score (use_bow == beta < 1, use_bon == beta > 0).
   bool use_bow = true;
   bool use_bon = false;
-  /// Per-side candidate depth k' = max(k, rerank_depth).
-  uint64_t kprime = 64;
+  /// Per-side candidate depth k', doubled by every deeper SEARCH round.
+  uint64_t kprime = kFirstRoundDepth;
   /// Exactness oracle: score every posting instead of MaxScore top-k'.
   bool exhaustive = false;
 
@@ -159,7 +166,7 @@ struct ShardCandidate {
 /// \brief Phase-2 answer: one shard's candidate union with raw per-side
 /// list maxima (the coordinator maxes these across shards before
 /// normalizing — max of maxima == the union's true per-side maximum,
-/// because per-side lists are best-first).
+/// because per-side lists are best-first) and floors.
 struct ShardSearchResult {
   uint64_t epoch = 0;
   uint64_t snapshot_docs = 0;
@@ -168,6 +175,10 @@ struct ShardSearchResult {
   /// once, by the coordinator, on the collection-wide max).
   double bow_max = 0.0;
   double bon_max = 0.0;
+  /// Raw score of the last entry of a per-side list of k' entries, else 0
+  /// (every matching document of the side is a candidate); v4.
+  double bow_floor = 0.0;
+  double bon_floor = 0.0;
   std::vector<ShardCandidate> candidates;
   /// Work counters (documents fully scored per side, fill-ins included).
   uint64_t bow_scored = 0;

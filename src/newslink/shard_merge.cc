@@ -1,6 +1,7 @@
 #include "newslink/shard_merge.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "ir/top_k.h"
 
@@ -41,35 +42,54 @@ void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out) {
   out->now_ms = std::max(out->now_ms, plan.now_ms);
 }
 
+namespace {
+
+/// Eq. 3 on raw side scores over the collection per-side maxima. Per-side
+/// lists are best-first, so the max over shard maxima is the union's true
+/// maximum; the >0-else-1 guard is applied exactly once, here. The two
+/// terms are added in a fixed order, bow first. Nondecreasing in `bow` and
+/// `bon`, in floating point too, which ShardsToDeepen's bound relies on.
+struct Fusion {
+  Fusion(const ShardFuseParams& p,
+         const std::vector<const ShardSearchResult*>& shards)
+      : params(p) {
+    for (const ShardSearchResult* shard : shards) {
+      if (shard == nullptr) continue;
+      bow_max = std::max(bow_max, shard->bow_max);
+      bon_max = std::max(bon_max, shard->bon_max);
+    }
+    bow_max = bow_max > 0.0 ? bow_max : 1.0;
+    bon_max = bon_max > 0.0 ? bon_max : 1.0;
+  }
+
+  double operator()(double bow, double bon) const {
+    double fused = 0.0;
+    if (params.use_bow) fused += (1.0 - params.beta) * (bow / bow_max);
+    if (params.use_bon) fused += params.beta * (bon / bon_max);
+    return fused;
+  }
+
+  const ShardFuseParams& params;
+  double bow_max = 0.0;
+  double bon_max = 0.0;
+};
+
+}  // namespace
+
 std::vector<ir::ScoredDoc> MergeShardCandidates(
     const ShardFuseParams& params,
     const std::vector<const ShardSearchResult*>& shards,
     const std::function<uint32_t(size_t, uint32_t)>& to_global) {
-  // Collection per-side maxima: per-side lists are best-first, so the max
-  // over shard maxima is the union's true maximum. The >0-else-1 guard is
-  // applied exactly once, here.
-  double bow_max = 0.0;
-  double bon_max = 0.0;
-  for (const ShardSearchResult* shard : shards) {
-    if (shard == nullptr) continue;
-    bow_max = std::max(bow_max, shard->bow_max);
-    bon_max = std::max(bon_max, shard->bon_max);
-  }
-  bow_max = bow_max > 0.0 ? bow_max : 1.0;
-  bon_max = bon_max > 0.0 ? bon_max : 1.0;
-
+  const Fusion fuse(params, shards);
   // Eq. 3 per candidate, then one heap over global rows. Shards partition
-  // the corpus, so no document appears twice; the two per-side terms are
-  // added in a fixed order, bow first.
+  // the corpus, so no document appears twice.
   const bool decay =
       params.has_timestamps && params.recency_half_life_s > 0.0;
   ir::TopKHeap heap(params.k);
   for (size_t s = 0; s < shards.size(); ++s) {
     if (shards[s] == nullptr) continue;
     for (const ShardCandidate& c : shards[s]->candidates) {
-      double fused = 0.0;
-      if (params.use_bow) fused += (1.0 - params.beta) * (c.bow / bow_max);
-      if (params.use_bon) fused += params.beta * (c.bon / bon_max);
+      double fused = fuse(c.bow, c.bon);
       // Fuse first, then multiply by the time decay (DESIGN.md Sec. 15).
       if (decay) {
         fused *= RecencyDecay(c.ts, params.now_ms, params.recency_half_life_s);
@@ -78,6 +98,27 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
     }
   }
   return heap.Take();
+}
+
+std::vector<size_t> ShardsToDeepen(
+    const ShardFuseParams& params,
+    const std::vector<const ShardSearchResult*>& shards,
+    const std::vector<ir::ScoredDoc>& merged) {
+  std::vector<size_t> deepen;
+  if (params.k == 0) return deepen;
+  const Fusion fuse(params, shards);
+  const double kth = merged.size() < params.k
+                         ? -std::numeric_limits<double>::infinity()
+                         : merged.back().score;
+  for (size_t s = 0; s < shards.size(); ++s) {
+    const ShardSearchResult* shard = shards[s];
+    if (shard == nullptr) continue;
+    const bool open = shard->bow_floor > 0.0 || shard->bon_floor > 0.0;
+    if (open && fuse(shard->bow_floor, shard->bon_floor) >= kth) {
+      deepen.push_back(s);
+    }
+  }
+  return deepen;
 }
 
 }  // namespace newslink

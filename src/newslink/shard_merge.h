@@ -45,6 +45,19 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
     const std::vector<const ShardSearchResult*>& shards,
     const std::function<uint32_t(size_t, uint32_t)>& to_global);
 
+/// The answering shards that must be searched deeper before `merged`
+/// (MergeShardCandidates over `shards`) is the exhaustive fusion's top k:
+/// the Threshold Algorithm's stopping rule (Fagin, Lotem & Naor, PODS
+/// 2001). A shard's bound τ = (1−β)·bow_floor/B + β·bon_floor/N is the
+/// merge's own fusion of its floors, and no candidate it has not returned
+/// can score above τ (DESIGN.md Sec. 7). A shard with a positive floor is
+/// named when τ ≥ the k-th merged score (an unseen tie wins on a smaller
+/// global row) or fewer than k documents merged.
+std::vector<size_t> ShardsToDeepen(
+    const ShardFuseParams& params,
+    const std::vector<const ShardSearchResult*>& shards,
+    const std::vector<ir::ScoredDoc>& merged);
+
 }  // namespace newslink
 
 #endif  // NEWSLINK_NEWSLINK_SHARD_MERGE_H_

@@ -338,7 +338,7 @@ TEST_F(ConcurrentSearchTest, PrunedMatchesExhaustiveOnEveryPublishedEpoch) {
 
 TEST_F(ConcurrentSearchTest, PrunedFusionScoresFewerDocuments) {
   // Pruning only has headroom when the corpus is much larger than the
-  // rerank depth, so this test uses its own bigger corpus.
+  // first round's candidate depth, so this test uses its own bigger corpus.
   corpus::SyntheticNewsConfig config = corpus::CnnLikeConfig();
   config.num_stories = 120;
   const corpus::SyntheticCorpus big =

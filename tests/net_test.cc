@@ -251,7 +251,7 @@ json::Value MustParseJson(const std::string& text) {
 TEST(ApiJsonTest, SearchRequestDecodesAllFields) {
   const Result<baselines::SearchRequest> r = SearchRequestFromJson(
       MustParseJson("{\"query\":\"berlin\",\"k\":3,\"ranking\":"
-                    "{\"beta\":0.5,\"rerank_depth\":25,\"exhaustive\":true},"
+                    "{\"beta\":0.5,\"exhaustive\":true},"
                     "\"explain\":true,\"max_paths\":2,\"trace\":true,"
                     "\"deadline_seconds\":0.25}"));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -259,8 +259,6 @@ TEST(ApiJsonTest, SearchRequestDecodesAllFields) {
   EXPECT_EQ(r->k, 3u);
   ASSERT_TRUE(r->beta.has_value());
   EXPECT_DOUBLE_EQ(*r->beta, 0.5);
-  ASSERT_TRUE(r->rerank_depth.has_value());
-  EXPECT_EQ(*r->rerank_depth, 25u);
   EXPECT_TRUE(r->exhaustive_fusion);
   EXPECT_TRUE(r->explain);
   EXPECT_EQ(r->max_paths_per_result, 2u);
@@ -302,15 +300,13 @@ TEST(ApiJsonTest, SearchRequestRejectsBadInput) {
 TEST(ApiJsonTest, SearchRequestDecodesGroupedRankingAndFilter) {
   const Result<baselines::SearchRequest> r = SearchRequestFromJson(
       MustParseJson("{\"query\":\"berlin\",\"k\":3,"
-                    "\"ranking\":{\"beta\":0.4,\"rerank_depth\":50,"
-                    "\"exhaustive\":true,\"recency_half_life_s\":7200},"
+                    "\"ranking\":{\"beta\":0.4,\"exhaustive\":true,"
+                    "\"recency_half_life_s\":7200},"
                     "\"filter\":{\"time_range\":"
                     "{\"after_ms\":1000,\"before_ms\":2000}}}"));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_TRUE(r->beta.has_value());
   EXPECT_DOUBLE_EQ(*r->beta, 0.4);
-  ASSERT_TRUE(r->rerank_depth.has_value());
-  EXPECT_EQ(*r->rerank_depth, 50u);
   EXPECT_TRUE(r->exhaustive_fusion);
   ASSERT_TRUE(r->recency_half_life_seconds.has_value());
   EXPECT_DOUBLE_EQ(*r->recency_half_life_seconds, 7200.0);
@@ -347,6 +343,21 @@ TEST(ApiJsonTest, SearchRequestRejectsMixedLegacyAndGroupedShapes) {
           << r.status().ToString();
     }
   }
+}
+
+TEST(ApiJsonTest, RankingRejectsRerankDepth) {
+  // The per-side candidate depth is no longer a knob: the query pipeline
+  // deepens each shard until the fused top k is exact, so a request that
+  // still sets it is an unknown ranking field (400).
+  const Result<baselines::SearchRequest> r = SearchRequestFromJson(
+      MustParseJson("{\"query\":\"q\",\"ranking\":"
+                    "{\"beta\":0.5,\"rerank_depth\":25}}"));
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsInvalidArgument());
+  EXPECT_NE(r.status().ToString().find("unknown ranking field: "
+                                       "\"rerank_depth\""),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 TEST(ApiJsonTest, TimeRangeValidation) {

@@ -202,14 +202,15 @@ TEST_F(NewsLinkEngineTest, TraceSpansCoverEveryFusedQueryStage) {
   EXPECT_EQ(root.children[3].name, "explain");
 
   // The NLP span notes the segment count; the NS span notes how many
-  // documents each side scored.
+  // documents each side scored and how many shards were searched deeper.
   ASSERT_FALSE(root.children[0].notes.empty());
   EXPECT_EQ(root.children[0].notes[0].first, "segments");
   const TraceSpan* ns = root.Find("ns");
   ASSERT_NE(ns, nullptr);
-  ASSERT_EQ(ns->notes.size(), 2u);
+  ASSERT_EQ(ns->notes.size(), 3u);
   EXPECT_EQ(ns->notes[0].first, "bow_scored");
   EXPECT_EQ(ns->notes[1].first, "bon_scored");
+  EXPECT_EQ(ns->notes[2].first, "deepened");
 
   // The NE stage nests one "segment" span per embedded entity group.
   const TraceSpan* ne = root.Find("ne");

@@ -113,6 +113,8 @@ TEST(ShardCodecs, SearchMessagesKeepScoresBitExact) {
   response.result.snapshot_docs = 1000;
   response.result.bow_max = 0.1 + 0.2;
   response.result.bon_max = 1.0 / 3.0;
+  response.result.bow_floor = 0.1 + 0.7;
+  response.result.bon_floor = 2.0 / 3.0;
   response.result.bow_scored = 321;
   response.result.bon_scored = 12;
   response.result.candidates = {
@@ -123,6 +125,8 @@ TEST(ShardCodecs, SearchMessagesKeepScoresBitExact) {
       response, ShardSearchResponseToJson, ShardSearchResponseFromJson);
   EXPECT_EQ(rback.result.bow_max, response.result.bow_max);
   EXPECT_EQ(rback.result.bon_max, response.result.bon_max);
+  EXPECT_EQ(rback.result.bow_floor, response.result.bow_floor);
+  EXPECT_EQ(rback.result.bon_floor, response.result.bon_floor);
   ASSERT_EQ(rback.result.candidates.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(rback.result.candidates[i].doc,
@@ -237,9 +241,21 @@ TEST(ShardCodecs, ApiVersionSkewFailsLoudlyInBothDirections) {
                   .status()
                   .IsFailedPrecondition());
 
+  // A v3 peer (no per-side floors on search results) is refused with 409
+  // rather than merged as if its candidate lists were complete.
+  EXPECT_EQ(kShardApiVersion, 4u);
+  json::Value v3_request = ShardSearchRequestToJson({});
+  v3_request.Set("api_version", json::Value::Uint(3));
+  const Status v3 = ShardSearchRequestFromJson(v3_request).status();
+  EXPECT_TRUE(v3.IsFailedPrecondition()) << v3.ToString();
+  EXPECT_EQ(StatusToHttp(v3), 409);
+  json::Value v3_result = ShardSearchResponseToJson({});
+  v3_result.Set("api_version", json::Value::Uint(3));
+  EXPECT_TRUE(
+      ShardSearchResponseFromJson(v3_result).status().IsFailedPrecondition());
+
   // A v2 peer (recency knobs on the query, no now_ms on plans) is refused
   // with 409 rather than merged against a wall-clock "now".
-  EXPECT_EQ(kShardApiVersion, 3u);
   json::Value v2_request = ShardPlanRequestToJson({});
   v2_request.Set("api_version", json::Value::Uint(2));
   EXPECT_TRUE(
@@ -249,7 +265,7 @@ TEST(ShardCodecs, ApiVersionSkewFailsLoudlyInBothDirections) {
   EXPECT_TRUE(
       ShardPlanResponseFromJson(v2_plan).status().IsFailedPrecondition());
 
-  // The v2 query fields are gone from the v3 surface: unknown → 400.
+  // The v2 query fields are gone since v3: unknown → 400.
   for (const char* dropped : {"recency_half_life_s", "now_ms"}) {
     ShardPlanRpcRequest request;
     request.query = SampleQuery();
@@ -435,6 +451,8 @@ TEST_F(ShardServingTest, ShardHandlersSpeakTheTwoPhaseProtocol) {
             direct_result.candidates.size());
   EXPECT_EQ(result->result.bow_max, direct_result.bow_max);
   EXPECT_EQ(result->result.bon_max, direct_result.bon_max);
+  EXPECT_EQ(result->result.bow_floor, direct_result.bow_floor);
+  EXPECT_EQ(result->result.bon_floor, direct_result.bon_floor);
   for (size_t i = 0; i < direct_result.candidates.size(); ++i) {
     EXPECT_EQ(result->result.candidates[i].doc,
               direct_result.candidates[i].doc);

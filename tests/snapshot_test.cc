@@ -245,8 +245,8 @@ TEST_F(SnapshotTest, LoadRejectsDifferentConfig) {
 TEST_F(SnapshotTest, QueryOnlyConfigChangesDoNotInvalidateSnapshots) {
   SharedState& s = State();
   NewsLinkConfig config;
-  config.beta = 0.7;        // query-side fusion weight
-  config.rerank_depth = 8;  // query-side candidate depth
+  config.beta = 0.7;                       // query-side fusion weight
+  config.recency_half_life_seconds = 3600;  // query-side decay
   EXPECT_EQ(NewsLinkEngine::ConfigFingerprint(config),
             NewsLinkEngine::ConfigFingerprint(NewsLinkConfig{}));
   NewsLinkEngine engine(&s.world.graph, &s.labels, config);
