@@ -30,6 +30,7 @@
 #include "net/shard_client.h"
 #include "newslink/newslink_engine.h"
 #include "newslink/query_pipeline.h"
+#include "newslink/shard_api.h"
 #include "newslink/sharded_engine.h"
 #include "newslink/tiered_engine.h"
 
@@ -318,6 +319,223 @@ INSTANTIATE_TEST_SUITE_P(Compositions, QueryPipelineParityTest,
                                            Composition::kSharded,
                                            Composition::kTiered,
                                            Composition::kCoordinator));
+
+// --- Deepening against backends that answer from a script -----------------
+
+/// A backend that plans `docs` documents and answers SEARCH with `answer`
+/// (given the query and how many searches came before), recording every
+/// query it was sent. Stands in for a remote peer the coordinator cannot
+/// trust.
+class ScriptedBackend final : public ShardBackend {
+ public:
+  using Answer =
+      std::function<Result<ShardSearchResult>(const ShardQuery&, size_t)>;
+
+  ScriptedBackend(uint64_t docs, uint32_t row_offset, Answer answer)
+      : docs_(docs), row_offset_(row_offset), answer_(std::move(answer)) {}
+
+  ShardEpochPin Pin() const override { return {}; }
+  Result<ShardPlan> Plan(const ShardQuery& /*query*/,
+                         const ShardEpochPin& /*pin*/,
+                         double /*budget_seconds*/) const override {
+    ShardPlan plan;
+    plan.epoch = 1;
+    plan.num_docs = docs_;
+    plan.has_timestamps = true;
+    return plan;
+  }
+  Result<ShardSearchResult> Search(const ShardQuery& query,
+                                   const ShardGlobalStats& /*global*/,
+                                   const ShardEpochPin& /*pin*/,
+                                   uint64_t /*plan_epoch*/,
+                                   double /*budget_seconds*/) const override {
+    sent_.push_back(query);
+    return answer_(query, sent_.size() - 1);
+  }
+  const embed::DocumentEmbedding* DocEmbedding(
+      uint32_t /*local_row*/) const override {
+    return nullptr;
+  }
+  uint32_t GlobalRow(uint32_t local_row) const override {
+    return row_offset_ + local_row;
+  }
+
+  const std::vector<ShardQuery>& sent() const { return sent_; }
+
+ private:
+  uint64_t docs_;
+  uint32_t row_offset_;
+  Answer answer_;
+  mutable std::vector<ShardQuery> sent_;
+};
+
+/// `candidates` text-side candidates that all score 1, from a shard of
+/// `docs` documents, with a floor of `floor`.
+ShardSearchResult TextAnswer(uint64_t docs, uint64_t candidates,
+                             double floor) {
+  ShardSearchResult result;
+  result.epoch = 1;
+  result.snapshot_docs = docs;
+  result.bow_max = 1.0;
+  result.bow_floor = floor;
+  for (uint32_t d = 0; d < candidates; ++d) {
+    result.candidates.push_back(ShardCandidate{d, 1.0, 0.0, 1});
+  }
+  result.bow_scored = candidates;
+  return result;
+}
+
+/// A full list at the query's depth: k' candidates, all on the floor.
+Result<ShardSearchResult> FullList(uint64_t docs, const ShardQuery& query) {
+  return TextAnswer(docs, query.kprime, 1.0);
+}
+
+std::string NoteOf(const TraceSpan* span, const std::string& key) {
+  if (span == nullptr) return "";
+  for (const auto& [k, value] : span->notes) {
+    if (k == key) return value;
+  }
+  return "";
+}
+
+class ScriptedDeepeningTest : public ::testing::Test {
+ protected:
+  ScriptedDeepeningTest()
+      : kg_(MakeKg()),
+        labels_(kg_.graph),
+        prep_(&kg_.graph, &labels_, config_),
+        pipeline_(&registry_, config_, /*fanout_threads=*/1) {}
+
+  static kg::SyntheticKg MakeKg() {
+    kg::SyntheticKgConfig config;
+    config.seed = 2024;
+    config.num_countries = 2;
+    return kg::SyntheticKgGenerator(config).Generate();
+  }
+
+  /// A text-only (β = 0) top-10 request with its trace.
+  static baselines::SearchRequest TextRequest() {
+    baselines::SearchRequest request;
+    request.query = "Storms flood the harbor.";
+    request.k = 10;
+    request.beta = 0.0;
+    request.trace = true;
+    return request;
+  }
+
+  baselines::SearchResponse Run(const baselines::SearchRequest& request,
+                                const std::vector<const ShardBackend*>& b) {
+    PipelineView view;
+    view.prep = &prep_;
+    view.backends = b;
+    return pipeline_.Search(request, view);
+  }
+
+  static std::vector<uint64_t> Depths(const ScriptedBackend& backend) {
+    std::vector<uint64_t> depths;
+    for (const ShardQuery& q : backend.sent()) depths.push_back(q.kprime);
+    return depths;
+  }
+
+  kg::SyntheticKg kg_;
+  kg::LabelIndex labels_;
+  NewsLinkConfig config_;
+  NewsLinkEngine prep_;
+  metrics::Registry registry_;
+  QueryPipeline pipeline_;
+};
+
+TEST_F(ScriptedDeepeningTest, DeepeningStopsOnceKPrimeCoversTheShard) {
+  // Every answer claims a full list on the floor, which ties the k-th
+  // score: only the shard's own size can end the deepening.
+  const ScriptedBackend peer(1000, 0, [](const ShardQuery& q, size_t) {
+    return FullList(1000, q);
+  });
+  const baselines::SearchResponse response = Run(TextRequest(), {&peer});
+  EXPECT_EQ(Depths(peer), (std::vector<uint64_t>{64, 128, 256, 512, 1024}));
+  EXPECT_EQ(response.hits.size(), 10u);
+  EXPECT_EQ(response.shards_answered, 1u);
+  EXPECT_FALSE(response.degraded);
+  EXPECT_EQ(NoteOf(response.trace.Find("ns"), "deepened"), "1");
+}
+
+TEST_F(ScriptedDeepeningTest, FloorWithoutAFullListDropsTheShard) {
+  const ScriptedBackend honest(3, 0, [](const ShardQuery&, size_t) {
+    return Result<ShardSearchResult>(TextAnswer(3, 3, 0.0));
+  });
+  // A positive floor over 3 candidates at k' = 64 breaks the protocol.
+  const ScriptedBackend broken(1000, 100, [](const ShardQuery&, size_t) {
+    return Result<ShardSearchResult>(TextAnswer(1000, 3, 1.0));
+  });
+  const baselines::SearchResponse response =
+      Run(TextRequest(), {&honest, &broken});
+  EXPECT_EQ(broken.sent().size(), 1u);
+  EXPECT_EQ(response.shards_answered, 1u);
+  EXPECT_TRUE(response.degraded);
+  ASSERT_EQ(response.hits.size(), 3u);
+  for (const baselines::SearchHit& hit : response.hits) {
+    EXPECT_LT(hit.doc_index, 3u);
+  }
+  const TraceSpan* shard1 = response.trace.Find("shard1");
+  EXPECT_NE(NoteOf(shard1, "error"), "");
+  EXPECT_EQ(NoteOf(shard1, "candidates"), "");
+}
+
+TEST_F(ScriptedDeepeningTest, FailedDeeperRoundKeepsTheLastAnswer) {
+  const ScriptedBackend peer(1000, 0, [](const ShardQuery& q, size_t call) {
+    if (call == 0) return FullList(1000, q);
+    return Result<ShardSearchResult>(Status::Timeout("deadline"));
+  });
+  const baselines::SearchResponse response = Run(TextRequest(), {&peer});
+  EXPECT_EQ(Depths(peer), (std::vector<uint64_t>{64, 128}));
+  // The first round's candidates are right, if maybe not the top k: they
+  // stay, and the response says the merge is best-effort.
+  EXPECT_EQ(response.hits.size(), 10u);
+  EXPECT_EQ(response.shards_answered, 1u);
+  EXPECT_TRUE(response.degraded);
+  EXPECT_TRUE(response.deadline_exceeded);
+  const TraceSpan* shard0 = response.trace.Find("shard0");
+  EXPECT_EQ(NoteOf(shard0, "candidates"), "64");
+  EXPECT_NE(NoteOf(shard0, "error"), "");
+}
+
+TEST_F(ScriptedDeepeningTest, EpochMovedRetryCountsOnlyTheRetrysWork) {
+  // The epoch moves during the first deepening round: the query re-plans
+  // and the stale rounds' documents scored do not reach the notes.
+  const ScriptedBackend peer(1000, 0, [](const ShardQuery& q, size_t call) {
+    if (call == 0) return FullList(1000, q);
+    if (call == 1) {
+      return Result<ShardSearchResult>(Status::FailedPrecondition("moved"));
+    }
+    return Result<ShardSearchResult>(TextAnswer(1000, 10, 0.0));
+  });
+  const baselines::SearchResponse response = Run(TextRequest(), {&peer});
+  EXPECT_EQ(Depths(peer), (std::vector<uint64_t>{64, 128, 64}));
+  const TraceSpan* ns = response.trace.Find("ns");
+  EXPECT_EQ(NoteOf(ns, "bow_scored"), "10");
+  EXPECT_EQ(NoteOf(ns, "deepened"), "0");
+  EXPECT_EQ(response.hits.size(), 10u);
+  EXPECT_FALSE(response.degraded);
+}
+
+TEST_F(ScriptedDeepeningTest, ZeroKthScoreSearchesTheShardExhaustively) {
+  // Every candidate's decay underflows to 0, so the k-th score is 0 and
+  // every unseen document ties it: one exhaustive round settles the
+  // shard, and its answer is final whatever floors it reports.
+  const ScriptedBackend peer(1 << 20, 0, [](const ShardQuery& q, size_t) {
+    return FullList(1 << 20, q);
+  });
+  baselines::SearchRequest request = TextRequest();
+  request.recency_half_life_seconds = 1.0;
+  request.now_ms = int64_t{1} << 50;
+  const baselines::SearchResponse response = Run(request, {&peer});
+  ASSERT_EQ(peer.sent().size(), 2u);
+  EXPECT_FALSE(peer.sent()[0].exhaustive);
+  EXPECT_TRUE(peer.sent()[1].exhaustive);
+  ASSERT_EQ(response.hits.size(), 10u);
+  EXPECT_EQ(response.hits[9].score, 0.0);
+  EXPECT_FALSE(response.degraded);
+}
 
 }  // namespace
 }  // namespace newslink
