@@ -4,16 +4,26 @@
 // into the base mid-run. Exercises the full time-aware path — every query
 // mix includes recency-decayed and time-windowed requests.
 //
+// The run alternates kPairs window pairs. In each churn window a writer
+// appends the next slice of a live stream (the whole stream over all
+// pairs) while the query threads run; a manual Compact() then drains the
+// today tier untimed, and a steady (query-only) window serves as many
+// rounds as the churn window did, so both p99s are read off samples of
+// the same size and the same documents.
+//
 // Gates (exit 1 on any failure):
-//   - churn-phase query p99 <= 1.5x the steady-state (query-only) p99:
-//     ingestion and compaction must not stall the wait-free query path;
-//   - at least one background compaction completes during the churn phase
-//     (tier_compactions_total), and a final manual Compact() drains the
-//     today tier to zero;
+//   - query p99 under churn <= max(1.5x the steady-state p99, 5 ms), as
+//     the median over the window pairs of each pair's churn p99 against
+//     its own steady window's limit: ingestion and compaction must not
+//     stall the wait-free query path, and one window disturbed by a noisy
+//     neighbour cannot decide it;
+//   - at least one background compaction completes inside the churn
+//     windows (tier_compactions_total), and the manual Compact() after
+//     the last one leaves the today tier empty;
 //   - snapshot isolation holds under churn: every hit's doc_index stays
 //     below its response's snapshot_docs, and epochs never move backwards
 //     within a thread — across compaction swaps included;
-//   - memory ceiling: resident set growth across the whole churn phase
+//   - memory ceiling: resident set growth across all window pairs
 //     (retired tiers reclaimed, compaction scratch released) stays under
 //     NEWSLINK_BENCH_RSS_CEILING_MB (default 512);
 //   - correctness: after the run, a probe query set answers bit-identically
@@ -122,7 +132,7 @@ Phase RunQueries(const TieredEngine& engine,
         for (size_t q = 0; q < queries.size(); ++q) {
           if (stop != nullptr && stop->load(std::memory_order_relaxed) &&
               round > 0) {
-            return;  // the ingest stream ended; finish after >= 1 round
+            return;  // the ingest slice ended; finish after >= 1 round
           }
           const auto start = Clock::now();
           const baselines::SearchResponse response = engine.Search(
@@ -202,45 +212,75 @@ int main() {
                      static_cast<int64_t>(stream.corpus.size() / 2) *
                          stream_config.timestamp_spacing_ms;
 
-  // --- Phase 1: steady state (no ingestion) -----------------------------
-  // One discarded warmup pass (first-touch allocations, cold LCAG cache),
-  // then a measured phase long enough that its p99 is a stable baseline
-  // for the churn gate rather than a short-burst artifact.
+  // One discarded warmup pass (first-touch allocations, cold LCAG cache).
   (void)RunQueries(engine, queries, num_threads, /*rounds=*/2, t0, t1);
-  const Phase steady =
-      RunQueries(engine, queries, num_threads, /*rounds=*/12, t0, t1);
-  std::printf("steady state:  %7.0f qps   p99 %.3f ms   (%llu queries)\n",
-              steady.qps, steady.p99_ms,
-              static_cast<unsigned long long>(steady.queries));
 
-  // --- Phase 2: churn — sustained ingest + background compaction --------
+  // --- Alternating churn / steady window pairs ---------------------------
+  constexpr int kPairs = 5;
   const double rss_before_mb = ResidentMb();
-  const uint64_t compactions_before = engine.compactions();
-  std::atomic<bool> stream_done{false};
-  std::thread writer([&] {
-    for (size_t d = 0; d < stream.corpus.size(); ++d) {
-      engine.AddDocument(stream.corpus.doc(d));
-      // A steady trickle, slow enough that several compactor ticks land
-      // mid-stream and queries straddle multiple tier generations.
-      std::this_thread::sleep_for(std::chrono::milliseconds(15));
-    }
-    stream_done.store(true, std::memory_order_relaxed);
-  });
-  const Phase churn = RunQueries(engine, queries, num_threads, /*rounds=*/64,
-                                 t0, t1, &stream_done);
-  writer.join();
-  // Drain whatever the background compactor has not folded yet, then
-  // measure the settled footprint.
-  NL_CHECK(engine.Compact().ok());
-  const uint64_t compactions = engine.compactions() - compactions_before;
+  const uint64_t per_round = queries.size() * num_threads;
+  uint64_t compactions = 0;
+  uint64_t violations = 0;
+  std::vector<double> steady_p99s;
+  std::vector<double> churn_p99s;
+  std::vector<double> ratios;  // churn p99 / that pair's limit
+  for (int pair = 0; pair < kPairs; ++pair) {
+    const size_t begin = stream.corpus.size() * pair / kPairs;
+    const size_t end = stream.corpus.size() * (pair + 1) / kPairs;
+    const uint64_t compactions_before = engine.compactions();
+    std::atomic<bool> slice_done{false};
+    std::thread writer([&] {
+      for (size_t d = begin; d < end; ++d) {
+        engine.AddDocument(stream.corpus.doc(d));
+        // A steady trickle, slow enough that several compactor ticks land
+        // mid-stream and queries straddle multiple tier generations.
+        std::this_thread::sleep_for(std::chrono::milliseconds(15));
+      }
+      slice_done.store(true, std::memory_order_relaxed);
+    });
+    // The slice ending, not the round cap, is meant to close the window.
+    const Phase churn = RunQueries(engine, queries, num_threads,
+                                   /*rounds=*/256, t0, t1, &slice_done);
+    writer.join();
+    const uint64_t in_window = engine.compactions() - compactions_before;
+    compactions += in_window;
+    // Drain what the compactor has not folded yet, untimed, so the steady
+    // window is query-only.
+    NL_CHECK(engine.Compact().ok());
+    const int steady_rounds =
+        static_cast<int>((churn.queries + per_round - 1) / per_round);
+    const Phase steady =
+        RunQueries(engine, queries, num_threads, steady_rounds, t0, t1);
+    violations += churn.violations + steady.violations;
+
+    // The absolute floor absorbs pure CPU-contention noise on small CI
+    // boxes: with one or two cores, a compaction timeslice inevitably adds
+    // a scheduler quantum (~1-4 ms) to some query's tail, which is not a
+    // locking bug. A stall (a query taking writer_mu_ would wait out a
+    // whole compaction rebuild) is tens to hundreds of ms.
+    const double limit = std::max(steady.p99_ms * 1.5, 5.0);
+    steady_p99s.push_back(steady.p99_ms);
+    churn_p99s.push_back(churn.p99_ms);
+    ratios.push_back(churn.p99_ms / limit);
+    std::printf("pair %d  churn:  %7.0f qps   p99 %6.3f ms   (%llu queries, "
+                "%zu docs, %llu compactions)\n",
+                pair + 1, churn.qps, churn.p99_ms,
+                static_cast<unsigned long long>(churn.queries), end - begin,
+                static_cast<unsigned long long>(in_window));
+    std::printf("        steady: %7.0f qps   p99 %6.3f ms   (%llu queries)   "
+                "churn / limit %.2f\n",
+                steady.qps, steady.p99_ms,
+                static_cast<unsigned long long>(steady.queries),
+                ratios.back());
+  }
   const double rss_after_mb = ResidentMb();
   const double rss_growth_mb =
       rss_after_mb > rss_before_mb ? rss_after_mb - rss_before_mb : 0.0;
-  std::printf("under churn:   %7.0f qps   p99 %.3f ms   (%llu queries, "
-              "%llu compactions, rss +%.1f MB)\n",
-              churn.qps, churn.p99_ms,
-              static_cast<unsigned long long>(churn.queries),
-              static_cast<unsigned long long>(compactions), rss_growth_mb);
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double median_ratio = median(ratios);
 
   // --- Correctness: the churned engine vs a fresh single engine ---------
   NewsLinkEngine reference(&world->kg.graph, &world->index, config);
@@ -270,21 +310,14 @@ int main() {
 
   // --- Gates -------------------------------------------------------------
   bool ok = true;
-  // The p99 gate catches queries STALLING on the writer side (a query
-  // taking writer_mu_ would wait out a whole compaction rebuild — tens to
-  // hundreds of ms). The absolute floor absorbs pure CPU-contention noise
-  // on small CI boxes: with one or two cores, a compaction timeslice
-  // inevitably adds a scheduler quantum (~1-4 ms) to some query's tail,
-  // which is not a locking bug.
-  const double p99_limit = std::max(steady.p99_ms * 1.5, 5.0);
-  if (churn.p99_ms > p99_limit) {
-    std::printf("GATE FAIL: churn p99 %.3f ms > limit %.3f ms "
-                "(max of 1.5x steady-state %.3f ms and the 5 ms floor)\n",
-                churn.p99_ms, p99_limit, steady.p99_ms);
+  if (median_ratio > 1.0) {
+    std::printf("GATE FAIL: median churn p99 is %.2fx its limit (max of "
+                "1.5x the pair's steady-state p99 and the 5 ms floor)\n",
+                median_ratio);
     ok = false;
   }
   if (compactions == 0) {
-    std::printf("GATE FAIL: no compaction completed during the churn run\n");
+    std::printf("GATE FAIL: no compaction completed in a churn window\n");
     ok = false;
   }
   if (engine.today_tier_docs() != 0) {
@@ -292,10 +325,9 @@ int main() {
                 engine.today_tier_docs());
     ok = false;
   }
-  if (steady.violations + churn.violations != 0) {
+  if (violations != 0) {
     std::printf("GATE FAIL: %llu snapshot-isolation violations\n",
-                static_cast<unsigned long long>(steady.violations +
-                                                churn.violations));
+                static_cast<unsigned long long>(violations));
     ok = false;
   }
   if (rss_growth_mb > rss_ceiling_mb) {
@@ -316,9 +348,11 @@ int main() {
     ok = false;
   }
 
-  std::printf("\n%s: p99 %.3f -> %.3f ms (limit %.3f), %llu compactions, "
-              "rss +%.1f MB, %zu/%zu probes exact\n",
-              ok ? "PASS" : "FAIL", steady.p99_ms, churn.p99_ms, p99_limit,
+  std::printf("\n%s: median p99 %.3f -> %.3f ms, median churn / limit "
+              "%.2f (gate 1.00) over %d pairs, %llu compactions, rss +%.1f "
+              "MB, %zu/%zu probes exact\n",
+              ok ? "PASS" : "FAIL", median(steady_p99s), median(churn_p99s),
+              median_ratio, kPairs,
               static_cast<unsigned long long>(compactions), rss_growth_mb,
               queries.size() - static_cast<size_t>(mismatches),
               queries.size());

@@ -1,8 +1,6 @@
 #include "common/string_util.h"
 
 #include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <limits>
 
 namespace newslink {
@@ -90,24 +88,6 @@ bool ParseUint32(std::string_view s, uint32_t* out) {
     return false;
   }
   *out = static_cast<uint32_t>(wide);
-  return true;
-}
-
-bool ParseDouble(std::string_view s, double* out) {
-  if (s.empty()) return false;
-  const std::string buf(s);
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE || end != buf.c_str() + buf.size()) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseFloat(std::string_view s, float* out) {
-  double wide;
-  if (!ParseDouble(s, &wide)) return false;
-  *out = static_cast<float>(wide);
   return true;
 }
 

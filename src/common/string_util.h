@@ -30,14 +30,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// Strict numeric parsing for file readers: the whole string must be a
-/// valid number (no sign for the unsigned forms, no trailing junk, no
-/// overflow). Returns false without touching *out on any violation —
-/// unlike strtoul, which silently yields 0 or wraps, these make corrupt
-/// input detectable.
+/// valid unsigned number (no sign, no trailing junk, no overflow). Returns
+/// false without touching *out on any violation — unlike strtoul, which
+/// silently yields 0 or wraps, these make corrupt input detectable.
 bool ParseUint64(std::string_view s, uint64_t* out);
 bool ParseUint32(std::string_view s, uint32_t* out);
-bool ParseDouble(std::string_view s, double* out);
-bool ParseFloat(std::string_view s, float* out);
 
 /// printf-lite concatenation: StrCat(1, " + ", 2.5) == "1 + 2.5".
 namespace internal {

@@ -1,8 +1,6 @@
 #include "ir/simhash.h"
 
-#include <algorithm>
 #include <bit>
-#include <functional>
 #include <map>
 
 #include "text/porter_stemmer.h"
@@ -21,10 +19,6 @@ uint64_t Fnv1a64(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-uint16_t Block(uint64_t signature, int block) {
-  return static_cast<uint16_t>(signature >> (16 * block));
 }
 
 }  // namespace
@@ -51,78 +45,6 @@ uint64_t SimHash(const std::string& text) {
 
 int HammingDistance(uint64_t a, uint64_t b) {
   return std::popcount(a ^ b);
-}
-
-size_t SimHashIndex::Add(uint64_t signature) {
-  const size_t id = signatures_.size();
-  signatures_.push_back(signature);
-  for (int b = 0; b < 4; ++b) {
-    auto& table = blocks_[b];
-    if (table.empty()) table.resize(1 << 16);
-    table[Block(signature, b)].push_back(id);
-  }
-  return id;
-}
-
-std::vector<size_t> SimHashIndex::FindNear(uint64_t signature,
-                                           int max_distance) const {
-  std::vector<size_t> out;
-  if (max_distance > 3) {
-    // Pigeonhole no longer guarantees a shared block: scan.
-    for (size_t id = 0; id < signatures_.size(); ++id) {
-      if (HammingDistance(signatures_[id], signature) <= max_distance) {
-        out.push_back(id);
-      }
-    }
-    return out;
-  }
-  std::vector<bool> seen(signatures_.size(), false);
-  for (int b = 0; b < 4; ++b) {
-    if (blocks_[b].empty()) continue;
-    for (size_t id : blocks_[b][Block(signature, b)]) {
-      if (seen[id]) continue;
-      seen[id] = true;
-      if (HammingDistance(signatures_[id], signature) <= max_distance) {
-        out.push_back(id);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<size_t> ClusterNearDuplicates(
-    const std::vector<uint64_t>& signatures, int max_distance) {
-  // Union-find over near-duplicate pairs surfaced by the block index.
-  std::vector<size_t> parent(signatures.size());
-  for (size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  std::function<size_t(size_t)> find = [&](size_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-
-  SimHashIndex index;
-  for (size_t i = 0; i < signatures.size(); ++i) {
-    for (size_t j : index.FindNear(signatures[i], max_distance)) {
-      const size_t a = find(i);
-      const size_t b = find(j);
-      if (a != b) parent[a] = b;
-    }
-    index.Add(signatures[i]);
-  }
-
-  // Dense group ids in first-seen order.
-  std::map<size_t, size_t> group_ids;
-  std::vector<size_t> groups(signatures.size());
-  for (size_t i = 0; i < signatures.size(); ++i) {
-    const size_t root = find(i);
-    auto [it, inserted] = group_ids.emplace(root, group_ids.size());
-    groups[i] = it->second;
-  }
-  return groups;
 }
 
 }  // namespace ir

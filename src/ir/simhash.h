@@ -1,15 +1,13 @@
-// SimHash near-duplicate detection (Charikar 2002, as deployed for web/news
-// dedup). Real news corpora — including the paper's CNN/Kaggle datasets —
-// are full of syndicated near-duplicates; detecting them matters both for
-// corpus hygiene and for interpreting HIT@k (a near-duplicate of the query
-// document is an arguably-correct answer).
+// SimHash (Charikar 2002): a 64-bit locality-sensitive signature of a
+// document's word features. Textually similar documents get signatures
+// that agree in most bits; doc-id reordering (ir/reorder.h) sorts by it
+// to give similar documents adjacent ids.
 
 #ifndef NEWSLINK_IR_SIMHASH_H_
 #define NEWSLINK_IR_SIMHASH_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace newslink {
 namespace ir {
@@ -20,36 +18,6 @@ uint64_t SimHash(const std::string& text);
 
 /// Hamming distance between two signatures (0 = likely identical content).
 int HammingDistance(uint64_t a, uint64_t b);
-
-/// \brief Index for near-duplicate lookup over a document collection.
-///
-/// Uses the standard 4-block permutation trick: two signatures within
-/// Hamming distance 3 share at least one of four 16-bit blocks, so
-/// candidate retrieval is a hash lookup rather than a linear scan.
-class SimHashIndex {
- public:
-  /// Add the next document's signature; ids are sequential from 0.
-  size_t Add(uint64_t signature);
-
-  /// All previously added documents within `max_distance` Hamming bits of
-  /// `signature` (max_distance <= 3 uses the block index; larger values
-  /// fall back to a scan).
-  std::vector<size_t> FindNear(uint64_t signature, int max_distance) const;
-
-  size_t size() const { return signatures_.size(); }
-  uint64_t signature(size_t id) const { return signatures_[id]; }
-
- private:
-  std::vector<uint64_t> signatures_;
-  /// block index: for each of the 4 blocks, 16-bit value -> doc ids.
-  std::vector<std::vector<size_t>> blocks_[4];
-};
-
-/// Convenience: cluster a corpus of signatures into near-duplicate groups
-/// (connected components under Hamming distance <= max_distance). Returns
-/// a group id per document.
-std::vector<size_t> ClusterNearDuplicates(
-    const std::vector<uint64_t>& signatures, int max_distance = 3);
 
 }  // namespace ir
 }  // namespace newslink

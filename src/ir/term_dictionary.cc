@@ -21,7 +21,7 @@ std::vector<TermId> TermDictionary::GetOrAdd(
 
 TermId TermDictionary::Find(std::string_view term) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = ids_.find(std::string(term));
+  auto it = ids_.find(term);
   return it == ids_.end() ? kInvalidTerm : it->second;
 }
 

@@ -7,6 +7,7 @@
 #define NEWSLINK_IR_TERM_DICTIONARY_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <shared_mutex>
 #include <span>
@@ -46,8 +47,17 @@ class TermDictionary {
   size_t size() const;
 
  private:
+  /// Transparent hash: Find probes with the caller's string_view instead
+  /// of building a std::string per lookup.
+  struct TermHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view term) const {
+      return std::hash<std::string_view>{}(term);
+    }
+  };
+
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, TermId> ids_;
+  std::unordered_map<std::string, TermId, TermHash, std::equal_to<>> ids_;
   std::vector<std::string> terms_;
 };
 

@@ -127,14 +127,14 @@ Status SendAll(int fd, std::string_view request, const WallTimer& timer,
   return Status::OK();
 }
 
-/// Read and parse one response. `reusable`, when non-null, is set to true
-/// only when the response was Content-Length framed, fully consumed, and
-/// the server did not announce "Connection: close" — the conditions under
-/// which the next request may ride the same connection.
+/// Read and parse one response. `reusable` is set to true only when the
+/// response was Content-Length framed, fully consumed, and the server did
+/// not announce "Connection: close" — the conditions under which the next
+/// request may ride the same connection.
 Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options,
                                         const WallTimer& timer,
                                         bool* reusable) {
-  if (reusable != nullptr) *reusable = false;
+  *reusable = false;
   const double deadline = options.deadline_seconds;
 
   std::string data;
@@ -236,9 +236,7 @@ Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options
   if (content_length != std::string::npos) {
     // Exactly the framed body survived (no trailing bytes): only then is
     // the connection positioned at a request boundary and safe to reuse.
-    if (reusable != nullptr) {
-      *reusable = !server_closes && response.body.size() == content_length;
-    }
+    *reusable = !server_closes && response.body.size() == content_length;
     response.body.resize(content_length);
   }
   return response;
@@ -246,11 +244,10 @@ Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options
 
 std::string SerializeRequest(std::string_view method, std::string_view host,
                              uint16_t port, std::string_view path,
-                             std::string_view request_body, bool keep_alive) {
+                             std::string_view request_body) {
   std::string request =
       StrCat(method, " ", path, " HTTP/1.1\r\nHost: ", host, ":", port,
-             keep_alive ? "\r\nConnection: keep-alive\r\n"
-                        : "\r\nConnection: close\r\n");
+             "\r\nConnection: keep-alive\r\n");
   if (!request_body.empty()) {
     request += StrCat("Content-Type: application/json\r\nContent-Length: ",
                       request_body.size(), "\r\n");
@@ -261,38 +258,6 @@ std::string SerializeRequest(std::string_view method, std::string_view host,
 }
 
 }  // namespace
-
-Result<HttpClientResponse> HttpCall(std::string_view method,
-                                    std::string_view host, uint16_t port,
-                                    std::string_view path,
-                                    std::string_view request_body,
-                                    const HttpClientOptions& options) {
-  WallTimer timer;
-  const double deadline = options.deadline_seconds;
-  NL_ASSIGN_OR_RETURN(
-      const int raw_fd,
-      OpenConnection(host, port,
-                     deadline > 0 ? deadline - timer.ElapsedSeconds() : 0.0));
-  OwnedFd fd(raw_fd);
-  const std::string request = SerializeRequest(method, host, port, path,
-                                               request_body,
-                                               /*keep_alive=*/false);
-  NL_RETURN_IF_ERROR(SendAll(fd.get(), request, timer, deadline));
-  return ReadResponse(fd.get(), options, timer, nullptr);
-}
-
-Result<HttpClientResponse> HttpGet(std::string_view host, uint16_t port,
-                                   std::string_view path,
-                                   const HttpClientOptions& options) {
-  return HttpCall("GET", host, port, path, "", options);
-}
-
-Result<HttpClientResponse> HttpPost(std::string_view host, uint16_t port,
-                                    std::string_view path,
-                                    std::string_view request_body,
-                                    const HttpClientOptions& options) {
-  return HttpCall("POST", host, port, path, request_body, options);
-}
 
 // --- HttpClient (keep-alive pool) ----------------------------------------
 
@@ -333,9 +298,8 @@ Result<HttpClientResponse> HttpClient::Call(std::string_view method,
   const auto remaining = [&timer, deadline]() {
     return deadline > 0 ? deadline - timer.ElapsedSeconds() : 0.0;
   };
-  const std::string request = SerializeRequest(method, host_, port_, path,
-                                               request_body,
-                                               /*keep_alive=*/true);
+  const std::string request =
+      SerializeRequest(method, host_, port_, path, request_body);
 
   OwnedFd fd(PopIdle());
   bool reused = fd.get() >= 0;

@@ -5,16 +5,13 @@
 // Content-Length-sized or to-EOF body). Not a general browser-grade client
 // on purpose — it talks to peers we control.
 //
-// Two entry points:
-//   - The HttpCall/HttpGet/HttpPost free functions: one fresh connection
-//     per call ("Connection: close"), for one-shot traffic.
-//   - HttpClient: bound to one host:port, keeps a small stack of idle
-//     keep-alive connections and reuses them across calls. A reused
-//     connection can always have gone stale (the server closed it between
-//     calls — idle timeout, request cap, restart); a transport failure on
-//     a REUSED connection is therefore retried exactly once on a fresh
-//     connection before surfacing. Reuse / reconnect / open counts are
-//     exposed for client metrics.
+// One entry point, HttpClient: bound to one host:port, it keeps a small
+// stack of idle keep-alive connections and reuses them across calls. A
+// reused connection can always have gone stale (the server closed it
+// between calls — idle timeout, request cap, restart); a transport failure
+// on a REUSED connection is therefore retried exactly once on a fresh
+// connection before surfacing. Reuse / reconnect / open counts are exposed
+// for client metrics.
 
 #ifndef NEWSLINK_NET_HTTP_CLIENT_H_
 #define NEWSLINK_NET_HTTP_CLIENT_H_
@@ -46,27 +43,6 @@ struct HttpClientOptions {
   size_t max_body_bytes = 64 * 1024 * 1024;
 };
 
-/// Blocking request to `host:port` (dotted-quad or "localhost"). `method`
-/// is "GET" or "POST"; `body` is sent with Content-Length (empty = none).
-/// Status codes are returned, not mapped: a 409 from a shard is a valid
-/// protocol answer, not a transport failure. Errors: Timeout when the
-/// deadline cuts connect/read short, IOError for refused connections,
-/// resets, and malformed responses.
-Result<HttpClientResponse> HttpCall(std::string_view method,
-                                    std::string_view host, uint16_t port,
-                                    std::string_view path,
-                                    std::string_view request_body,
-                                    const HttpClientOptions& options = {});
-
-Result<HttpClientResponse> HttpGet(std::string_view host, uint16_t port,
-                                   std::string_view path,
-                                   const HttpClientOptions& options = {});
-
-Result<HttpClientResponse> HttpPost(std::string_view host, uint16_t port,
-                                    std::string_view path,
-                                    std::string_view request_body,
-                                    const HttpClientOptions& options = {});
-
 /// \brief Keep-alive client bound to one host:port.
 ///
 /// Thread-safe: concurrent calls each check an idle connection out of the
@@ -83,6 +59,12 @@ class HttpClient {
   HttpClient(const HttpClient&) = delete;
   HttpClient& operator=(const HttpClient&) = delete;
 
+  /// Blocking request to host:port (dotted-quad or "localhost"). `method`
+  /// is "GET" or "POST"; `request_body` is sent with Content-Length (empty
+  /// = none). Status codes are returned, not mapped: a 409 from a shard is
+  /// a valid protocol answer, not a transport failure. Errors: Timeout when
+  /// the deadline cuts connect/read short, IOError for refused
+  /// connections, resets, and malformed responses.
   Result<HttpClientResponse> Call(std::string_view method,
                                   std::string_view path,
                                   std::string_view request_body,

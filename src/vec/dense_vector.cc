@@ -32,10 +32,6 @@ void Scale(std::span<float> a, float scale) {
   for (float& x : a) x *= scale;
 }
 
-void Fill(std::span<float> a, float value) {
-  for (float& x : a) x = value;
-}
-
 void NormalizeInPlace(std::span<float> a) {
   const float n = Norm(a);
   if (n < 1e-9f) return;

@@ -21,7 +21,6 @@ float CosineSimilarity(std::span<const float> a, std::span<const float> b);
 void AddScaled(std::span<float> a, std::span<const float> b, float scale);
 
 void Scale(std::span<float> a, float scale);
-void Fill(std::span<float> a, float value);
 
 /// Normalize to unit length in place (no-op for near-zero vectors).
 void NormalizeInPlace(std::span<float> a);

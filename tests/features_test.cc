@@ -1,62 +1,19 @@
-// Tests for the extension features: concise novelty-aware explanations
-// (the paper's future-work items), result snippets, embedding persistence,
-// and incremental engine indexing.
-
+// Tests for the extension features: embedding persistence and incremental
+// engine indexing.
 
 #include <gtest/gtest.h>
 
 #include "corpus/synthetic_news.h"
-#include "embed/concise_explainer.h"
 #include "embed/embedding_io.h"
 #include "kg/label_index.h"
 #include "kg/synthetic_kg.h"
 #include "newslink/newslink_engine.h"
-#include "newslink/snippet.h"
 
 namespace newslink {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Snippets
-// ---------------------------------------------------------------------------
-
-TEST(SnippetTest, PicksBestMatchingSentence) {
-  const std::string doc =
-      "Opening filler sentence with nothing. The taliban bombing struck "
-      "lahore markets. Closing filler text here.";
-  const std::string snippet = MakeSnippet(doc, "bombing in lahore");
-  EXPECT_EQ(snippet, "The taliban bombing struck lahore markets.");
-}
-
-TEST(SnippetTest, StemsAcrossInflections) {
-  const std::string doc =
-      "Nothing relevant here. Elections were contested fiercely.";
-  EXPECT_EQ(MakeSnippet(doc, "election"),
-            "Elections were contested fiercely.");
-}
-
-TEST(SnippetTest, FallsBackToLeadingSentence) {
-  const std::string doc = "First sentence here. Second sentence there.";
-  EXPECT_EQ(MakeSnippet(doc, "zzzz qqqq"), "First sentence here.");
-}
-
-TEST(SnippetTest, TruncatesAtWordBoundary) {
-  std::string longsent = "keyword";
-  for (int i = 0; i < 60; ++i) longsent += " filler" + std::to_string(i);
-  longsent += ".";
-  SnippetOptions options;
-  options.max_chars = 40;
-  const std::string snippet = MakeSnippet(longsent, "keyword", options);
-  EXPECT_LE(snippet.size(), 44u);
-  EXPECT_EQ(snippet.substr(snippet.size() - 3), "...");
-}
-
-TEST(SnippetTest, EmptyDocument) {
-  EXPECT_EQ(MakeSnippet("", "query"), "");
-}
-
-// ---------------------------------------------------------------------------
-// Shared world for the heavier features
+// Shared world
 // ---------------------------------------------------------------------------
 
 class FeaturesTest : public ::testing::Test {
@@ -94,83 +51,6 @@ class FeaturesTest : public ::testing::Test {
   kg::LabelIndex labels_;
   corpus::SyntheticCorpus news_;
 };
-
-// ---------------------------------------------------------------------------
-// ConciseExplainer
-// ---------------------------------------------------------------------------
-
-TEST_F(FeaturesTest, ConciseExplainerRespectsBudgets) {
-  NewsLinkEngine engine(&world_.graph, &labels_, {});
-  ASSERT_TRUE(engine.Index(news_.corpus).ok());
-  embed::ConciseExplainer explainer(&world_.graph);
-
-  embed::ConciseOptions options;
-  options.max_paths = 3;
-  options.max_paths_per_endpoint = 1;
-  int checked = 0;
-  for (size_t d = 0; d + 1 < news_.corpus.size() && checked < 10; d += 2) {
-    const auto paths = explainer.Explain(engine.doc_embedding(d),
-                                         engine.doc_embedding(d + 1), options);
-    EXPECT_LE(paths.size(), 3u);
-    std::map<kg::NodeId, int> endpoint_uses;
-    for (const embed::ScoredPath& sp : paths) {
-      ++endpoint_uses[sp.path.nodes.front()];
-      ++endpoint_uses[sp.path.nodes.back()];
-    }
-    for (const auto& [node, uses] : endpoint_uses) {
-      EXPECT_LE(uses, 2);  // an endpoint may be source once and target once
-    }
-    if (!paths.empty()) ++checked;
-  }
-  EXPECT_GT(checked, 0);
-}
-
-TEST_F(FeaturesTest, ConciseExplainerRanksNoveltyFirst) {
-  NewsLinkEngine engine(&world_.graph, &labels_, {});
-  ASSERT_TRUE(engine.Index(news_.corpus).ok());
-  embed::ConciseExplainer explainer(&world_.graph);
-  embed::ConciseOptions options;
-  options.max_paths = 8;
-  options.max_paths_per_endpoint = 8;
-  for (size_t d = 0; d + 1 < 12; d += 2) {
-    const auto paths = explainer.Explain(engine.doc_embedding(d),
-                                         engine.doc_embedding(d + 1), options);
-    for (size_t i = 1; i < paths.size(); ++i) {
-      EXPECT_GE(paths[i - 1].score, paths[i].score);
-    }
-  }
-}
-
-TEST_F(FeaturesTest, RequireNovelInteriorFiltersDirectEdges) {
-  NewsLinkEngine engine(&world_.graph, &labels_, {});
-  ASSERT_TRUE(engine.Index(news_.corpus).ok());
-  embed::ConciseExplainer explainer(&world_.graph);
-  embed::ConciseOptions options;
-  options.require_novel_interior = true;
-  options.max_paths = 10;
-  options.max_paths_per_endpoint = 10;
-  for (size_t d = 0; d + 1 < 12; d += 2) {
-    for (const embed::ScoredPath& sp :
-         explainer.Explain(engine.doc_embedding(d),
-                           engine.doc_embedding(d + 1), options)) {
-      EXPECT_GT(sp.novel_interior_nodes, 0);
-    }
-  }
-}
-
-TEST_F(FeaturesTest, RenderBlockMentionsLabels) {
-  NewsLinkEngine engine(&world_.graph, &labels_, {});
-  ASSERT_TRUE(engine.Index(news_.corpus).ok());
-  embed::ConciseExplainer explainer(&world_.graph);
-  const auto paths = explainer.Explain(engine.doc_embedding(0),
-                                       engine.doc_embedding(1), {});
-  const std::string block = explainer.RenderBlock(paths);
-  if (!paths.empty()) {
-    EXPECT_FALSE(block.empty());
-    EXPECT_NE(block.find(world_.graph.label(paths[0].path.nodes.front())),
-              std::string::npos);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Embedding persistence + engine integration

@@ -1,5 +1,6 @@
 // Tests for src/ir: term dictionary, inverted index, the index snapshot
-// codec, BM25 and TF-IDF scoring, top-k selection, text vectorization.
+// codec, BM25 and TF-IDF scoring, top-k selection, text vectorization,
+// SimHash signatures.
 
 #include <algorithm>
 #include <cmath>
@@ -13,6 +14,7 @@
 #include "ir/index_io.h"
 #include "ir/inverted_index.h"
 #include "ir/scorer.h"
+#include "ir/simhash.h"
 #include "ir/term_dictionary.h"
 #include "ir/text_vectorizer.h"
 #include "ir/top_k.h"
@@ -37,6 +39,11 @@ TEST(TermDictionaryTest, InternsAndFinds) {
   EXPECT_EQ(dict.GetOrAdd(second), (std::vector<TermId>{1, 2, 0, 2}));
   EXPECT_EQ(dict.Find("attack"), 0u);
   EXPECT_EQ(dict.Find("unknown"), kInvalidTerm);
+  // A view into a larger buffer matches on its own bytes only.
+  const std::string buffer = "quakes attack";
+  EXPECT_EQ(dict.Find(std::string_view(buffer).substr(0, 5)), 2u);
+  EXPECT_EQ(dict.Find(std::string_view(buffer).substr(7)), 0u);
+  EXPECT_EQ(dict.Find(std::string_view(buffer).substr(0, 6)), kInvalidTerm);
   EXPECT_EQ(dict.term(2), "quake");
   EXPECT_EQ(dict.size(), 3u);
 }
@@ -436,6 +443,37 @@ TEST(TextVectorizerTest, SingleCharactersDropped) {
   const TermCounts counts =
       TextVectorizer::CountsForIndexing("a b c bombing", &dict);
   ASSERT_EQ(counts.size(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// SimHash
+// ---------------------------------------------------------------------------
+
+TEST(SimHashTest, IdenticalTextsShareSignature) {
+  const std::string text = "The taliban bombing struck lahore markets today.";
+  EXPECT_EQ(SimHash(text), SimHash(text));
+}
+
+TEST(SimHashTest, NearDuplicatesAreClose) {
+  const std::string a =
+      "The taliban bombing struck lahore markets today killing dozens of "
+      "civilians according to officials in the region.";
+  const std::string b =
+      "The taliban bombing struck lahore markets yesterday killing dozens "
+      "of civilians according to officials in the region.";
+  const std::string c =
+      "Quarterly earnings at the telecom company beat analyst forecasts "
+      "driven by subscriber growth across rural provinces.";
+  const int near = HammingDistance(SimHash(a), SimHash(b));
+  const int far = HammingDistance(SimHash(a), SimHash(c));
+  EXPECT_LT(near, 12);
+  EXPECT_GT(far, near + 5);
+}
+
+TEST(SimHashTest, HammingDistanceBasics) {
+  EXPECT_EQ(HammingDistance(0, 0), 0);
+  EXPECT_EQ(HammingDistance(0, 0xFFFFFFFFFFFFFFFFULL), 64);
+  EXPECT_EQ(HammingDistance(0b1010, 0b0110), 2);
 }
 
 }  // namespace
