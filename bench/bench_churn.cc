@@ -2,7 +2,10 @@
 // sustained AddDocument ingestion into the today tier while query threads
 // hammer the engine, with the background compactor folding the today tier
 // into the base mid-run. Exercises the full time-aware path — every query
-// mix includes recency-decayed and time-windowed requests.
+// mix includes recency-decayed and time-windowed requests. Recency decays
+// in two classes: against the wall clock, years after every document, so
+// each decay factor underflows to 0 and the zero-k-th exhaustive fallback
+// runs; and against the newest stream document, the realistic case.
 //
 // The run alternates kPairs window pairs. In each churn window a writer
 // appends the next slice of a live stream (the whole stream over all
@@ -26,9 +29,11 @@
 //   - memory ceiling: resident set growth across all window pairs
 //     (retired tiers reclaimed, compaction scratch released) stays under
 //     NEWSLINK_BENCH_RSS_CEILING_MB (default 512);
-//   - correctness: after the run, a probe query set answers bit-identically
-//     to a fresh single NewsLinkEngine fed the same documents in the same
-//     order.
+//   - correctness: after the run, a probe query set (every class) answers
+//     bit-identically to a fresh single NewsLinkEngine fed the same
+//     documents in the same order.
+//
+// Each class's steady-window p99 is reported (median over the pairs).
 //
 // Env knobs: NEWSLINK_BENCH_STORIES (bulk corpus size, default 48),
 //            NEWSLINK_BENCH_THREADS (query threads, default 3),
@@ -37,11 +42,13 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -86,24 +93,44 @@ double ResidentMb() {
   return static_cast<double>(resident) * static_cast<double>(page) / 1048576.0;
 }
 
-/// The per-thread query mix: plain fused, pure text, recency-decayed, and
-/// time-windowed requests, cycling over corpus-derived query strings.
+/// The request classes of the query mix, in MixedRequest's order.
+constexpr size_t kClasses = 5;
+constexpr std::array<const char*, kClasses> kClassNames = {
+    "fused", "text", "decay@wall", "window", "decay@newest"};
+
+/// Time bounds of the mix: the window [t0, t1) cuts across the bulk/stream
+/// boundary; newest_ms is the last stream document's timestamp.
+struct MixTimes {
+  int64_t t0 = 0;
+  int64_t t1 = 0;
+  int64_t newest_ms = 0;
+};
+
+/// The per-thread query mix, request i of class i % kClasses, cycling over
+/// corpus-derived query strings.
 baselines::SearchRequest MixedRequest(const std::vector<std::string>& queries,
-                                      size_t i, int64_t t0, int64_t t1) {
+                                      size_t i, const MixTimes& times) {
   baselines::SearchRequest request;
   request.query = queries[i % queries.size()];
   request.k = 10;
-  switch (i % 4) {
+  switch (i % kClasses) {
     case 0:
       break;  // engine defaults (fused pruned retrieval)
     case 1:
       request.beta = 0.0;  // pure text
       break;
     case 2:
+      // Decay against the snapshot's wall-clock "now": every factor
+      // underflows to 0.
       request.recency_half_life_seconds = 6.0 * 3600.0;
       break;
     case 3:
-      request.time_range = baselines::TimeRange{t0, t1};
+      request.time_range = baselines::TimeRange{times.t0, times.t1};
+      break;
+    case 4:
+      // Decay against the newest document: no factor underflows.
+      request.recency_half_life_seconds = 6.0 * 3600.0;
+      request.now_ms = times.newest_ms;
       break;
   }
   return request;
@@ -114,13 +141,18 @@ struct Phase {
   double qps = 0;
   uint64_t queries = 0;
   uint64_t violations = 0;
+  std::array<double, kClasses> class_p99_ms{};
 };
 
 Phase RunQueries(const TieredEngine& engine,
                  const std::vector<std::string>& queries, int num_threads,
-                 int rounds, int64_t t0, int64_t t1,
+                 int rounds, const MixTimes& times,
                  const std::atomic<bool>* stop = nullptr) {
   metrics::Histogram latencies(bench::LatencyHistogramOptions());
+  std::array<std::unique_ptr<metrics::Histogram>, kClasses> by_class;
+  for (auto& h : by_class) {
+    h = std::make_unique<metrics::Histogram>(bench::LatencyHistogramOptions());
+  }
   std::atomic<uint64_t> total{0};
   std::atomic<uint64_t> violations{0};
   const auto wall_start = Clock::now();
@@ -134,11 +166,14 @@ Phase RunQueries(const TieredEngine& engine,
               round > 0) {
             return;  // the ingest slice ended; finish after >= 1 round
           }
+          const size_t i = q * num_threads + t;
           const auto start = Clock::now();
-          const baselines::SearchResponse response = engine.Search(
-              MixedRequest(queries, q * num_threads + t, t0, t1));
-          latencies.Observe(
-              std::chrono::duration<double>(Clock::now() - start).count());
+          const baselines::SearchResponse response =
+              engine.Search(MixedRequest(queries, i, times));
+          const double seconds =
+              std::chrono::duration<double>(Clock::now() - start).count();
+          latencies.Observe(seconds);
+          by_class[i % kClasses]->Observe(seconds);
           total.fetch_add(1, std::memory_order_relaxed);
           if (response.epoch < last_epoch) {
             violations.fetch_add(1, std::memory_order_relaxed);
@@ -156,6 +191,9 @@ Phase RunQueries(const TieredEngine& engine,
   for (std::thread& w : workers) w.join();
   Phase phase;
   phase.p99_ms = latencies.Percentile(0.99) * 1e3;
+  for (size_t c = 0; c < kClasses; ++c) {
+    phase.class_p99_ms[c] = by_class[c]->Percentile(0.99) * 1e3;
+  }
   phase.queries = total.load();
   phase.violations = violations.load();
   const double wall =
@@ -207,13 +245,15 @@ int main() {
     const std::string& text = bulk.corpus.doc(d).text;
     queries.push_back(text.substr(0, text.find('.') + 1));
   }
-  const int64_t t0 = bulk.corpus.doc(bulk.corpus.size() / 2).timestamp_ms;
-  const int64_t t1 = stream_config.timestamp_start_ms +
-                     static_cast<int64_t>(stream.corpus.size() / 2) *
-                         stream_config.timestamp_spacing_ms;
+  MixTimes times;
+  times.t0 = bulk.corpus.doc(bulk.corpus.size() / 2).timestamp_ms;
+  times.t1 = stream_config.timestamp_start_ms +
+             static_cast<int64_t>(stream.corpus.size() / 2) *
+                 stream_config.timestamp_spacing_ms;
+  times.newest_ms = stream.corpus.doc(stream.corpus.size() - 1).timestamp_ms;
 
   // One discarded warmup pass (first-touch allocations, cold LCAG cache).
-  (void)RunQueries(engine, queries, num_threads, /*rounds=*/2, t0, t1);
+  (void)RunQueries(engine, queries, num_threads, /*rounds=*/2, times);
 
   // --- Alternating churn / steady window pairs ---------------------------
   constexpr int kPairs = 5;
@@ -224,6 +264,7 @@ int main() {
   std::vector<double> steady_p99s;
   std::vector<double> churn_p99s;
   std::vector<double> ratios;  // churn p99 / that pair's limit
+  std::array<std::vector<double>, kClasses> class_p99s;  // steady windows
   for (int pair = 0; pair < kPairs; ++pair) {
     const size_t begin = stream.corpus.size() * pair / kPairs;
     const size_t end = stream.corpus.size() * (pair + 1) / kPairs;
@@ -240,7 +281,7 @@ int main() {
     });
     // The slice ending, not the round cap, is meant to close the window.
     const Phase churn = RunQueries(engine, queries, num_threads,
-                                   /*rounds=*/256, t0, t1, &slice_done);
+                                   /*rounds=*/256, times, &slice_done);
     writer.join();
     const uint64_t in_window = engine.compactions() - compactions_before;
     compactions += in_window;
@@ -250,7 +291,7 @@ int main() {
     const int steady_rounds =
         static_cast<int>((churn.queries + per_round - 1) / per_round);
     const Phase steady =
-        RunQueries(engine, queries, num_threads, steady_rounds, t0, t1);
+        RunQueries(engine, queries, num_threads, steady_rounds, times);
     violations += churn.violations + steady.violations;
 
     // The absolute floor absorbs pure CPU-contention noise on small CI
@@ -262,6 +303,9 @@ int main() {
     steady_p99s.push_back(steady.p99_ms);
     churn_p99s.push_back(churn.p99_ms);
     ratios.push_back(churn.p99_ms / limit);
+    for (size_t c = 0; c < kClasses; ++c) {
+      class_p99s[c].push_back(steady.class_p99_ms[c]);
+    }
     std::printf("pair %d  churn:  %7.0f qps   p99 %6.3f ms   (%llu queries, "
                 "%zu docs, %llu compactions)\n",
                 pair + 1, churn.qps, churn.p99_ms,
@@ -290,9 +334,9 @@ int main() {
   }
   uint64_t mismatches = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    baselines::SearchRequest probe = MixedRequest(queries, i, t0, t1);
+    baselines::SearchRequest probe = MixedRequest(queries, i, times);
     // Pin the decay reference so both engines age documents identically.
-    probe.now_ms = t1;
+    if (!probe.now_ms.has_value()) probe.now_ms = times.t1;
     const baselines::SearchResponse a = engine.Search(probe);
     const baselines::SearchResponse b = reference.Search(probe);
     if (a.hits.size() != b.hits.size()) {
@@ -356,5 +400,10 @@ int main() {
               static_cast<unsigned long long>(compactions), rss_growth_mb,
               queries.size() - static_cast<size_t>(mismatches),
               queries.size());
+  std::printf("steady p99 by class (median over pairs):");
+  for (size_t c = 0; c < kClasses; ++c) {
+    std::printf("  %s %.3f ms", kClassNames[c], median(class_p99s[c]));
+  }
+  std::printf("\n");
   return ok ? 0 : 1;
 }

@@ -22,9 +22,9 @@
 // the warm path at >= 10x faster than the cold build.
 //
 // --shards N runs the concurrent workload against in-process ShardedEngines
-// at every shard count 1..N (round-robin partition, scatter-gather over the
-// fan-out pool), reporting QPS/p99 per shard count and gating hit parity
-// against the single engine.
+// at every shard count 1..N (shard s indexes corpus rows s, s + N, …; the
+// query pipeline fans a query out over its pool whenever N > 1), reporting
+// QPS/p99 per shard count and gating hit parity against the single engine.
 //
 // --metrics-out FILE writes the engine's final Prometheus exposition.
 //
@@ -531,10 +531,7 @@ int main(int argc, char** argv) {
     std::printf("%-22s %8s %9s %9s\n", "mode", "QPS", "p50 ms", "p99 ms");
     bench::PrintRule(52);
     for (size_t n = 1; n <= max_shards; ++n) {
-      ShardedOptions shard_options;
-      shard_options.num_shards = n;
-      ShardedEngine sharded(&world->kg.graph, &world->index, config,
-                            shard_options);
+      ShardedEngine sharded(&world->kg.graph, &world->index, config, n);
       NL_CHECK(sharded.Index(dataset.corpus).ok());
       const RunReport report =
           RunWorkload(sharded, queries, num_threads, 1, kK,

@@ -34,7 +34,6 @@
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
@@ -82,7 +81,7 @@ struct SearchRequest {
   size_t k = 10;
 
   /// Fusion weight β of Equation 3 (NewsLink engines only).
-  std::optional<double> beta;
+  std::optional<double> beta = std::nullopt;
   /// Score every posting on both sides instead of pruned retrieval: the
   /// exactness oracle of the fused search.
   bool exhaustive_fusion = false;
@@ -93,14 +92,14 @@ struct SearchRequest {
   /// exactly 1.0 (scores bit-identical to no recency); unset falls back to
   /// the engine's configured default; <= 0 disables decay outright.
   /// Engines whose corpus carries no timestamps ignore it.
-  std::optional<double> recency_half_life_seconds;
+  std::optional<double> recency_half_life_seconds = std::nullopt;
   /// Publication-time pre-filter, pushed down into posting traversal
   /// (documents outside the window are never scored). Unset = no filter.
-  std::optional<TimeRange> time_range;
+  std::optional<TimeRange> time_range = std::nullopt;
   /// Override of the decay reference instant (epoch ms). NOT exposed on
   /// the wire — the serving layer always uses the snapshot's pinned now —
   /// but tests and benches set it for deterministic decay values.
-  std::optional<int64_t> now_ms;
+  std::optional<int64_t> now_ms = std::nullopt;
 
   /// Attach relationship-path explanations to each hit.
   bool explain = false;
@@ -116,7 +115,7 @@ struct SearchRequest {
   /// their stage-level budget/timeout plumbing: once the deadline passes,
   /// optional stages (NE fusion, explanations) are skipped and the trace
   /// carries a "deadline_exceeded" note. Unset = no deadline.
-  std::optional<double> deadline_seconds;
+  std::optional<double> deadline_seconds = std::nullopt;
 };
 
 /// \brief A hit: document, fused score, optional explanation paths.
@@ -125,7 +124,7 @@ struct SearchHit {
   double score = 0.0;
   /// Relationship paths between query and document entities; filled only
   /// when the request asked for explanations.
-  std::vector<embed::RelationshipPath> paths;
+  std::vector<embed::RelationshipPath> paths = {};
 };
 
 /// \brief Hits plus per-query observability.
@@ -199,25 +198,6 @@ class SearchEngine {
   /// multiple epochs.
   virtual std::vector<SearchResponse> SearchBatch(
       std::span<const SearchRequest> requests) const;
-
-  /// Persist the engine's index state to a versioned snapshot file
-  /// (DESIGN.md Sec. 9), so a later process can LoadSnapshot instead of
-  /// re-running the expensive indexing pipeline. Engines without snapshot
-  /// support keep the Unimplemented default.
-  virtual Status SaveSnapshot(const std::string& path) const {
-    (void)path;
-    return Status::Unimplemented(
-        StrCat(name(), " does not support snapshots"));
-  }
-
-  /// Restore state saved by SaveSnapshot into this (empty) engine. Stale,
-  /// truncated, or corrupt snapshots return a Status without mutating the
-  /// engine.
-  virtual Status LoadSnapshot(const std::string& path) {
-    (void)path;
-    return Status::Unimplemented(
-        StrCat(name(), " does not support snapshots"));
-  }
 
   /// The consolidated view over every counter/gauge/histogram this engine
   /// (and its components) maintains.

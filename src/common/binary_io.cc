@@ -64,14 +64,14 @@ Status ByteReader::ReadU64(uint64_t* out) {
 }
 
 Status ByteReader::ReadFloat(float* out) {
-  uint32_t bits;
+  uint32_t bits = 0;
   NL_RETURN_IF_ERROR(ReadU32(&bits));
   std::memcpy(out, &bits, sizeof(*out));
   return Status::OK();
 }
 
 Status ByteReader::ReadDouble(double* out) {
-  uint64_t bits;
+  uint64_t bits = 0;
   NL_RETURN_IF_ERROR(ReadU64(&bits));
   std::memcpy(out, &bits, sizeof(*out));
   return Status::OK();
@@ -104,7 +104,7 @@ Status ByteReader::ReadVarint(uint32_t* out) {
 }
 
 Status ByteReader::ReadString(std::string* out, size_t max_len) {
-  uint32_t len;
+  uint32_t len = 0;
   NL_RETURN_IF_ERROR(ReadU32(&len));
   if (len > max_len) {
     return Status::IOError(

@@ -8,6 +8,10 @@
 namespace newslink {
 namespace corpus {
 
+namespace {
+
+/// Content fingerprint of one document (FNV-1a over id, story, timestamp,
+/// title, text).
 uint64_t DocumentFingerprint(const Document& doc) {
   Fingerprinter fp;
   fp.Add(doc.id)
@@ -17,6 +21,8 @@ uint64_t DocumentFingerprint(const Document& doc) {
       .Add(doc.text);
   return fp.Digest();
 }
+
+}  // namespace
 
 uint64_t ChainCorpusFingerprint(uint64_t chain, const Document& doc) {
   Fingerprinter fp;

@@ -47,11 +47,6 @@ class Corpus {
   std::vector<Document> docs_;
 };
 
-/// Content fingerprint of one document (FNV-1a over id, story, timestamp,
-/// title, text). Used to chain the corpus fingerprint stored in engine
-/// snapshots.
-uint64_t DocumentFingerprint(const Document& doc);
-
 /// Fold `doc` into a running corpus fingerprint. Chaining document by
 /// document (rather than hashing the whole corpus at once) lets bulk
 /// Index() and incremental AddDocument() agree on the same value, so a

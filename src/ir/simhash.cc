@@ -1,6 +1,5 @@
 #include "ir/simhash.h"
 
-#include <bit>
 #include <map>
 
 #include "text/porter_stemmer.h"
@@ -41,10 +40,6 @@ uint64_t SimHash(const std::string& text) {
     if (acc[bit] > 0) signature |= uint64_t{1} << bit;
   }
   return signature;
-}
-
-int HammingDistance(uint64_t a, uint64_t b) {
-  return std::popcount(a ^ b);
 }
 
 }  // namespace ir

@@ -16,9 +16,6 @@ namespace ir {
 /// term-frequency weighting.
 uint64_t SimHash(const std::string& text);
 
-/// Hamming distance between two signatures (0 = likely identical content).
-int HammingDistance(uint64_t a, uint64_t b);
-
 }  // namespace ir
 }  // namespace newslink
 

@@ -15,14 +15,14 @@ namespace net {
 
 namespace {
 
-/// One shard server as a pipeline backend. Documents are round-robin
-/// partitioned, so shard s's local row l is global row l*n + s.
+/// One shard server as a pipeline backend, holding the round-robin slice
+/// of its shard index (ShardRows, shard_api.h).
 class RemoteShardBackend final : public ShardBackend {
  public:
   RemoteShardBackend(const ShardClient* client, size_t num_shards,
                      double shard_deadline_seconds)
       : client_(client),
-        num_shards_(num_shards),
+        rows_(ShardRows::RoundRobin(client->shard(), num_shards)),
         shard_deadline_seconds_(shard_deadline_seconds) {}
 
   /// No pin: the plan reports the shard's epoch and the search echoes it.
@@ -51,8 +51,7 @@ class RemoteShardBackend final : public ShardBackend {
   }
 
   uint32_t GlobalRow(uint32_t local_row) const override {
-    return static_cast<uint32_t>(local_row * num_shards_ +
-                                 client_->shard());
+    return rows_.GlobalRow(local_row);
   }
 
  private:
@@ -71,7 +70,7 @@ class RemoteShardBackend final : public ShardBackend {
   }
 
   const ShardClient* client_;
-  const size_t num_shards_;
+  const ShardRows rows_;
   const double shard_deadline_seconds_;
 };
 
@@ -84,7 +83,7 @@ CoordinatorService::CoordinatorService(
     : prep_(prep),
       shards_(std::move(shards)),
       options_(options),
-      pipeline_(prep_->mutable_metrics(), config, shards_.size()),
+      pipeline_(prep_->mutable_metrics(), config),
       degraded_(prep_->mutable_metrics()->GetCounter(
           kCoordinatorDegraded, "responses merged over a partial shard set")),
       shard_errors_(prep_->mutable_metrics()->GetCounter(

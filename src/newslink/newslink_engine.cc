@@ -167,7 +167,7 @@ size_t FillSide(std::vector<FusionCandidate>* candidates, FusionSide side,
 NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
                                const kg::LabelIndex* label_index,
                                NewsLinkConfig config)
-    : PipelineEngine(config, /*fanout_threads=*/1),
+    : PipelineEngine(config),
       graph_(graph),
       label_index_(label_index),
       config_(config),

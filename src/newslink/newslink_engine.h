@@ -194,7 +194,7 @@ class NewsLinkEngine : public PipelineEngine {
   /// fingerprints into a versioned snapshot file (DESIGN.md Sec. 9).
   /// Quiesces writers (takes the writer lock); queries keep running.
   /// Deterministic: saving the same state twice yields identical bytes.
-  Status SaveSnapshot(const std::string& path) const override;
+  Status SaveSnapshot(const std::string& path) const;
 
   /// Restore a SaveSnapshot file into this engine, which must be empty
   /// (freshly constructed, nothing indexed). Skips the NLP/NE pipeline
@@ -203,7 +203,7 @@ class NewsLinkEngine : public PipelineEngine {
   /// corrupt or truncated file (IOError); on failure the engine is left
   /// untouched and usable. Live AddDocument ingestion may continue on top
   /// of the loaded state.
-  Status LoadSnapshot(const std::string& path) override;
+  Status LoadSnapshot(const std::string& path);
 
   /// Chained fingerprint of every document indexed so far (0 when empty);
   /// stored in snapshots so tools can verify a snapshot actually matches a

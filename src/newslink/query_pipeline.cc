@@ -71,10 +71,8 @@ Status CheckDepth(const ShardQuery& query, ShardSearchResult* result) {
 }  // namespace
 
 QueryPipeline::QueryPipeline(metrics::Registry* registry,
-                             const NewsLinkConfig& config,
-                             size_t fanout_threads)
-    : fanout_threads_(fanout_threads),
-      queries_(registry->GetCounter(baselines::kEngineQueries)),
+                             const NewsLinkConfig& config)
+    : queries_(registry->GetCounter(baselines::kEngineQueries)),
       slow_queries_(registry->GetCounter(
           kSlowQueries, "queries over the slow-query threshold")),
       query_seconds_(registry->GetHistogram(baselines::kEngineQuerySeconds)),
@@ -91,18 +89,16 @@ QueryPipeline::QueryPipeline(metrics::Registry* registry,
 
 void QueryPipeline::ForEachBackend(
     size_t n, const std::function<void(size_t)>& fn) const {
-  if (n == 1 || fanout_threads_ <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
+  if (n == 1) {
+    fn(0);
     return;
   }
   Pool().ParallelFor(n, fn);
 }
 
 ThreadPool& QueryPipeline::Pool() const {
-  std::call_once(pool_once_, [this] {
-    pool_ = std::make_unique<ThreadPool>(
-        fanout_threads_ > 1 ? fanout_threads_ : 0);  // 0 = hardware
-  });
+  std::call_once(pool_once_,
+                 [this] { pool_ = std::make_unique<ThreadPool>(); });
   return *pool_;
 }
 

@@ -36,7 +36,6 @@
 #include "common/slow_query_log.h"
 #include "common/thread_pool.h"
 #include "embed/document_embedding.h"
-#include "ir/append_only.h"
 #include "newslink/shard_api.h"
 
 namespace newslink {
@@ -99,17 +98,12 @@ class ShardBackend {
 };
 
 /// \brief An in-process backend: one NewsLinkEngine, whose corpus rows map
-/// to global rows through `global_of_local` when set, else by adding
-/// `row_offset`.
+/// to global rows through `rows`.
 class LocalShardBackend final : public ShardBackend {
  public:
-  explicit LocalShardBackend(
-      const NewsLinkEngine* engine,
-      const ir::AppendOnlyStore<uint32_t>* global_of_local = nullptr,
-      uint32_t row_offset = 0)
-      : engine_(engine),
-        global_of_local_(global_of_local),
-        row_offset_(row_offset) {}
+  explicit LocalShardBackend(const NewsLinkEngine* engine,
+                             ShardRows rows = {})
+      : engine_(engine), rows_(rows) {}
 
   ShardEpochPin Pin() const override;
   Result<ShardPlan> Plan(const ShardQuery& query, const ShardEpochPin& pin,
@@ -122,14 +116,12 @@ class LocalShardBackend final : public ShardBackend {
   const embed::DocumentEmbedding* DocEmbedding(
       uint32_t local_row) const override;
   uint32_t GlobalRow(uint32_t local_row) const override {
-    return global_of_local_ != nullptr ? global_of_local_->At(local_row)
-                                       : row_offset_ + local_row;
+    return rows_.GlobalRow(local_row);
   }
 
  private:
   const NewsLinkEngine* engine_;
-  const ir::AppendOnlyStore<uint32_t>* global_of_local_;
-  uint32_t row_offset_;
+  ShardRows rows_;
 };
 
 /// \brief What one query (or one batch) runs against.
@@ -150,12 +142,8 @@ struct PipelineView {
 class QueryPipeline {
  public:
   /// Registers the stage series in `registry` (which must outlive the
-  /// pipeline). `config` supplies the slow-query log settings;
-  /// `fanout_threads` > 1 fans multi-backend queries out on the pipeline's
-  /// pool and sizes it; otherwise backends run inline and the pool (built
-  /// only for batches) has one thread per hardware thread.
-  QueryPipeline(metrics::Registry* registry, const NewsLinkConfig& config,
-                size_t fanout_threads);
+  /// pipeline). `config` supplies the slow-query log settings.
+  QueryPipeline(metrics::Registry* registry, const NewsLinkConfig& config);
 
   /// One query: pins every backend, then runs the stages.
   baselines::SearchResponse Search(const baselines::SearchRequest& request,
@@ -181,11 +169,10 @@ class QueryPipeline {
   /// on the single-engine path), on the pool otherwise.
   void ForEachBackend(size_t n, const std::function<void(size_t)>& fn) const;
 
-  /// The pool, built on first use and reused by every later fan-out and
-  /// batch.
+  /// The pool, one thread per hardware thread, built on first use and
+  /// reused by every later fan-out and batch.
   ThreadPool& Pool() const;
 
-  size_t fanout_threads_;
   mutable std::once_flag pool_once_;
   mutable std::unique_ptr<ThreadPool> pool_;
 
@@ -217,8 +204,8 @@ class PipelineEngine : public baselines::SearchEngine {
   }
 
  protected:
-  PipelineEngine(const NewsLinkConfig& config, size_t fanout_threads)
-      : pipeline_(registry(), config, fanout_threads) {}
+  explicit PipelineEngine(const NewsLinkConfig& config)
+      : pipeline_(registry(), config) {}
 
   /// The composition's current prep engine and backends.
   virtual PipelineView View() const = 0;

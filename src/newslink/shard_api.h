@@ -39,6 +39,7 @@
 #include <string>
 #include <vector>
 
+#include "corpus/corpus.h"
 #include "ir/inverted_index.h"
 #include "ir/text_vectorizer.h"
 
@@ -75,6 +76,38 @@ inline double RecencyDecay(int64_t timestamp_ms, int64_t now_ms,
       static_cast<double>(std::max<int64_t>(0, now_ms - timestamp_ms));
   return std::exp2(-age_ms / (half_life_seconds * 1000.0));
 }
+
+/// \brief Which corpus rows one shard holds: its local row l is global
+/// row offset + stride·l.
+///
+/// The one partition rule of every sharded composition (DESIGN.md
+/// Sec. 12.1): N shards are round-robin slices, so corpus row r lives on
+/// shard r mod N at local row r div N, and shard s's local row l is global
+/// row l·N + s — a closed form, no id maps kept or shipped. A single engine
+/// is stride 1, offset 0; a tier appended after b rows is stride 1,
+/// offset b.
+struct ShardRows {
+  uint32_t stride = 1;
+  uint32_t offset = 0;
+
+  /// Shard `shard` of `num_shards` round-robin slices.
+  static ShardRows RoundRobin(size_t shard, size_t num_shards) {
+    return {static_cast<uint32_t>(num_shards), static_cast<uint32_t>(shard)};
+  }
+
+  uint32_t GlobalRow(uint32_t local_row) const {
+    return offset + stride * local_row;
+  }
+
+  /// The rows of `corpus` this shard holds, in local-row order.
+  corpus::Corpus Slice(const corpus::Corpus& corpus) const {
+    corpus::Corpus slice;
+    for (size_t row = offset; row < corpus.size(); row += stride) {
+      slice.Add(corpus.doc(row));
+    }
+    return slice;
+  }
+};
 
 /// \brief A query in shard-portable form: what to retrieve, prepared once
 /// by the coordinator (NLP + NER + query embedding run once, not N times).

@@ -23,8 +23,7 @@ size_t DocumentBytes(const corpus::Document& doc) {
 TieredEngine::TieredEngine(const kg::KnowledgeGraph* graph,
                            const kg::LabelIndex* label_index,
                            NewsLinkConfig config, TieredOptions options)
-    : PipelineEngine(config,
-                     options.fanout_threads != 0 ? options.fanout_threads : 2),
+    : PipelineEngine(config),
       graph_(graph),
       label_index_(label_index),
       config_(config),
@@ -67,9 +66,9 @@ TieredEngine::Tiers::Tiers(std::shared_ptr<NewsLinkEngine> base_tier,
       today(std::move(today_tier)),
       epoch_base(epoch_offset),
       backends{LocalShardBackend(base.get()),
-               LocalShardBackend(
-                   today.get(), nullptr,
-                   static_cast<uint32_t>(base->num_indexed_docs()))},
+               LocalShardBackend(today.get(),
+                                 {.offset = static_cast<uint32_t>(
+                                      base->num_indexed_docs())})},
       backend_ptrs{&backends[0], &backends[1]} {}
 
 std::shared_ptr<const TieredEngine::Tiers> TieredEngine::AcquireTiers()

@@ -59,8 +59,6 @@ struct TieredOptions {
   /// The background compactor only compacts once the today tier holds at
   /// least this many documents (manual Compact() ignores the threshold).
   size_t compact_min_today_docs = 1;
-  /// Worker threads for the two-tier query fan-out (0 = one per tier).
-  size_t fanout_threads = 0;
 };
 
 /// \brief Base + today tiers behind the one baselines::SearchEngine
@@ -94,9 +92,8 @@ class TieredEngine : public PipelineEngine {
   /// stalls while the rebuild runs.
   Status Compact();
 
-  // SaveSnapshot/LoadSnapshot keep the base-class Unimplemented default
-  // for now: persistence of a live tiered pair (base snapshot + today
-  // write-ahead section) is future work — see DESIGN.md Sec. 15.
+  // No snapshots yet: persistence of a live tiered pair (base snapshot +
+  // today write-ahead section) is future work — see DESIGN.md Sec. 15.
 
   size_t num_indexed_docs() const {
     return num_docs_.load(std::memory_order_acquire);

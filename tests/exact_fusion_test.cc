@@ -164,9 +164,7 @@ TEST_F(ExactFusionTest, ShardedEnginesDeepenToTheOracle) {
   ASSERT_TRUE(single.Index(corpus_).ok());
   const baselines::SearchResponse oracle = single.Search(Query(true));
   for (const size_t n_shards : {2u, 3u, 7u}) {
-    ShardedOptions options;
-    options.num_shards = n_shards;
-    ShardedEngine sharded(&graph_, &labels_, config_, options);
+    ShardedEngine sharded(&graph_, &labels_, config_, n_shards);
     ASSERT_TRUE(sharded.Index(corpus_).ok());
     ExpectOracleAfterDeepening(sharded, oracle, StrCat(n_shards, " shards"));
   }
@@ -236,9 +234,7 @@ TEST_F(ExactFusionTest, FilledInAndRetrievedSidesAgreeBitForBit) {
 
   EXPECT_EQ(ExpectOracle(single, oracle, "single"), "0");
   for (const size_t n_shards : {2u, 7u}) {
-    ShardedOptions options;
-    options.num_shards = n_shards;
-    ShardedEngine sharded(&graph_, &labels_, config_, options);
+    ShardedEngine sharded(&graph_, &labels_, config_, n_shards);
     ASSERT_TRUE(sharded.Index(corpus).ok());
     ExpectOracle(sharded, oracle, StrCat(n_shards, " shards"));
   }

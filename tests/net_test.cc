@@ -98,7 +98,9 @@ void ExpectRejected(const std::string& wire, int want_status = 0) {
   ASSERT_EQ(state, HttpRequestParser::State::kError) << "accepted: " << wire;
   EXPECT_GE(parser.error_status(), 400) << wire;
   EXPECT_LT(parser.error_status(), 600) << wire;
-  if (want_status != 0) EXPECT_EQ(parser.error_status(), want_status) << wire;
+  if (want_status != 0) {
+    EXPECT_EQ(parser.error_status(), want_status) << wire;
+  }
 }
 
 TEST(HttpParserTest, MalformedRequestsAreRejectedNotCrashed) {

@@ -109,10 +109,8 @@ class QueryPipelineParityTest : public ::testing::TestWithParam<Composition> {
         break;
       }
       case Composition::kSharded: {
-        ShardedOptions options;
-        options.num_shards = 3;
         auto engine = std::make_unique<ShardedEngine>(&kg_.graph, &labels_,
-                                                      config_, options);
+                                                      config_, 3);
         NL_CHECK(engine->Index(all).ok());
         stack->backends = 3;
         stack->engines.push_back(std::move(engine));
@@ -404,7 +402,7 @@ class ScriptedDeepeningTest : public ::testing::Test {
       : kg_(MakeKg()),
         labels_(kg_.graph),
         prep_(&kg_.graph, &labels_, config_),
-        pipeline_(&registry_, config_, /*fanout_threads=*/1) {}
+        pipeline_(&registry_, config_) {}
 
   static kg::SyntheticKg MakeKg() {
     kg::SyntheticKgConfig config;

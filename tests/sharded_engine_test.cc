@@ -1,26 +1,63 @@
 // ShardedEngine: scatter-gather over N document-partition shards must be
 // bit-identical — hits, scores, and tie order — to one NewsLinkEngine over
-// the union of the shards (DESIGN.md Sec. 12). The property holds for any
-// shard count, any partition, across epochs (mid-run AddDocument), and for
-// batches; snapshots round-trip the partition permutation.
+// the union of the shards (DESIGN.md Sec. 12). The property holds for the
+// round-robin ShardedEngine at any shard count, for batches, and for the
+// query pipeline over any partition of the rows into ascending shards.
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "corpus/synthetic_news.h"
 #include "kg/label_index.h"
 #include "kg/synthetic_kg.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/query_pipeline.h"
 #include "newslink/shard_merge.h"
 #include "newslink/sharded_engine.h"
-#include "test_temp.h"
 
 namespace newslink {
 namespace {
+
+/// A shard holding any ascending subset of the corpus rows — what a shard
+/// server that also takes POSTed documents ends up with: a local backend
+/// whose rows map to global ones through a table instead of ShardRows.
+class MappedShardBackend final : public ShardBackend {
+ public:
+  MappedShardBackend(const NewsLinkEngine* engine,
+                     std::vector<uint32_t> global_rows)
+      : local_(engine), global_rows_(std::move(global_rows)) {}
+
+  ShardEpochPin Pin() const override { return local_.Pin(); }
+  Result<ShardPlan> Plan(const ShardQuery& query, const ShardEpochPin& pin,
+                         double budget_seconds) const override {
+    return local_.Plan(query, pin, budget_seconds);
+  }
+  Result<ShardSearchResult> Search(const ShardQuery& query,
+                                   const ShardGlobalStats& global,
+                                   const ShardEpochPin& pin,
+                                   uint64_t plan_epoch,
+                                   double budget_seconds) const override {
+    return local_.Search(query, global, pin, plan_epoch, budget_seconds);
+  }
+  const embed::DocumentEmbedding* DocEmbedding(
+      uint32_t local_row) const override {
+    return local_.DocEmbedding(local_row);
+  }
+  uint32_t GlobalRow(uint32_t local_row) const override {
+    return global_rows_[local_row];
+  }
+
+ private:
+  LocalShardBackend local_;
+  std::vector<uint32_t> global_rows_;
+};
 
 class ShardedEngineTest : public ::testing::Test {
  protected:
@@ -82,89 +119,91 @@ class ShardedEngineTest : public ::testing::Test {
     }
   }
 
+  /// ExpectSameResponse plus the scatter-gather fields of a full answer.
+  static void ExpectSameAnswer(const baselines::SearchResponse& sharded,
+                               const baselines::SearchResponse& single,
+                               size_t n_shards, const std::string& what) {
+    ExpectSameResponse(sharded, single, what);
+    EXPECT_EQ(sharded.shards_total, n_shards) << what;
+    EXPECT_EQ(sharded.shards_answered, n_shards) << what;
+    EXPECT_FALSE(sharded.degraded) << what;
+    EXPECT_EQ(sharded.snapshot_docs, single.snapshot_docs) << what;
+  }
+
+  static std::string Describe(size_t n_shards, size_t doc,
+                              const baselines::SearchRequest& request) {
+    return StrCat(n_shards, " shards, doc ", doc, ", beta ",
+                  request.beta.value_or(-1),
+                  request.exhaustive_fusion ? " exhaustive" : "");
+  }
+
   kg::SyntheticKg kg_;
   kg::LabelIndex index_;
   corpus::SyntheticCorpus corpus_;
 };
 
-TEST_F(ShardedEngineTest, MatchesSingleEngineForAnyShardCountAndPartition) {
+TEST_F(ShardedEngineTest, RoundRobinMatchesSingleEngineAtAnyShardCount) {
   NewsLinkEngine single(&kg_.graph, &index_, EngineConfig());
   ASSERT_TRUE(single.Index(corpus_.corpus).ok());
 
+  for (const size_t n_shards : {1u, 2u, 3u, 7u}) {
+    ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), n_shards);
+    ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
+    EXPECT_TRUE(sharded.Index(corpus_.corpus).IsFailedPrecondition());
+    for (size_t doc = 0; doc < 6; ++doc) {
+      for (const baselines::SearchRequest& request : PropertyRequests(doc)) {
+        ExpectSameAnswer(sharded.Search(request), single.Search(request),
+                         n_shards, Describe(n_shards, doc, request));
+      }
+    }
+  }
+}
+
+TEST_F(ShardedEngineTest, MatchesSingleEngineForAnyShardCountAndPartition) {
+  // Random uneven partitions, run through the query pipeline directly:
+  // each shard indexes its rows in ascending order, and a table maps its
+  // local rows back.
+  NewsLinkEngine single(&kg_.graph, &index_, EngineConfig());
+  ASSERT_TRUE(single.Index(corpus_.corpus).ok());
+  metrics::Registry registry;
+  const QueryPipeline pipeline(&registry, EngineConfig());
+
   Rng rng(4242);
   for (const size_t n_shards : {1u, 2u, 3u, 7u}) {
-    ShardedOptions options;
-    options.num_shards = n_shards;
-    options.partition = ShardedOptions::Partition::kExplicit;
-    options.assignment.resize(corpus_.corpus.size());
-    for (uint32_t& s : options.assignment) {
-      s = static_cast<uint32_t>(rng.Uniform(n_shards));
+    std::vector<corpus::Corpus> parts(n_shards);
+    std::vector<std::vector<uint32_t>> rows(n_shards);
+    for (size_t row = 0; row < corpus_.corpus.size(); ++row) {
+      const size_t s = rng.Uniform(n_shards);
+      parts[s].Add(corpus_.corpus.doc(row));
+      rows[s].push_back(static_cast<uint32_t>(row));
     }
-    ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
-    ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
-    EXPECT_EQ(sharded.num_indexed_docs(), corpus_.corpus.size());
-    EXPECT_EQ(sharded.corpus_fingerprint(), single.corpus_fingerprint())
-        << "partitioning must not change the corpus identity";
+    std::vector<std::unique_ptr<NewsLinkEngine>> shards;
+    std::vector<MappedShardBackend> backends;
+    backends.reserve(n_shards);
+    std::vector<const ShardBackend*> backend_ptrs;
+    for (size_t s = 0; s < n_shards; ++s) {
+      shards.push_back(std::make_unique<NewsLinkEngine>(&kg_.graph, &index_,
+                                                        EngineConfig()));
+      ASSERT_TRUE(shards[s]->Index(parts[s]).ok());
+      backends.emplace_back(shards[s].get(), std::move(rows[s]));
+      backend_ptrs.push_back(&backends[s]);
+    }
+    PipelineView view;
+    view.prep = shards[0].get();
+    view.backends = backend_ptrs;
 
     for (size_t doc = 0; doc < 6; ++doc) {
       for (const baselines::SearchRequest& request : PropertyRequests(doc)) {
-        const auto a = sharded.Search(request);
-        const auto b = single.Search(request);
-        ExpectSameResponse(
-            a, b,
-            StrCat(n_shards, " shards, doc ", doc, ", beta ",
-                   request.beta.value_or(-1),
-                   request.exhaustive_fusion ? " exhaustive" : ""));
-        EXPECT_EQ(a.shards_total, n_shards);
-        EXPECT_EQ(a.shards_answered, n_shards);
-        EXPECT_FALSE(a.degraded);
-        EXPECT_EQ(a.snapshot_docs, b.snapshot_docs);
+        ExpectSameAnswer(pipeline.Search(request, view),
+                         single.Search(request), n_shards,
+                         Describe(n_shards, doc, request));
       }
     }
   }
-}
-
-TEST_F(ShardedEngineTest, MatchesSingleEngineAcrossEpochs) {
-  // Hold the last documents out of the bulk index and ingest them live:
-  // the sharded engine routes them to the write shard, the single engine
-  // appends them — responses must stay bit-identical at every epoch.
-  const size_t held_out = 4;
-  ASSERT_GT(corpus_.corpus.size(), held_out + 6);
-  corpus::Corpus base;
-  for (size_t d = 0; d + held_out < corpus_.corpus.size(); ++d) {
-    base.Add(corpus_.corpus.doc(d));
-  }
-
-  NewsLinkEngine single(&kg_.graph, &index_, EngineConfig());
-  ASSERT_TRUE(single.Index(base).ok());
-  ShardedOptions options;
-  options.num_shards = 3;
-  options.write_shard = 1;
-  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
-  ASSERT_TRUE(sharded.Index(base).ok());
-
-  for (size_t step = 0; step <= held_out; ++step) {
-    for (size_t doc = 0; doc < 4; ++doc) {
-      for (const baselines::SearchRequest& request : PropertyRequests(doc)) {
-        ExpectSameResponse(sharded.Search(request), single.Search(request),
-                           StrCat("after ", step, " live documents"));
-      }
-    }
-    if (step < held_out) {
-      const corpus::Document& doc = corpus_.corpus.doc(base.size() + step);
-      const size_t single_row = single.AddDocument(doc);
-      const size_t sharded_row = sharded.AddDocument(doc);
-      EXPECT_EQ(sharded_row, single_row)
-          << "live rows must keep speaking global corpus rows";
-    }
-  }
-  EXPECT_EQ(sharded.corpus_fingerprint(), single.corpus_fingerprint());
 }
 
 TEST_F(ShardedEngineTest, SearchBatchMatchesSequentialSearchBitForBit) {
-  ShardedOptions options;
-  options.num_shards = 3;
-  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
+  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), 3);
   ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
 
   std::vector<baselines::SearchRequest> requests;
@@ -183,9 +222,7 @@ TEST_F(ShardedEngineTest, SearchBatchMatchesSequentialSearchBitForBit) {
 }
 
 TEST_F(ShardedEngineTest, ExplainAndTraceSpeakGlobalRows) {
-  ShardedOptions options;
-  options.num_shards = 2;
-  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
+  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), 2);
   ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
   NewsLinkEngine single(&kg_.graph, &index_, EngineConfig());
   ASSERT_TRUE(single.Index(corpus_.corpus).ok());
@@ -210,53 +247,6 @@ TEST_F(ShardedEngineTest, ExplainAndTraceSpeakGlobalRows) {
     if (child.name.rfind("shard", 0) == 0) ++shard_spans;
   }
   EXPECT_EQ(shard_spans, 2u);
-}
-
-TEST_F(ShardedEngineTest, SnapshotRoundTripsPartitionAndResults) {
-  ShardedOptions options;
-  options.num_shards = 3;
-  options.partition = ShardedOptions::Partition::kHash;
-  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
-  ASSERT_TRUE(sharded.Index(corpus_.corpus).ok());
-
-  const ScopedTempDir temp;
-  const std::string path = temp.File("sharded_engine_test.snapshot");
-  ASSERT_TRUE(sharded.SaveSnapshot(path).ok());
-
-  ShardedEngine warm(&kg_.graph, &index_, EngineConfig(), options);
-  ASSERT_TRUE(warm.LoadSnapshot(path).ok());
-  EXPECT_EQ(warm.num_indexed_docs(), sharded.num_indexed_docs());
-  EXPECT_EQ(warm.corpus_fingerprint(), sharded.corpus_fingerprint());
-  for (size_t doc = 0; doc < 4; ++doc) {
-    for (const baselines::SearchRequest& request : PropertyRequests(doc)) {
-      ExpectSameResponse(warm.Search(request), sharded.Search(request),
-                         "warm-started sharded engine");
-    }
-  }
-
-  // A coordinator with the wrong shard count must fail loudly, not serve
-  // a silently re-partitioned corpus.
-  ShardedOptions wrong = options;
-  wrong.num_shards = 2;
-  ShardedEngine mismatched(&kg_.graph, &index_, EngineConfig(), wrong);
-  const Status status = mismatched.LoadSnapshot(path);
-  EXPECT_TRUE(status.IsFailedPrecondition()) << status.ToString();
-}
-
-TEST_F(ShardedEngineTest, ExplicitPartitionValidatesAssignment) {
-  ShardedOptions options;
-  options.num_shards = 2;
-  options.partition = ShardedOptions::Partition::kExplicit;
-  options.assignment.assign(corpus_.corpus.size(), 7);  // out of range
-  ShardedEngine sharded(&kg_.graph, &index_, EngineConfig(), options);
-  EXPECT_TRUE(sharded.Index(corpus_.corpus).IsInvalidArgument());
-  EXPECT_EQ(sharded.num_indexed_docs(), 0u)
-      << "a rejected assignment must leave the engine untouched";
-
-  options.assignment.assign(corpus_.corpus.size() / 2, 0);  // wrong length
-  ShardedEngine short_assignment(&kg_.graph, &index_, EngineConfig(),
-                                 options);
-  EXPECT_TRUE(short_assignment.Index(corpus_.corpus).IsInvalidArgument());
 }
 
 TEST_F(ShardedEngineTest, DegradedMergeCoversAnsweringShardsOnly) {

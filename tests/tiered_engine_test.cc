@@ -267,8 +267,6 @@ TEST_F(TieredEngineTest, RejectsSecondBulkIndexAndSnapshotting) {
   TieredEngine tiered(&kg_.graph, &index_, EngineConfig());
   ASSERT_TRUE(tiered.Index(BulkPart(4)).ok());
   EXPECT_TRUE(tiered.Index(BulkPart(4)).IsFailedPrecondition());
-  EXPECT_TRUE(tiered.SaveSnapshot("/tmp/never-written").IsUnimplemented());
-  EXPECT_TRUE(tiered.LoadSnapshot("/tmp/never-written").IsUnimplemented());
 }
 
 }  // namespace

@@ -64,10 +64,11 @@
 //       [--port-file PATH]
 //       Coordinator mode: no corpus — serve /v1/search by scatter-gather
 //       over the listed shard servers (round-robin partition, shard i
-//       first in the list), merging with the in-process ShardedEngine's
-//       arithmetic. Shards that are down or miss --shard-deadline seconds
-//       are dropped from the merge: the response stays HTTP 200 with
-//       "degraded": true. /v1/stats reports per-shard health and epochs.
+//       first in the list), merging with the query pipeline every
+//       in-process composition runs. Shards that are down or miss
+//       --shard-deadline seconds are dropped from the merge: the response
+//       stays HTTP 200 with "degraded": true. /v1/stats reports per-shard
+//       health and epochs.
 //
 // Exit code 0 on success, 1 on usage errors, 2 on I/O failures (including
 // corrupt, truncated, or stale snapshots).
@@ -76,6 +77,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -96,6 +98,7 @@
 #include "net/shard_client.h"
 #include "newslink/explore_engine.h"
 #include "newslink/newslink_engine.h"
+#include "newslink/shard_api.h"
 
 using namespace newslink;
 
@@ -423,23 +426,21 @@ int ServeCmd(const Flags& flags) {
     return 2;
   }
   // Shard-slice mode: keep only rows ≡ shard-index (mod shard-count) — the
-  // round-robin partition a coordinator's merge assumes. A snapshot given
-  // with --snapshot must then be a snapshot OF THE SLICE (its fingerprint
-  // is checked against the sliced corpus).
+  // round-robin partition (ShardRows) a coordinator's merge assumes. A
+  // snapshot given with --snapshot must then be a snapshot OF THE SLICE
+  // (its fingerprint is checked against the sliced corpus).
   if (flags.Has("shard-count")) {
     const uint64_t count = flags.GetInt("shard-count", 1);
     const uint64_t index = flags.GetInt("shard-index", 0);
-    if (count == 0 || index >= count) {
+    // ShardRows holds 32-bit rows: a wider count would wrap.
+    if (count == 0 || count > std::numeric_limits<uint32_t>::max() ||
+        index >= count) {
       std::fprintf(stderr, "--shard-index %llu with --shard-count %llu\n",
                    static_cast<unsigned long long>(index),
                    static_cast<unsigned long long>(count));
       return 1;
     }
-    corpus::Corpus slice;
-    for (size_t row = index; row < docs->size(); row += count) {
-      slice.Add(docs->doc(row));
-    }
-    *docs = std::move(slice);
+    *docs = ShardRows::RoundRobin(index, count).Slice(*docs);
   }
   NewsLinkEngine engine(&*graph, &labels, NewsLinkConfig{});
   const int rc = PopulateEngine(&engine, *docs, flags.Get("snapshot", ""));
