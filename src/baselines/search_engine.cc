@@ -29,24 +29,5 @@ SearchResponse SearchEngine::RankedSearch(
   return response;
 }
 
-std::vector<SearchResponse> SearchEngine::SearchBatch(
-    std::span<const SearchRequest> requests) const {
-  std::vector<SearchResponse> responses(requests.size());
-  if (requests.empty()) return responses;
-  if (requests.size() == 1) {
-    responses[0] = Search(requests[0]);
-    return responses;
-  }
-  // Each request is an independent Search with its own snapshot
-  // acquisition; a pool sized by the hardware keeps peak memory
-  // proportional to it, not to the batch.
-  std::call_once(batch_pool_once_,
-                 [this] { batch_pool_ = std::make_unique<ThreadPool>(); });
-  batch_pool_->ParallelFor(requests.size(), [&](size_t i) {
-    responses[i] = Search(requests[i]);
-  });
-  return responses;
-}
-
 }  // namespace baselines
 }  // namespace newslink

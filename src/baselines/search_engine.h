@@ -6,9 +6,7 @@
 // deadline) travel in the request, so one engine instance can serve
 // differently-parameterized queries from many threads at once — engines
 // never need mutable query-path setters, and there is no separate
-// (query, k) overload anymore. SearchBatch answers many requests at once;
-// the default adapter fans them out across a thread pool, one snapshot
-// acquisition per request.
+// (query, k) overload anymore.
 //
 // Indexing is fallible: Index returns Status, so corpus and model failures
 // surface to the caller instead of being logged and swallowed.
@@ -24,17 +22,13 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/metrics.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "common/trace.h"
 #include "corpus/corpus.h"
@@ -190,15 +184,6 @@ class SearchEngine {
   /// threads may call it concurrently.
   virtual SearchResponse Search(const SearchRequest& request) const = 0;
 
-  /// Answer many requests, responses aligned with `requests`. The default
-  /// adapter fans the batch out across the engine's batch pool (one thread
-  /// per hardware thread, built by the first batch and reused) — each
-  /// request is an independent Search call with its own snapshot
-  /// acquisition, so a batch straddling a concurrent ingest may observe
-  /// multiple epochs.
-  virtual std::vector<SearchResponse> SearchBatch(
-      std::span<const SearchRequest> requests) const;
-
   /// The consolidated view over every counter/gauge/histogram this engine
   /// (and its components) maintains.
   const metrics::Registry& Metrics() const { return registry_; }
@@ -225,8 +210,6 @@ class SearchEngine {
   mutable metrics::Registry registry_;
   metrics::Counter* queries_;
   metrics::Histogram* query_seconds_;
-  mutable std::once_flag batch_pool_once_;
-  mutable std::unique_ptr<ThreadPool> batch_pool_;
 };
 
 }  // namespace baselines

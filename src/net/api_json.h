@@ -151,53 +151,36 @@ json::Value ExploreResultToJson(const ExploreResult& result,
                                 const kg::KnowledgeGraph* graph);
 
 // --- Shard RPC (versioned; newslink::kShardApiVersion) ------------------
-
-/// \brief POST /v1/shard/plan body: the coordinator-prepared query plus
-/// the target shard id and its wall-clock budget for this phase.
-struct ShardPlanRpcRequest {
-  uint64_t shard = 0;
-  /// Per-shard deadline budget, seconds (0 = none). Advisory on the shard
-  /// side — the coordinator's client enforces it on the wire.
-  double deadline_seconds = 0;
-  ShardQuery query;
-};
-
-/// \brief /v1/shard/plan 200 body.
-struct ShardPlanRpcResponse {
-  uint64_t shard = 0;
-  ShardPlan plan;
-};
-
-/// \brief POST /v1/shard/search body. `expected_epoch` echoes the plan's
-/// epoch; a shard whose published epoch moved answers FailedPrecondition
-/// (409) so the coordinator re-plans instead of mixing epochs.
-struct ShardSearchRpcRequest {
-  uint64_t shard = 0;
-  uint64_t expected_epoch = 0;
-  double deadline_seconds = 0;
-  ShardQuery query;
-  ShardGlobalStats global;
-};
-
-/// \brief /v1/shard/search 200 body (docs-scored counters included).
-struct ShardSearchRpcResponse {
-  uint64_t shard = 0;
-  ShardSearchResult result;
-};
-
+//
+// The messages are the engine's own structs (shard_api.h), each with an
+// "api_version" beside its fields:
+//   POST /v1/shard/plan     request  {"query": ShardQuery}
+//                           200 body {"epoch", "stats": ShardStats}
+//   POST /v1/shard/search   request  {"expected_epoch", "query": ShardQuery,
+//                                     "global": ShardStats}
+//                           200 body ShardSearchResult's fields
+// `expected_epoch` echoes the plan's epoch; a shard whose published epoch
+// moved answers FailedPrecondition (409) so the coordinator re-plans
+// instead of mixing epochs.
+//
 // Encoders always stamp api_version = kShardApiVersion. Decoders reject a
 // missing/mismatched api_version with FailedPrecondition and any unknown
-// field with InvalidArgument (same strictness as the public /v1 codecs).
-json::Value ShardPlanRequestToJson(const ShardPlanRpcRequest& request);
-Result<ShardPlanRpcRequest> ShardPlanRequestFromJson(const json::Value& value);
-json::Value ShardPlanResponseToJson(const ShardPlanRpcResponse& response);
-Result<ShardPlanRpcResponse> ShardPlanResponseFromJson(
-    const json::Value& value);
-json::Value ShardSearchRequestToJson(const ShardSearchRpcRequest& request);
-Result<ShardSearchRpcRequest> ShardSearchRequestFromJson(
-    const json::Value& value);
-json::Value ShardSearchResponseToJson(const ShardSearchRpcResponse& response);
-Result<ShardSearchRpcResponse> ShardSearchResponseFromJson(
+// field with InvalidArgument (same strictness as the public /v1 codecs),
+// as they do statistics that are not positional with the query's terms
+// (a plan response is decoded against the query it answers).
+json::Value ShardPlanRequestToJson(const ShardQuery& query);
+Result<ShardQuery> ShardPlanRequestFromJson(const json::Value& value);
+json::Value ShardPlanResponseToJson(const ShardPlan& plan);
+Result<ShardPlan> ShardPlanResponseFromJson(const json::Value& value,
+                                            const ShardQuery& query);
+json::Value ShardSearchRequestToJson(uint64_t expected_epoch,
+                                     const ShardQuery& query,
+                                     const ShardStats& global);
+Status ShardSearchRequestFromJson(const json::Value& value,
+                                  uint64_t* expected_epoch, ShardQuery* query,
+                                  ShardStats* global);
+json::Value ShardSearchResponseToJson(const ShardSearchResult& result);
+Result<ShardSearchResult> ShardSearchResponseFromJson(
     const json::Value& value);
 
 }  // namespace net

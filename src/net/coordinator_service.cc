@@ -1,8 +1,6 @@
 #include "net/coordinator_service.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <utility>
 
 #include "common/string_util.h"
@@ -12,69 +10,6 @@
 
 namespace newslink {
 namespace net {
-
-namespace {
-
-/// One shard server as a pipeline backend, holding the round-robin slice
-/// of its shard index (ShardRows, shard_api.h).
-class RemoteShardBackend final : public ShardBackend {
- public:
-  RemoteShardBackend(const ShardClient* client, size_t num_shards,
-                     double shard_deadline_seconds)
-      : client_(client),
-        rows_(ShardRows::RoundRobin(client->shard(), num_shards)),
-        shard_deadline_seconds_(shard_deadline_seconds) {}
-
-  /// No pin: the plan reports the shard's epoch and the search echoes it.
-  ShardEpochPin Pin() const override { return ShardEpochPin(); }
-
-  Result<ShardPlan> Plan(const ShardQuery& query, const ShardEpochPin&,
-                         double budget_seconds) const override {
-    NL_ASSIGN_OR_RETURN(const double wire, WireBudget(budget_seconds));
-    NL_ASSIGN_OR_RETURN(ShardPlanRpcResponse plan,
-                        client_->Plan(query, wire));
-    return std::move(plan.plan);
-  }
-
-  Result<ShardSearchResult> Search(const ShardQuery& query,
-                                   const ShardGlobalStats& global,
-                                   const ShardEpochPin&, uint64_t plan_epoch,
-                                   double budget_seconds) const override {
-    NL_ASSIGN_OR_RETURN(const double wire, WireBudget(budget_seconds));
-    NL_ASSIGN_OR_RETURN(ShardSearchRpcResponse result,
-                        client_->Search(query, global, plan_epoch, wire));
-    return std::move(result.result);
-  }
-
-  const embed::DocumentEmbedding* DocEmbedding(uint32_t) const override {
-    return nullptr;  // document embeddings live on the shards
-  }
-
-  uint32_t GlobalRow(uint32_t local_row) const override {
-    return rows_.GlobalRow(local_row);
-  }
-
- private:
-  /// The RPC's wire deadline (0 = none): what is left of the request's
-  /// deadline, capped at the per-shard deployment setting. A spent request
-  /// deadline skips the call.
-  Result<double> WireBudget(double budget_seconds) const {
-    if (budget_seconds <= 0.0) {
-      return Status::Timeout("request deadline exhausted");
-    }
-    double wire = budget_seconds;
-    if (shard_deadline_seconds_ > 0.0) {
-      wire = std::min(wire, shard_deadline_seconds_);
-    }
-    return std::isinf(wire) ? 0.0 : wire;
-  }
-
-  const ShardClient* client_;
-  const ShardRows rows_;
-  const double shard_deadline_seconds_;
-};
-
-}  // namespace
 
 CoordinatorService::CoordinatorService(
     const newslink::NewsLinkEngine* prep, NewsLinkConfig config,
@@ -92,9 +27,7 @@ CoordinatorService::CoordinatorService(
           kSearchRejected, "searches refused by admission control")) {
   NL_CHECK(!shards_.empty()) << "coordinator needs at least one shard";
   for (const std::unique_ptr<ShardClient>& shard : shards_) {
-    backends_.push_back(std::make_unique<RemoteShardBackend>(
-        shard.get(), shards_.size(), options_.shard_deadline_seconds));
-    backend_ptrs_.push_back(backends_.back().get());
+    backends_.push_back(shard.get());
   }
 }
 
@@ -116,7 +49,7 @@ void CoordinatorService::RegisterRoutes(HttpServer* server) {
 PipelineView CoordinatorService::View() const {
   PipelineView view;
   view.prep = prep_;
-  view.backends = backend_ptrs_;
+  view.backends = backends_;
   return view;
 }
 

@@ -15,14 +15,16 @@
 // per-shard statistics, then SEARCHes every shard with the collection-wide
 // view. A shard that answers 409 (its epoch moved between the two phases)
 // triggers ONE full re-plan round; a shard that is down or misses its
-// deadline budget (the request's remaining deadline, capped at
-// shard_deadline_seconds) is dropped from the merge — the response still
-// answers 200 with `degraded: true` and shards_answered < shards_total.
+// deadline budget (the request's remaining deadline, capped at the
+// client's --shard-deadline) is dropped from the merge — the response
+// still answers 200 with `degraded: true` and shards_answered <
+// shards_total.
 //
 // Documents are assumed round-robin partitioned by global corpus row
 // (`newslink_cli serve --shard-index i --shard-count n`), so shard s's
-// local row l is global row l*n + s — which keeps the merged tie order
-// identical to a single engine over the union.
+// local row l is global row l*n + s (each ShardClient maps its own rows)
+// — which keeps the merged tie order identical to a single engine over
+// the union.
 
 #ifndef NEWSLINK_NET_COORDINATOR_SERVICE_H_
 #define NEWSLINK_NET_COORDINATOR_SERVICE_H_
@@ -51,10 +53,6 @@ inline constexpr std::string_view kCoordinatorShardErrors =
     "coordinator_shard_rpc_errors_total";
 
 struct CoordinatorOptions {
-  /// Wall-clock budget per shard RPC, seconds (0 = none). A request's own
-  /// deadline_seconds tightens this further; a shard that exceeds the
-  /// budget is dropped from the merge (degraded response, HTTP 200).
-  double shard_deadline_seconds = 0.25;
   /// Concurrent /v1/search requests admitted; excess get 503.
   size_t max_inflight_searches = 64;
   /// Maximum requests in one batched /v1/search array body.
@@ -67,7 +65,8 @@ struct CoordinatorOptions {
 /// corpus — it runs the per-query NLP/NE stages, resolves the request
 /// knobs against its config, and builds the shard-portable query. It must
 /// outlive the service; the service must outlive the HttpServer it
-/// registered routes on. `config` sets the slow-query log.
+/// registered routes on. `config` sets the slow-query log. `shards[s]` is
+/// shard s of shards.size().
 class CoordinatorService {
  public:
   CoordinatorService(const newslink::NewsLinkEngine* prep,
@@ -98,7 +97,7 @@ class CoordinatorService {
   HttpResponse HandleMetrics(const HttpRequest& request) const;
 
  private:
-  /// The pipeline's view: prep_ plus one remote backend per shard.
+  /// The pipeline's view: prep_ plus the shard clients.
   PipelineView View() const;
   /// Coordinator series for one response, on top of the pipeline's own.
   void CountDegraded(const baselines::SearchResponse& response) const;
@@ -106,8 +105,8 @@ class CoordinatorService {
   const newslink::NewsLinkEngine* prep_;
   const std::vector<std::unique_ptr<ShardClient>> shards_;
   const CoordinatorOptions options_;
-  std::vector<std::unique_ptr<ShardBackend>> backends_;
-  std::vector<const ShardBackend*> backend_ptrs_;
+  /// shards_ as the pipeline's backends.
+  std::vector<const ShardBackend*> backends_;
   /// Registered on the prep engine's registry; its pool (sized to the
   /// shard count) runs one query's round trips concurrently.
   QueryPipeline pipeline_;

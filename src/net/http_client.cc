@@ -181,6 +181,10 @@ Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options
             while (v0 < value.size() && value[v0] == ' ') ++v0;
             value.erase(0, v0);
             if (name == "content-length") {
+              // No digits is no length (the server side answers 400).
+              if (value.empty()) {
+                return Status::IOError("malformed Content-Length");
+              }
               content_length = 0;
               for (const char c : value) {
                 if (c < '0' || c > '9') {
@@ -192,6 +196,10 @@ Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options
                   return Status::IOError("response exceeds size limit");
                 }
               }
+            } else if (name == "transfer-encoding") {
+              // Unsupported, as on the server side (501): the body's
+              // framing would be misread, so fail before waiting for it.
+              return Status::IOError("transfer encodings are not supported");
             } else if (name == "connection") {
               for (char& c : value) c = static_cast<char>(std::tolower(c));
               if (value == "close") server_closes = true;

@@ -2,8 +2,9 @@
 // Sec. 12). Dependency-free like the rest of src/net: a wall-clock
 // deadline covering connect + send + receive, and a strict parser for
 // exactly the responses our own HttpServer produces (status line, headers,
-// Content-Length-sized or to-EOF body). Not a general browser-grade client
-// on purpose — it talks to peers we control.
+// Content-Length-sized or to-EOF body; a Transfer-Encoding or an empty
+// Content-Length is an IOError). Not a general browser-grade client on
+// purpose — it talks to peers we control.
 //
 // One entry point, HttpClient: bound to one host:port, it keeps a small
 // stack of idle keep-alive connections and reuses them across calls. A

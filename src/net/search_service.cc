@@ -53,35 +53,34 @@ void SearchService::RegisterRoutes(HttpServer* server) {
 HttpResponse SearchService::HandleShardPlan(const HttpRequest& request) const {
   Result<json::Value> body = DecodeEnvelope(request.body);
   if (!body.ok()) return ErrorResponse(body.status());
-  Result<ShardPlanRpcRequest> decoded = ShardPlanRequestFromJson(*body);
-  if (!decoded.ok()) return ErrorResponse(decoded.status());
-
-  ShardPlanRpcResponse response;
-  response.shard = decoded->shard;
-  response.plan = engine_->PlanShard(decoded->query, engine_->PinEpoch());
-  return JsonOk(ShardPlanResponseToJson(response));
+  Result<ShardQuery> query = ShardPlanRequestFromJson(*body);
+  if (!query.ok()) return ErrorResponse(query.status());
+  return JsonOk(
+      ShardPlanResponseToJson(engine_->PlanShard(*query, engine_->PinEpoch())));
 }
 
 HttpResponse SearchService::HandleShardSearch(
     const HttpRequest& request) const {
   Result<json::Value> body = DecodeEnvelope(request.body);
   if (!body.ok()) return ErrorResponse(body.status());
-  Result<ShardSearchRpcRequest> decoded = ShardSearchRequestFromJson(*body);
-  if (!decoded.ok()) return ErrorResponse(decoded.status());
+  uint64_t expected_epoch = 0;
+  ShardQuery query;
+  ShardStats global;
+  const Status decoded =
+      ShardSearchRequestFromJson(*body, &expected_epoch, &query, &global);
+  if (!decoded.ok()) return ErrorResponse(decoded);
 
   // Both phases must read one epoch: if ingestion published since the
   // plan, answer 409 so the coordinator re-plans with fresh statistics
   // instead of scoring this shard against another epoch's collection.
   const newslink::ShardEpochPin pin = engine_->PinEpoch();
-  if (pin.epoch() != decoded->expected_epoch) {
+  if (pin.epoch() != expected_epoch) {
     return ErrorResponse(Status::FailedPrecondition(
-        StrCat("shard epoch moved: plan saw ", decoded->expected_epoch,
+        StrCat("shard epoch moved: plan saw ", expected_epoch,
                ", current is ", pin.epoch())));
   }
-  ShardSearchRpcResponse response;
-  response.shard = decoded->shard;
-  response.result = engine_->SearchShard(decoded->query, decoded->global, pin);
-  return JsonOk(ShardSearchResponseToJson(response));
+  return JsonOk(
+      ShardSearchResponseToJson(engine_->SearchShard(query, global, pin)));
 }
 
 HttpResponse SearchService::HandleSearch(const HttpRequest& request) {

@@ -758,40 +758,41 @@ ShardPlan NewsLinkEngine::PlanShard(const ShardQuery& query,
   NL_CHECK(snap != nullptr) << "PlanShard needs a valid ShardEpochPin";
   ShardPlan plan;
   plan.epoch = snap->epoch;
-  plan.num_docs = snap->num_docs;
-  plan.text_total_length = snap->text.total_length;
-  plan.node_total_length = snap->node.total_length;
-  plan.text_min_doc_length = text_index_.MinDocLength();
-  plan.node_min_doc_length = node_index_.MinDocLength();
-  plan.has_timestamps = snap->has_timestamps;
-  plan.now_ms = snap->now_ms;
+  ShardStats& stats = plan.stats;
+  stats.num_docs = snap->num_docs;
+  stats.text_total_length = snap->text.total_length;
+  stats.node_total_length = snap->node.total_length;
+  stats.text_min_doc_length = text_index_.MinDocLength();
+  stats.node_min_doc_length = node_index_.MinDocLength();
+  stats.has_timestamps = snap->has_timestamps;
+  stats.now_ms = snap->now_ms;
   if (query.use_bow) {
-    plan.text_df.reserve(query.text_stems.size());
-    plan.text_max_tf.reserve(query.text_stems.size());
+    stats.text_df.reserve(query.text_stems.size());
+    stats.text_max_tf.reserve(query.text_stems.size());
     for (const auto& [stem, qtf] : query.text_stems) {
       const ir::TermId id = text_dict_.Find(stem);
       if (id == ir::kInvalidTerm) {
-        plan.text_df.push_back(0);
-        plan.text_max_tf.push_back(0);
+        stats.text_df.push_back(0);
+        stats.text_max_tf.push_back(0);
       } else {
-        plan.text_df.push_back(text_index_.DocFreq(id, snap->text));
-        plan.text_max_tf.push_back(text_index_.BlockMax(id).max_tf);
+        stats.text_df.push_back(text_index_.DocFreq(id, snap->text));
+        stats.text_max_tf.push_back(text_index_.BlockMax(id).max_tf);
       }
     }
   }
   if (query.use_bon) {
-    plan.node_df.reserve(query.node_terms.size());
-    plan.node_max_tf.reserve(query.node_terms.size());
+    stats.node_df.reserve(query.node_terms.size());
+    stats.node_max_tf.reserve(query.node_terms.size());
     for (const auto& [node, qtf] : query.node_terms) {
-      plan.node_df.push_back(node_index_.DocFreq(node, snap->node));
-      plan.node_max_tf.push_back(node_index_.BlockMax(node).max_tf);
+      stats.node_df.push_back(node_index_.DocFreq(node, snap->node));
+      stats.node_max_tf.push_back(node_index_.BlockMax(node).max_tf);
     }
   }
   return plan;
 }
 
 ShardSearchResult NewsLinkEngine::SearchShard(const ShardQuery& query,
-                                              const ShardGlobalStats& global,
+                                              const ShardStats& global,
                                               const ShardEpochPin& pin) const {
   const auto* snap =
       static_cast<const EngineSnapshot*>(pin.snapshot_.get());

@@ -241,8 +241,12 @@ class NewsLinkEngine : public PipelineEngine {
       const baselines::SearchRequest& request,
       const embed::DocumentEmbedding& query_embedding) const;
 
-  /// Phase 1: this shard's collection statistics for the query, read
-  /// entirely from the pinned epoch (df/max-tf positional per query term).
+  /// Phase 1: this shard's collection statistics for the query (df/max-tf
+  /// positional per query term). Document count, total lengths, dfs,
+  /// has_timestamps and now_ms are read from the pinned epoch; the min doc
+  /// lengths and max-tfs are the live index's (MinDocLength, BlockMax).
+  /// Those are pruning bounds, which concurrent appends only loosen, while
+  /// every score uses the pinned dfs and lengths, so answers stay exact.
   ShardPlan PlanShard(const ShardQuery& query, const ShardEpochPin& pin)
       const;
 
@@ -251,7 +255,7 @@ class NewsLinkEngine : public PipelineEngine {
   /// list maxima and floors attached. Candidate doc ids are this shard's
   /// corpus rows, sorted ascending.
   ShardSearchResult SearchShard(const ShardQuery& query,
-                                const ShardGlobalStats& global,
+                                const ShardStats& global,
                                 const ShardEpochPin& pin) const;
 
   /// Run the NLP + NE components on a standalone text (e.g. a query).

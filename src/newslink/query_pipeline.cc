@@ -28,7 +28,7 @@ Result<ShardPlan> LocalShardBackend::Plan(const ShardQuery& query,
 }
 
 Result<ShardSearchResult> LocalShardBackend::Search(
-    const ShardQuery& query, const ShardGlobalStats& global,
+    const ShardQuery& query, const ShardStats& global,
     const ShardEpochPin& pin, uint64_t /*plan_epoch*/,
     double /*budget_seconds*/) const {
   return engine_->SearchShard(query, global, pin);
@@ -221,11 +221,11 @@ baselines::SearchResponse QueryPipeline::Run(
         errors[s] = plan.status();
         if (plan.ok()) plans[s] = std::move(*plan);
       });
-      ShardGlobalStats global;
+      ShardStats global;
       std::vector<size_t> targets;
       for (size_t s = 0; s < n; ++s) {
         if (!plans[s].has_value()) continue;
-        MergeShardPlan(*plans[s], &global);
+        MergeShardPlan(plans[s]->stats, &global);
         targets.push_back(s);
       }
       fuse.now_ms = request.now_ms.value_or(global.now_ms);

@@ -57,8 +57,8 @@ inline constexpr std::string_view kSlowQueries = "slow_queries_total";
 /// \brief One document partition a query scatters to.
 ///
 /// Two implementations: LocalShardBackend (an in-process NewsLinkEngine)
-/// and the coordinator's remote backend over net::ShardClient, whose RPC
-/// format this interface hides.
+/// and net::ShardClient (a shard server over HTTP), whose RPC format this
+/// interface hides.
 class ShardBackend {
  public:
   ShardBackend() = default;
@@ -77,7 +77,7 @@ class ShardBackend {
 
   /// Phase 2 against the planned epoch (`pin`, or `plan_epoch` remotely).
   virtual Result<ShardSearchResult> Search(const ShardQuery& query,
-                                           const ShardGlobalStats& global,
+                                           const ShardStats& global,
                                            const ShardEpochPin& pin,
                                            uint64_t plan_epoch,
                                            double budget_seconds) const = 0;
@@ -109,7 +109,7 @@ class LocalShardBackend final : public ShardBackend {
   Result<ShardPlan> Plan(const ShardQuery& query, const ShardEpochPin& pin,
                          double budget_seconds) const override;
   Result<ShardSearchResult> Search(const ShardQuery& query,
-                                   const ShardGlobalStats& global,
+                                   const ShardStats& global,
                                    const ShardEpochPin& pin,
                                    uint64_t plan_epoch,
                                    double budget_seconds) const override;
@@ -194,8 +194,10 @@ class PipelineEngine : public baselines::SearchEngine {
       const baselines::SearchRequest& request) const final {
     return pipeline_.Search(request, View());
   }
+  /// Many queries against one pin of every backend
+  /// (QueryPipeline::SearchBatch).
   std::vector<baselines::SearchResponse> SearchBatch(
-      std::span<const baselines::SearchRequest> requests) const final {
+      std::span<const baselines::SearchRequest> requests) const {
     return pipeline_.SearchBatch(requests, View());
   }
 

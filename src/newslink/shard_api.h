@@ -7,9 +7,10 @@
 // single index over the union of all shards:
 //
 //   1. PLAN — every shard reports, against one pinned epoch, its document
-//      count, total token lengths, per-query-term document frequencies,
-//      term-level max-tf (positional, aligned with the ShardQuery) and the
-//      epoch's publish instant. The coordinator sums/maxes these into the
+//      count, total token lengths, per-query-term document frequencies and
+//      the epoch's publish instant, plus the live index's pruning bounds
+//      (min doc lengths, term-level max-tf; positional, aligned with the
+//      ShardQuery). The coordinator sums/maxes these into the
 //      collection-wide statistics.
 //   2. SEARCH — every shard retrieves its per-side top-k' *scored with the
 //      collection statistics* (ir::CollectionStats), completes the missing
@@ -60,7 +61,11 @@ namespace newslink {
 ///      applied at merge).
 ///   4: search results report per-side floors, from which the coordinator
 ///      decides whether to search a shard deeper (DESIGN.md Sec. 12).
-inline constexpr uint64_t kShardApiVersion = 4;
+///   5: messages are the structs below with no envelope: plans nest their
+///      ShardStats under "stats", search requests carry ShardStats (now_ms
+///      included) under "global", and the unread `shard` and
+///      `deadline_seconds` fields are gone.
+inline constexpr uint64_t kShardApiVersion = 5;
 
 /// A query's first SEARCH round retrieves k' = max(k, kFirstRoundDepth).
 inline constexpr uint64_t kFirstRoundDepth = 64;
@@ -137,10 +142,14 @@ struct ShardQuery {
   int64_t before_ms = std::numeric_limits<int64_t>::max();
 };
 
-/// \brief Phase-1 answer: one shard's collection statistics for the query,
-/// read from one pinned epoch.
-struct ShardPlan {
-  uint64_t epoch = 0;
+/// \brief Collection statistics for one query: one shard's (in its PLAN
+/// answer) or the collection's (MergeShardPlan over every shard's, sent
+/// back with SEARCH).
+///
+/// The counts, dfs, has_timestamps and now_ms are read from the pinned
+/// epoch; the min lengths and max-tfs are the live index's pruning bounds
+/// (DESIGN.md Sec. 12.1).
+struct ShardStats {
   uint64_t num_docs = 0;
   uint64_t text_total_length = 0;
   uint64_t node_total_length = 0;
@@ -152,37 +161,27 @@ struct ShardPlan {
   std::vector<uint64_t> node_df;
   std::vector<uint32_t> text_max_tf;
   std::vector<uint32_t> node_max_tf;
-  /// Whether any of this shard's documents carries a real timestamp (a
-  /// collection statistic: the merge only decays when some shard has one).
+  /// Whether any document carries a real timestamp (the merge only decays
+  /// when some shard has one).
   bool has_timestamps = false;
   /// Publish instant of the pinned epoch, epoch ms (v3): the shard's
-  /// pinned "now" (DESIGN.md Sec. 15.2).
+  /// pinned "now" (DESIGN.md Sec. 15.2). Merged, the newest shard's: the
+  /// recency decay reference unless a request pins its own. Shards never
+  /// read it.
   int64_t now_ms = 0;
 };
 
-/// \brief Collection-wide statistics: ShardPlans merged over all shards
-/// (sum the counts, max the max-tfs, min the min-lengths).
-struct ShardGlobalStats {
-  uint64_t num_docs = 0;
-  uint64_t text_total_length = 0;
-  uint64_t node_total_length = 0;
-  uint32_t text_min_doc_length = 0;
-  uint32_t node_min_doc_length = 0;
-  std::vector<uint64_t> text_df;
-  std::vector<uint64_t> node_df;
-  std::vector<uint32_t> text_max_tf;
-  std::vector<uint32_t> node_max_tf;
-  /// OR over the shards' has_timestamps.
-  bool has_timestamps = false;
-  /// Max over the shards' now_ms: the newest pinned snapshot's publish
-  /// instant, the recency decay reference unless a request pins its own.
-  /// Coordinator-side only — never sent back to the shards.
-  int64_t now_ms = 0;
+/// \brief Phase-1 answer: one shard's statistics for the query, against
+/// the epoch it pinned.
+struct ShardPlan {
+  uint64_t epoch = 0;
+  ShardStats stats;
 };
 
-/// Fold one shard's plan into the running collection statistics (counts
-/// sum, max-tfs max, min-lengths min over non-empty shards, now_ms max).
-void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out);
+/// Fold one shard's statistics into the collection's (counts sum, max-tfs
+/// max, min-lengths min over non-empty shards, has_timestamps or, now_ms
+/// max).
+void MergeShardPlan(const ShardStats& shard, ShardStats* out);
 
 /// \brief One candidate document of one shard, scores raw (unnormalized)
 /// and computed with the collection statistics.

@@ -7,22 +7,22 @@
 
 namespace newslink {
 
-void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out) {
+void MergeShardPlan(const ShardStats& shard, ShardStats* out) {
   const bool first_nonempty = out->num_docs == 0;
-  out->num_docs += plan.num_docs;
-  out->text_total_length += plan.text_total_length;
-  out->node_total_length += plan.node_total_length;
+  out->num_docs += shard.num_docs;
+  out->text_total_length += shard.text_total_length;
+  out->node_total_length += shard.node_total_length;
   // Empty shards report min length 0; skipping them keeps the collection
   // floor tight (a looser floor is still correct, just prunes less).
-  if (plan.num_docs > 0) {
+  if (shard.num_docs > 0) {
     if (first_nonempty) {
-      out->text_min_doc_length = plan.text_min_doc_length;
-      out->node_min_doc_length = plan.node_min_doc_length;
+      out->text_min_doc_length = shard.text_min_doc_length;
+      out->node_min_doc_length = shard.node_min_doc_length;
     } else {
       out->text_min_doc_length =
-          std::min(out->text_min_doc_length, plan.text_min_doc_length);
+          std::min(out->text_min_doc_length, shard.text_min_doc_length);
       out->node_min_doc_length =
-          std::min(out->node_min_doc_length, plan.node_min_doc_length);
+          std::min(out->node_min_doc_length, shard.node_min_doc_length);
     }
   }
   auto fold = [](const std::vector<uint64_t>& df,
@@ -36,10 +36,10 @@ void MergeShardPlan(const ShardPlan& plan, ShardGlobalStats* out) {
       (*tf_out)[i] = std::max((*tf_out)[i], max_tf[i]);
     }
   };
-  fold(plan.text_df, plan.text_max_tf, &out->text_df, &out->text_max_tf);
-  fold(plan.node_df, plan.node_max_tf, &out->node_df, &out->node_max_tf);
-  out->has_timestamps = out->has_timestamps || plan.has_timestamps;
-  out->now_ms = std::max(out->now_ms, plan.now_ms);
+  fold(shard.text_df, shard.text_max_tf, &out->text_df, &out->text_max_tf);
+  fold(shard.node_df, shard.node_max_tf, &out->node_df, &out->node_max_tf);
+  out->has_timestamps = out->has_timestamps || shard.has_timestamps;
+  out->now_ms = std::max(out->now_ms, shard.now_ms);
 }
 
 namespace {

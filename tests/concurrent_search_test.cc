@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "baselines/lucene_like_engine.h"
 #include "corpus/synthetic_news.h"
 #include "embed/document_embedding.h"
 #include "embed/lcag_cache.h"
@@ -153,47 +152,40 @@ TEST_F(ConcurrentSearchTest, PrunedFusionMatchesExhaustiveOracle) {
 }
 
 TEST_F(ConcurrentSearchTest, ConcurrentBatchesShareOneLazilyBuiltPool) {
-  // An engine builds its batch pool on its first SearchBatch and reuses it
-  // for every later one. Batches from several threads at once — the first
-  // of them racing to build the pool, each waiting only for its own tasks —
-  // must each answer exactly what sequential Search calls answer. Covers
-  // the query pipeline's pool (a single NewsLinkEngine) and the default
-  // SearchEngine adapter's (a baseline).
+  // An engine builds its query pipeline's pool on its first SearchBatch
+  // and reuses it for every later one. Batches from several threads at
+  // once — the first of them racing to build the pool, each waiting only
+  // for its own tasks — must each answer exactly what sequential Search
+  // calls answer.
   NewsLinkEngine engine = MakeEngine(0.3);
   ASSERT_TRUE(engine.Index(corpus_.corpus).ok());
-  baselines::LuceneLikeEngine lucene;
-  ASSERT_TRUE(lucene.Index(corpus_.corpus).ok());
   std::vector<baselines::SearchRequest> requests;
   for (size_t d = 0; d < 6; ++d) requests.push_back({FirstSentenceOf(d), 5});
 
-  for (const baselines::SearchEngine* e :
-       {static_cast<const baselines::SearchEngine*>(&engine),
-        static_cast<const baselines::SearchEngine*>(&lucene)}) {
-    std::vector<std::vector<baselines::SearchHit>> expected;
-    for (const baselines::SearchRequest& r : requests) {
-      expected.push_back(e->Search(r).hits);
-    }
-    std::atomic<int> mismatches{0};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < 3; ++t) {
-      threads.emplace_back([&] {
-        for (int round = 0; round < 3; ++round) {
-          const auto batch = e->SearchBatch(requests);
-          for (size_t i = 0; i < requests.size(); ++i) {
-            const auto& hits = batch[i].hits;
-            bool same = hits.size() == expected[i].size();
-            for (size_t h = 0; same && h < hits.size(); ++h) {
-              same = hits[h].doc_index == expected[i][h].doc_index &&
-                     hits[h].score == expected[i][h].score;
-            }
-            if (!same) mismatches.fetch_add(1);
-          }
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    EXPECT_EQ(mismatches.load(), 0) << e->name();
+  std::vector<std::vector<baselines::SearchHit>> expected;
+  for (const baselines::SearchRequest& r : requests) {
+    expected.push_back(engine.Search(r).hits);
   }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 3; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 3; ++round) {
+        const auto batch = engine.SearchBatch(requests);
+        for (size_t i = 0; i < requests.size(); ++i) {
+          const auto& hits = batch[i].hits;
+          bool same = hits.size() == expected[i].size();
+          for (size_t h = 0; same && h < hits.size(); ++h) {
+            same = hits[h].doc_index == expected[i][h].doc_index &&
+                   hits[h].score == expected[i][h].score;
+          }
+          if (!same) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST_F(ConcurrentSearchTest, RequestDefaultsMatchLegacySearch) {

@@ -157,15 +157,13 @@ class QueryPipelineParityTest : public ::testing::TestWithParam<Composition> {
           stack->services[s]->RegisterRoutes(stack->servers[s].get());
           NL_CHECK(stack->servers[s]->Start().ok());
           clients.push_back(std::make_unique<net::ShardClient>(
-              s, "127.0.0.1", stack->servers[s]->port()));
+              s, kShards, "127.0.0.1", stack->servers[s]->port(), 5.0));
           stack->engines.push_back(std::move(engine));
         }
         auto prep =
             std::make_unique<NewsLinkEngine>(&kg_.graph, &labels_, config_);
-        net::CoordinatorOptions options;
-        options.shard_deadline_seconds = 5.0;
         stack->coordinator = std::make_unique<net::CoordinatorService>(
-            prep.get(), config_, std::move(clients), options);
+            prep.get(), config_, std::move(clients));
         stack->registry = &prep->Metrics();
         net::CoordinatorService* coordinator = stack->coordinator.get();
         stack->search = [coordinator](const baselines::SearchRequest& r) {
@@ -338,12 +336,12 @@ class ScriptedBackend final : public ShardBackend {
                          double /*budget_seconds*/) const override {
     ShardPlan plan;
     plan.epoch = 1;
-    plan.num_docs = docs_;
-    plan.has_timestamps = true;
+    plan.stats.num_docs = docs_;
+    plan.stats.has_timestamps = true;
     return plan;
   }
   Result<ShardSearchResult> Search(const ShardQuery& query,
-                                   const ShardGlobalStats& /*global*/,
+                                   const ShardStats& /*global*/,
                                    const ShardEpochPin& /*pin*/,
                                    uint64_t /*plan_epoch*/,
                                    double /*budget_seconds*/) const override {

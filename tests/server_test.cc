@@ -6,6 +6,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -95,6 +97,70 @@ json::Value JsonBodyOf(const std::string& reply) {
   EXPECT_TRUE(v.ok()) << v.status().ToString() << "\nreply: " << reply;
   return v.ok() ? std::move(v).value() : json::Value();
 }
+
+/// A loopback peer that answers every connection's request head with
+/// `reply`, byte for byte, then closes the connection or, when
+/// `hold_open`, keeps it open until the peer is destroyed.
+class CannedPeer {
+ public:
+  CannedPeer(std::string reply, bool hold_open)
+      : reply_(std::move(reply)), hold_open_(hold_open) {
+    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    NL_CHECK(listen_fd_ >= 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    NL_CHECK(::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
+                    sizeof(addr)) == 0);
+    NL_CHECK(::listen(listen_fd_, 4) == 0);
+    socklen_t len = sizeof(addr);
+    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    thread_ = std::thread([this] { Serve(); });
+  }
+  ~CannedPeer() {
+    stop_.store(true);
+    thread_.join();
+    for (const int fd : open_) ::close(fd);
+    ::close(listen_fd_);
+  }
+  CannedPeer(const CannedPeer&) = delete;
+  CannedPeer& operator=(const CannedPeer&) = delete;
+
+  uint16_t port() const { return port_; }
+
+ private:
+  void Serve() {
+    while (!stop_.load()) {
+      pollfd pfd{listen_fd_, POLLIN, 0};
+      if (::poll(&pfd, 1, 20) <= 0) continue;
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) continue;
+      std::string head;
+      char buf[1024];
+      while (head.find("\r\n\r\n") == std::string::npos) {
+        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+        if (n <= 0) break;
+        head.append(buf, static_cast<size_t>(n));
+      }
+      ::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+      if (hold_open_) {
+        open_.push_back(fd);
+      } else {
+        ::close(fd);
+      }
+    }
+  }
+
+  const std::string reply_;
+  const bool hold_open_;
+  int listen_fd_ = -1;
+  uint16_t port_ = 0;
+  std::atomic<bool> stop_{false};
+  std::vector<int> open_;  // touched by thread_ only, until it joins
+  std::thread thread_;
+};
 
 // ---------------------------------------------------------------------------
 // Fixture: a small indexed engine behind a loopback server.
@@ -756,6 +822,49 @@ TEST_F(ServerTest, HttpClientReusesConnectionsAndRecoversFromStaleOnes) {
   Result<HttpClientResponse> post = client.Post("/v1/search", probe.Dump());
   ASSERT_TRUE(post.ok()) << post.status().ToString();
   EXPECT_EQ(post->status, 200);
+}
+
+TEST_F(ServerTest, HttpClientRejectsAnEmptyContentLength) {
+  // "Content-Length:" with no digits is no length at all (the server side
+  // answers such a request 400), not a complete empty body whose
+  // connection may carry the next call.
+  CannedPeer peer("HTTP/1.1 200 OK\r\nContent-Length:\r\n\r\n",
+                  /*hold_open=*/true);
+  HttpClient client("127.0.0.1", peer.port());
+  HttpClientOptions options;
+  options.deadline_seconds = 2.0;
+  for (int i = 0; i < 2; ++i) {
+    const Result<HttpClientResponse> response = client.Get("/healthz", options);
+    EXPECT_TRUE(response.status().IsIOError()) << response.status().ToString();
+  }
+  // Neither connection was parked for reuse.
+  EXPECT_EQ(client.connections_opened(), 2u);
+  EXPECT_EQ(client.connection_reuses(), 0u);
+}
+
+TEST_F(ServerTest, HttpClientRejectsChunkedResponses) {
+  // Transfer codings are unsupported, as on the server side (501). A peer
+  // that closes after a chunked body must not hand back the raw chunk
+  // framing as the body, and one that keeps the connection open must not
+  // keep the call waiting for its deadline.
+  const std::string chunked =
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "5\r\nhello\r\n0\r\n\r\n";
+  for (const bool hold_open : {false, true}) {
+    CannedPeer peer(chunked, hold_open);
+    HttpClient client("127.0.0.1", peer.port());
+    HttpClientOptions options;
+    options.deadline_seconds = 2.0;
+    for (int i = 0; i < 2; ++i) {
+      const Result<HttpClientResponse> response =
+          client.Get("/healthz", options);
+      EXPECT_TRUE(response.status().IsIOError())
+          << "hold_open " << hold_open << ": "
+          << response.status().ToString();
+    }
+    EXPECT_EQ(client.connections_opened(), 2u) << hold_open;
+    EXPECT_EQ(client.connection_reuses(), 0u) << hold_open;
+  }
 }
 
 TEST(DrainSignalTest, TriggerUnblocksWaitAndLatches) {

@@ -40,7 +40,7 @@ class MappedShardBackend final : public ShardBackend {
     return local_.Plan(query, pin, budget_seconds);
   }
   Result<ShardSearchResult> Search(const ShardQuery& query,
-                                   const ShardGlobalStats& global,
+                                   const ShardStats& global,
                                    const ShardEpochPin& pin,
                                    uint64_t plan_epoch,
                                    double budget_seconds) const override {

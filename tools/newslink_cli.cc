@@ -362,8 +362,13 @@ int RunServer(const Flags& flags, net::HttpServer* server,
 /// Coordinator mode: no corpus, scatter-gather over --shards.
 int ServeCoordinator(const Flags& flags, const kg::KnowledgeGraph& graph,
                      const kg::LabelIndex& labels) {
+  const std::vector<std::string> addresses =
+      Split(flags.Get("shards", ""), ',');
+  const size_t num_shards = addresses.size();
+  const double shard_deadline = flags.GetDouble(
+      "shard-deadline", net::ShardClient::kDefaultDeadlineSeconds);
   std::vector<std::unique_ptr<net::ShardClient>> shards;
-  for (const std::string& address : Split(flags.Get("shards", ""), ',')) {
+  for (const std::string& address : addresses) {
     const std::vector<std::string> parts = Split(address, ':');
     const uint64_t port =
         parts.size() == 2 ? std::strtoull(parts[1].c_str(), nullptr, 10) : 0;
@@ -373,13 +378,13 @@ int ServeCoordinator(const Flags& flags, const kg::KnowledgeGraph& graph,
       return 1;
     }
     shards.push_back(std::make_unique<net::ShardClient>(
-        shards.size(), parts[0], static_cast<uint16_t>(port)));
+        shards.size(), num_shards, parts[0], static_cast<uint16_t>(port),
+        shard_deadline));
   }
   if (shards.empty()) {
     std::fprintf(stderr, "--shards needs at least one host:port\n");
     return 1;
   }
-  const size_t num_shards = shards.size();
 
   // The prep engine never indexes: it only runs the per-query NLP/NE
   // pipeline and hosts the coordinator's metrics registry.
@@ -393,8 +398,6 @@ int ServeCoordinator(const Flags& flags, const kg::KnowledgeGraph& graph,
   }
 
   net::CoordinatorOptions options;
-  options.shard_deadline_seconds =
-      flags.GetDouble("shard-deadline", options.shard_deadline_seconds);
   options.max_inflight_searches =
       flags.GetInt("max-inflight", options.max_inflight_searches);
   net::CoordinatorService service(&prep, config, std::move(shards), options);
