@@ -300,10 +300,5 @@ std::string Registry::RenderJson() const {
          "},\"histograms\":{" + histograms + "}}";
 }
 
-Registry& Registry::Default() {
-  static Registry* instance = new Registry();
-  return *instance;
-}
-
 }  // namespace metrics
 }  // namespace newslink

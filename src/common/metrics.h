@@ -146,8 +146,7 @@ class Histogram {
 /// every later call with the same name; returned pointers stay valid for
 /// the registry's lifetime. Instruments are exported in registration
 /// order. One engine owns one registry (so per-engine tests see exact
-/// counts); `Registry::Default()` is the process-wide instance for code
-/// without a natural owner.
+/// counts).
 class Registry {
  public:
   Registry() = default;
@@ -173,8 +172,6 @@ class Registry {
   /// One JSON object: {"counters": {...}, "gauges": {...},
   /// "histograms": {name: {count, sum, mean, p50, p90, p99, buckets}}}.
   std::string RenderJson() const;
-
-  static Registry& Default();
 
  private:
   enum class Kind { kCounter, kGauge, kHistogram };

@@ -11,7 +11,8 @@ namespace net {
 
 namespace {
 
-/// Field must be a number >= 0 that is exactly an integer.
+/// Field must be a number >= 0 that is exactly an integer within size_t
+/// (casting a larger double is undefined behaviour).
 Result<size_t> AsSize(const json::Value& v, std::string_view field) {
   if (v.type() != json::Value::Type::kNumber) {
     return Status::InvalidArgument(StrCat("\"", field, "\" must be a number"));
@@ -20,6 +21,10 @@ Result<size_t> AsSize(const json::Value& v, std::string_view field) {
   if (!(d >= 0) || d != std::floor(d)) {
     return Status::InvalidArgument(
         StrCat("\"", field, "\" must be a non-negative integer"));
+  }
+  if (d >= static_cast<double>(std::numeric_limits<size_t>::max())) {
+    return Status::InvalidArgument(
+        StrCat("\"", field, "\" exceeds the integer range"));
   }
   return static_cast<size_t>(d);
 }
@@ -563,8 +568,8 @@ json::Value ShardQueryToJson(const ShardQuery& query) {
     nodes.Append(std::move(pair));
   }
   out.Set("node_terms", std::move(nodes));
-  out.Set("use_bow", json::Value::Bool(query.use_bow));
-  out.Set("use_bon", json::Value::Bool(query.use_bon));
+  out.Set("use_bow", json::Value::Bool(query.use[kBow]));
+  out.Set("use_bon", json::Value::Bool(query.use[kBon]));
   out.Set("kprime", json::Value::Uint(query.kprime));
   out.Set("exhaustive", json::Value::Bool(query.exhaustive));
   // Time window (v2). Bounds ride only when real: JSON numbers are
@@ -600,9 +605,8 @@ Result<ShardQuery> ShardQueryFromJson(const json::Value& value) {
         }
         NL_ASSIGN_OR_RETURN(std::string stem,
                             AsStringStrict(item.at(0), key));
-        NL_ASSIGN_OR_RETURN(const uint64_t qtf, AsU64(item.at(1), key));
-        query.text_stems.push_back(
-            {std::move(stem), static_cast<uint32_t>(qtf)});
+        NL_ASSIGN_OR_RETURN(const uint32_t qtf, AsU32(item.at(1), key));
+        query.text_stems.push_back({std::move(stem), qtf});
       }
     } else if (key == "node_terms") {
       if (!field.is_array()) {
@@ -613,15 +617,14 @@ Result<ShardQuery> ShardQueryFromJson(const json::Value& value) {
           return Status::InvalidArgument(
               "\"node_terms\" entries must be [node, weight] pairs");
         }
-        NL_ASSIGN_OR_RETURN(const uint64_t node, AsU64(item.at(0), key));
-        NL_ASSIGN_OR_RETURN(const uint64_t weight, AsU64(item.at(1), key));
-        query.node_terms.push_back({static_cast<uint32_t>(node),
-                                    static_cast<uint32_t>(weight)});
+        NL_ASSIGN_OR_RETURN(const uint32_t node, AsU32(item.at(0), key));
+        NL_ASSIGN_OR_RETURN(const uint32_t weight, AsU32(item.at(1), key));
+        query.node_terms.push_back({node, weight});
       }
     } else if (key == "use_bow") {
-      NL_ASSIGN_OR_RETURN(query.use_bow, AsBoolStrict(field, key));
+      NL_ASSIGN_OR_RETURN(query.use[kBow], AsBoolStrict(field, key));
     } else if (key == "use_bon") {
-      NL_ASSIGN_OR_RETURN(query.use_bon, AsBoolStrict(field, key));
+      NL_ASSIGN_OR_RETURN(query.use[kBon], AsBoolStrict(field, key));
     } else if (key == "kprime") {
       NL_ASSIGN_OR_RETURN(query.kprime, AsU64(field, key));
     } else if (key == "exhaustive") {
@@ -640,17 +643,21 @@ Result<ShardQuery> ShardQueryFromJson(const json::Value& value) {
   return query;
 }
 
+/// The per-side fields travel under v5's flat names: "text_*" / "bow_*"
+/// for the BOW side, "node_*" / "bon_*" for BON.
 json::Value ShardStatsToJson(const ShardStats& stats) {
+  const ShardSideStats& text = stats.side[kBow];
+  const ShardSideStats& node = stats.side[kBon];
   json::Value out = json::Value::Object();
   out.Set("num_docs", json::Value::Uint(stats.num_docs));
-  out.Set("text_total_length", json::Value::Uint(stats.text_total_length));
-  out.Set("node_total_length", json::Value::Uint(stats.node_total_length));
-  out.Set("text_min_doc_length", json::Value::Uint(stats.text_min_doc_length));
-  out.Set("node_min_doc_length", json::Value::Uint(stats.node_min_doc_length));
-  out.Set("text_df", U64VectorToJson(stats.text_df));
-  out.Set("node_df", U64VectorToJson(stats.node_df));
-  out.Set("text_max_tf", U32VectorToJson(stats.text_max_tf));
-  out.Set("node_max_tf", U32VectorToJson(stats.node_max_tf));
+  out.Set("text_total_length", json::Value::Uint(text.total_length));
+  out.Set("node_total_length", json::Value::Uint(node.total_length));
+  out.Set("text_min_doc_length", json::Value::Uint(text.min_doc_length));
+  out.Set("node_min_doc_length", json::Value::Uint(node.min_doc_length));
+  out.Set("text_df", U64VectorToJson(text.df));
+  out.Set("node_df", U64VectorToJson(node.df));
+  out.Set("text_max_tf", U32VectorToJson(text.max_tf));
+  out.Set("node_max_tf", U32VectorToJson(node.max_tf));
   out.Set("has_timestamps", json::Value::Bool(stats.has_timestamps));
   out.Set("now_ms", json::Value::Uint(static_cast<uint64_t>(stats.now_ms)));
   return out;
@@ -663,25 +670,27 @@ Result<ShardStats> ShardStatsFromJson(const json::Value& value,
         StrCat("\"", name, "\" must be a JSON object"));
   }
   ShardStats stats;
+  ShardSideStats& text = stats.side[kBow];
+  ShardSideStats& node = stats.side[kBon];
   for (const auto& [key, field] : value.members()) {
     if (key == "num_docs") {
       NL_ASSIGN_OR_RETURN(stats.num_docs, AsU64(field, key));
     } else if (key == "text_total_length") {
-      NL_ASSIGN_OR_RETURN(stats.text_total_length, AsU64(field, key));
+      NL_ASSIGN_OR_RETURN(text.total_length, AsU64(field, key));
     } else if (key == "node_total_length") {
-      NL_ASSIGN_OR_RETURN(stats.node_total_length, AsU64(field, key));
+      NL_ASSIGN_OR_RETURN(node.total_length, AsU64(field, key));
     } else if (key == "text_min_doc_length") {
-      NL_ASSIGN_OR_RETURN(stats.text_min_doc_length, AsU32(field, key));
+      NL_ASSIGN_OR_RETURN(text.min_doc_length, AsU32(field, key));
     } else if (key == "node_min_doc_length") {
-      NL_ASSIGN_OR_RETURN(stats.node_min_doc_length, AsU32(field, key));
+      NL_ASSIGN_OR_RETURN(node.min_doc_length, AsU32(field, key));
     } else if (key == "text_df") {
-      NL_ASSIGN_OR_RETURN(stats.text_df, U64VectorFromJson(field, key));
+      NL_ASSIGN_OR_RETURN(text.df, U64VectorFromJson(field, key));
     } else if (key == "node_df") {
-      NL_ASSIGN_OR_RETURN(stats.node_df, U64VectorFromJson(field, key));
+      NL_ASSIGN_OR_RETURN(node.df, U64VectorFromJson(field, key));
     } else if (key == "text_max_tf") {
-      NL_ASSIGN_OR_RETURN(stats.text_max_tf, U32VectorFromJson(field, key));
+      NL_ASSIGN_OR_RETURN(text.max_tf, U32VectorFromJson(field, key));
     } else if (key == "node_max_tf") {
-      NL_ASSIGN_OR_RETURN(stats.node_max_tf, U32VectorFromJson(field, key));
+      NL_ASSIGN_OR_RETURN(node.max_tf, U32VectorFromJson(field, key));
     } else if (key == "has_timestamps") {
       NL_ASSIGN_OR_RETURN(stats.has_timestamps, AsBoolStrict(field, key));
     } else if (key == "now_ms") {
@@ -698,15 +707,16 @@ Result<ShardStats> ShardStatsFromJson(const json::Value& value,
 /// terms, one entry per term of each side it scores and none otherwise:
 /// SEARCH and MergeShardPlan index them by term.
 Status CheckAligned(const ShardQuery& query, const ShardStats& stats) {
-  const size_t text = query.use_bow ? query.text_stems.size() : 0;
-  const size_t node = query.use_bon ? query.node_terms.size() : 0;
-  if (stats.text_df.size() != text || stats.text_max_tf.size() != text ||
-      stats.node_df.size() != node || stats.node_max_tf.size() != node) {
-    return Status::InvalidArgument(
-        StrCat("shard statistics hold ", stats.text_df.size(), "/",
-               stats.text_max_tf.size(), " text and ", stats.node_df.size(),
-               "/", stats.node_max_tf.size(), " node entries for a query of ",
-               text, " text and ", node, " node terms"));
+  const size_t terms[2] = {query.text_stems.size(), query.node_terms.size()};
+  for (const Side side : kSides) {
+    const size_t expected = query.use[side] ? terms[side] : 0;
+    const ShardSideStats& in = stats.side[side];
+    if (in.df.size() != expected || in.max_tf.size() != expected) {
+      return Status::InvalidArgument(StrCat(
+          "shard statistics hold ", in.df.size(), "/", in.max_tf.size(), " ",
+          kSideName[side], " entries for a query of ", expected, " ",
+          kSideName[side], " terms"));
+    }
   }
   return Status::OK();
 }
@@ -814,18 +824,17 @@ json::Value ShardSearchResponseToJson(const ShardSearchResult& result) {
   out.Set("api_version", json::Value::Uint(kShardApiVersion));
   out.Set("epoch", json::Value::Uint(result.epoch));
   out.Set("snapshot_docs", json::Value::Uint(result.snapshot_docs));
-  out.Set("bow_max", json::Value::Number(result.bow_max));
-  out.Set("bon_max", json::Value::Number(result.bon_max));
-  out.Set("bow_floor", json::Value::Number(result.bow_floor));
-  out.Set("bon_floor", json::Value::Number(result.bon_floor));
-  out.Set("bow_scored", json::Value::Uint(result.bow_scored));
-  out.Set("bon_scored", json::Value::Uint(result.bon_scored));
+  out.Set("bow_max", json::Value::Number(result.side[kBow].max));
+  out.Set("bon_max", json::Value::Number(result.side[kBon].max));
+  out.Set("bow_floor", json::Value::Number(result.side[kBow].floor));
+  out.Set("bon_floor", json::Value::Number(result.side[kBon].floor));
+  out.Set("bow_scored", json::Value::Uint(result.side[kBow].scored));
+  out.Set("bon_scored", json::Value::Uint(result.side[kBon].scored));
   json::Value candidates = json::Value::Array();
   for (const ShardCandidate& c : result.candidates) {
     json::Value quad = json::Value::Array();
     quad.Append(json::Value::Uint(c.doc));
-    quad.Append(json::Value::Number(c.bow));
-    quad.Append(json::Value::Number(c.bon));
+    for (const double score : c.score) quad.Append(json::Value::Number(score));
     quad.Append(json::Value::Uint(static_cast<uint64_t>(c.ts)));
     candidates.Append(std::move(quad));
   }
@@ -845,17 +854,17 @@ Result<ShardSearchResult> ShardSearchResponseFromJson(
     } else if (key == "snapshot_docs") {
       NL_ASSIGN_OR_RETURN(result.snapshot_docs, AsU64(field, key));
     } else if (key == "bow_max") {
-      NL_ASSIGN_OR_RETURN(result.bow_max, AsNumberStrict(field, key));
+      NL_ASSIGN_OR_RETURN(result.side[kBow].max, AsNumberStrict(field, key));
     } else if (key == "bon_max") {
-      NL_ASSIGN_OR_RETURN(result.bon_max, AsNumberStrict(field, key));
+      NL_ASSIGN_OR_RETURN(result.side[kBon].max, AsNumberStrict(field, key));
     } else if (key == "bow_floor") {
-      NL_ASSIGN_OR_RETURN(result.bow_floor, AsNumberStrict(field, key));
+      NL_ASSIGN_OR_RETURN(result.side[kBow].floor, AsNumberStrict(field, key));
     } else if (key == "bon_floor") {
-      NL_ASSIGN_OR_RETURN(result.bon_floor, AsNumberStrict(field, key));
+      NL_ASSIGN_OR_RETURN(result.side[kBon].floor, AsNumberStrict(field, key));
     } else if (key == "bow_scored") {
-      NL_ASSIGN_OR_RETURN(result.bow_scored, AsU64(field, key));
+      NL_ASSIGN_OR_RETURN(result.side[kBow].scored, AsU64(field, key));
     } else if (key == "bon_scored") {
-      NL_ASSIGN_OR_RETURN(result.bon_scored, AsU64(field, key));
+      NL_ASSIGN_OR_RETURN(result.side[kBon].scored, AsU64(field, key));
     } else if (key == "candidates") {
       if (!field.is_array()) {
         return Status::InvalidArgument("\"candidates\" must be an array");
@@ -869,8 +878,8 @@ Result<ShardSearchResult> ShardSearchResponseFromJson(
         }
         ShardCandidate c;
         NL_ASSIGN_OR_RETURN(c.doc, AsU32(item.at(0), key));
-        NL_ASSIGN_OR_RETURN(c.bow, AsNumberStrict(item.at(1), key));
-        NL_ASSIGN_OR_RETURN(c.bon, AsNumberStrict(item.at(2), key));
+        NL_ASSIGN_OR_RETURN(c.score[kBow], AsNumberStrict(item.at(1), key));
+        NL_ASSIGN_OR_RETURN(c.score[kBon], AsNumberStrict(item.at(2), key));
         NL_ASSIGN_OR_RETURN(c.ts, AsEpochMs(item.at(3), key));
         result.candidates.push_back(c);
       }

@@ -130,10 +130,11 @@ Status SendAll(int fd, std::string_view request, const WallTimer& timer,
 /// Read and parse one response. `reusable` is set to true only when the
 /// response was Content-Length framed, fully consumed, and the server did
 /// not announce "Connection: close" — the conditions under which the next
-/// request may ride the same connection.
+/// request may ride the same connection. `answered` is set once any byte
+/// of a response arrived.
 Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options,
                                         const WallTimer& timer,
-                                        bool* reusable) {
+                                        bool* reusable, bool* answered) {
   *reusable = false;
   const double deadline = options.deadline_seconds;
 
@@ -157,6 +158,7 @@ Result<HttpClientResponse> ReadResponse(int fd, const HttpClientOptions& options
       return Status::IOError(StrCat("recv: ", std::strerror(errno)));
     }
     if (n == 0) break;  // EOF
+    *answered = true;
     data.append(buf, static_cast<size_t>(n));
     if (data.size() > options.max_body_bytes) {
       return Status::IOError("response exceeds size limit");
@@ -323,9 +325,10 @@ Result<HttpClientResponse> HttpClient::Call(std::string_view method,
   for (int attempt = 0;; ++attempt) {
     const Status send_status = SendAll(fd.get(), request, timer, deadline);
     bool reusable = false;
+    bool answered = false;
     Result<HttpClientResponse> response =
         send_status.ok()
-            ? ReadResponse(fd.get(), options, timer, &reusable)
+            ? ReadResponse(fd.get(), options, timer, &reusable, &answered)
             : Result<HttpClientResponse>(send_status);
     if (response.ok()) {
       if (reusable) {
@@ -333,13 +336,16 @@ Result<HttpClientResponse> HttpClient::Call(std::string_view method,
       }
       return response;
     }
-    // A REUSED connection that fails at the transport layer (EPIPE on
-    // send, reset, or EOF before the response head) has almost certainly
-    // been closed by the server while idle — retry ONCE on a fresh
-    // connection. Timeouts are not retried (the server may be processing
-    // the request), and fresh-connection failures are real errors.
-    const bool stale_candidate =
-        reused && attempt == 0 && response.status().IsIOError();
+    // A REUSED connection that fails at the transport layer before any
+    // response byte arrived (EPIPE on send, a reset, or EOF) has almost
+    // certainly been closed by the server while idle — retry ONCE on a
+    // fresh connection. A response that arrived but was refused (a
+    // transfer coding, an oversized body, a malformed head) is the
+    // server's answer: replaying would run the request twice. Timeouts
+    // are not retried (the server may be processing the request), and
+    // fresh-connection failures are real errors.
+    const bool stale_candidate = reused && attempt == 0 && !answered &&
+                                 response.status().IsIOError();
     if (!stale_candidate) return response.status();
     reconnects_.fetch_add(1, std::memory_order_relaxed);
     NL_ASSIGN_OR_RETURN(const int fresh,

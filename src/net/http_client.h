@@ -10,9 +10,9 @@
 // stack of idle keep-alive connections and reuses them across calls. A
 // reused connection can always have gone stale (the server closed it
 // between calls — idle timeout, request cap, restart); a transport failure
-// on a REUSED connection is therefore retried exactly once on a fresh
-// connection before surfacing. Reuse / reconnect / open counts are exposed
-// for client metrics.
+// on a REUSED connection before any response byte arrived is therefore
+// retried exactly once on a fresh connection before surfacing. Reuse /
+// reconnect / open counts are exposed for client metrics.
 
 #ifndef NEWSLINK_NET_HTTP_CLIENT_H_
 #define NEWSLINK_NET_HTTP_CLIENT_H_
@@ -88,8 +88,8 @@ class HttpClient {
   uint64_t connection_reuses() const {
     return reuses_.load(std::memory_order_relaxed);
   }
-  /// Stale-connection retries: a reused connection failed and the call was
-  /// replayed once on a fresh one.
+  /// Stale-connection retries: a reused connection failed before any
+  /// response byte arrived and the call was replayed once on a fresh one.
   uint64_t connection_reconnects() const {
     return reconnects_.load(std::memory_order_relaxed);
   }

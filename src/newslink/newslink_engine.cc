@@ -95,9 +95,8 @@ struct TimeFilterCtx {
   }
 };
 
-/// Retrieval sides of the fused score (Eq. 3), indexing
-/// FusionCandidate::score / has.
-enum FusionSide : size_t { kBow = 0, kBon = 1 };
+/// Snapshot section of each side's inverted index.
+constexpr const char* kIndexSection[2] = {"text_index", "node_index"};
 
 /// One member of the fusion candidate union: its raw per-side BM25 scores,
 /// an exact 0 on a side that has none.
@@ -107,34 +106,49 @@ struct FusionCandidate {
   bool has[2] = {false, false};
 };
 
-/// Union of the two per-side lists, ascending by doc id: both lists are
-/// sorted by doc, then merged.
-std::vector<FusionCandidate> MergeSides(std::vector<ir::ScoredDoc> bow,
-                                        std::vector<ir::ScoredDoc> bon) {
-  const auto by_doc = [](const ir::ScoredDoc& a, const ir::ScoredDoc& b) {
-    return a.doc < b.doc;
-  };
-  std::sort(bow.begin(), bow.end(), by_doc);
-  std::sort(bon.begin(), bon.end(), by_doc);
-  std::vector<FusionCandidate> out;
-  out.reserve(bow.size() + bon.size());
-  size_t i = 0;
-  size_t j = 0;
-  while (i < bow.size() || j < bon.size()) {
-    FusionCandidate c;
-    c.doc = std::min(i < bow.size() ? bow[i].doc : ir::kInvalidDoc,
-                     j < bon.size() ? bon[j].doc : ir::kInvalidDoc);
-    if (i < bow.size() && bow[i].doc == c.doc) {
-      c.score[kBow] = bow[i++].score;
-      c.has[kBow] = true;
-    }
-    if (j < bon.size() && bon[j].doc == c.doc) {
-      c.score[kBon] = bon[j++].score;
-      c.has[kBon] = true;
-    }
-    out.push_back(c);
+/// Union of the per-side lists, ascending by doc id: each list is sorted
+/// by doc, then they are merged.
+std::vector<FusionCandidate> MergeSides(
+    std::vector<ir::ScoredDoc> (&lists)[2]) {
+  for (std::vector<ir::ScoredDoc>& list : lists) {
+    std::sort(list.begin(), list.end(),
+              [](const ir::ScoredDoc& a, const ir::ScoredDoc& b) {
+                return a.doc < b.doc;
+              });
   }
-  return out;
+  std::vector<FusionCandidate> out;
+  out.reserve(lists[kBow].size() + lists[kBon].size());
+  size_t next[2] = {0, 0};
+  const auto head = [&](Side side) {
+    return next[side] < lists[side].size() ? lists[side][next[side]].doc
+                                           : ir::kInvalidDoc;
+  };
+  while (true) {
+    const ir::DocId doc = std::min(head(kBow), head(kBon));
+    if (doc == ir::kInvalidDoc) return out;
+    FusionCandidate& c = out.emplace_back();
+    c.doc = doc;
+    for (const Side side : kSides) {
+      if (head(side) != doc) continue;
+      c.score[side] = lists[side][next[side]++].score;
+      c.has[side] = true;
+    }
+  }
+}
+
+/// The query's text stems as `dict`'s term ids, positional with the BOW
+/// statistics: kInvalidTerm for a stem `dict` does not know (it matches
+/// nothing here). Empty when BOW is not scored. BON needs no such map:
+/// node ids are global.
+ir::TermCounts TextTermIds(const ShardQuery& query,
+                           const ir::TermDictionary& dict) {
+  ir::TermCounts ids;
+  if (!query.use[kBow]) return ids;
+  ids.reserve(query.text_stems.size());
+  for (const auto& [stem, qtf] : query.text_stems) {
+    ids.push_back({dict.Find(stem), qtf});
+  }
+  return ids;
 }
 
 /// Pruned fusion's fill-in: every candidate retrieved on the other side
@@ -142,7 +156,7 @@ std::vector<FusionCandidate> MergeSides(std::vector<ir::ScoredDoc> bow,
 /// Bm25Scorer::ScoreDocs pass (candidates ascend, as it requires), so
 /// every union member carries the fused score the exhaustive oracle
 /// would give it. Returns the number of documents scored.
-size_t FillSide(std::vector<FusionCandidate>* candidates, FusionSide side,
+size_t FillSide(std::vector<FusionCandidate>* candidates, Side side,
                 const ir::Bm25Scorer& scorer, const ir::TermCounts& query,
                 const ir::IndexSnapshot& snapshot,
                 const ir::CollectionStats* stats) {
@@ -172,14 +186,13 @@ NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
       label_index_(label_index),
       config_(config),
       ner_(label_index),
-      text_scorer_(&text_index_, config_.bm25),
-      node_scorer_(&node_index_, config_.bon_bm25),
-      text_retriever_(&text_index_, config_.bm25),
-      node_retriever_(&node_index_, config_.bon_bm25),
-      bow_docs_scored_(registry()->GetCounter(
-          kBowDocsScored, "documents BM25-scored on the text (BOW) side")),
-      bon_docs_scored_(registry()->GetCounter(
-          kBonDocsScored, "documents BM25-scored on the node (BON) side")),
+      ns_{{config_.bm25,
+           registry()->GetCounter(
+               kBowDocsScored, "documents BM25-scored on the text (BOW) side")},
+          {config_.bon_bm25,
+           registry()->GetCounter(
+               kBonDocsScored,
+               "documents BM25-scored on the node (BON) side")}},
       epochs_published_(registry()->GetCounter(
           kEpochsPublished, "snapshots published by writers")),
       snapshot_acquisitions_(registry()->GetCounter(
@@ -196,10 +209,13 @@ NewsLinkEngine::NewsLinkEngine(const kg::KnowledgeGraph* graph,
           kIndexNeSeconds, {}, "per-document NE stage at index time")),
       index_ns_seconds_(registry()->GetHistogram(
           kIndexNsSeconds, {}, "per-document NS appends at index time")) {
-  text_index_.EnableMetrics(registry(), "bow");
-  node_index_.EnableMetrics(registry(), "bon");
-  text_retriever_.EnableMetrics(registry(), "bow");
-  node_retriever_.EnableMetrics(registry(), "bon");
+  // Every index registers before any retriever (exposition order).
+  for (const Side side : kSides) {
+    ns_[side].index.EnableMetrics(registry(), kSideName[side]);
+  }
+  for (const Side side : kSides) {
+    ns_[side].retriever.EnableMetrics(registry(), kSideName[side]);
+  }
   if (config_.embedder == EmbedderKind::kLcag) {
     auto lcag = std::make_unique<embed::LcagSegmentEmbedder>(
         graph_, label_index_, config_.lcag, config_.lcag_cache_capacity,
@@ -257,11 +273,10 @@ void NewsLinkEngine::PublishSnapshot() {
   // then incrementing the epoch counter is race-free.
   snap->epoch = epochs_published_->Value();
   epochs_published_->Inc();
-  snap->text = text_index_.Capture();
-  snap->node = node_index_.Capture();
-  NL_DCHECK(snap->text.num_docs == snap->node.num_docs)
+  for (const Side side : kSides) snap->side[side] = ns_[side].index.Capture();
+  NL_DCHECK(snap->side[kBow].num_docs == snap->side[kBon].num_docs)
       << "both index sides must cover the same documents";
-  snap->num_docs = snap->text.num_docs;
+  snap->num_docs = snap->side[kBow].num_docs;
   snap->has_timestamps = has_timestamps_;
   snap->now_ms = WallNowMs();
   current_epoch_->Set(static_cast<double>(snap->epoch));
@@ -362,14 +377,10 @@ Status NewsLinkEngine::IndexWithEmbeddings(
   for (size_t d = 0; d < n; ++d) {
     const size_t e = config_.reorder_docs ? order[d] : d;
     WallTimer timer;
-    text_index_.AddDocument(
-        ir::TextVectorizer::CountsForIndexing(corpus.doc(e).text, &text_dict_));
-    node_index_.AddDocument(
-        BonCounts(embeddings[e], config_.bon_doc_tf_cap));
-    doc_embeddings_.Append(std::move(embeddings[e]));
-    timestamps_.Append(corpus.doc(e).timestamp_ms);
-    if (corpus.doc(e).timestamp_ms != 0) has_timestamps_ = true;
-    internal_to_external_.Append(static_cast<uint32_t>(e));
+    AppendDocument(
+        ir::TextVectorizer::CountsForIndexing(corpus.doc(e).text, &text_dict_),
+        std::move(embeddings[e]), corpus.doc(e).timestamp_ms,
+        static_cast<uint32_t>(e));
     index_ns_seconds_->Observe(timer.ElapsedSeconds());
   }
   if (config_.reorder_docs) {
@@ -413,15 +424,11 @@ size_t NewsLinkEngine::AddDocument(const corpus::Document& doc) {
   std::lock_guard<std::mutex> writer(writer_mu_);
   timer.Restart();
   const size_t index = doc_embeddings_.size();
-  text_index_.AddDocument(
-      ir::TextVectorizer::CountsForIndexing(stems, &text_dict_));
-  node_index_.AddDocument(BonCounts(embedding, config_.bon_doc_tf_cap));
-  doc_embeddings_.Append(std::move(embedding));
-  timestamps_.Append(doc.timestamp_ms);
-  if (doc.timestamp_ms != 0) has_timestamps_ = true;
   // Incremental docs keep internal == external (reordering is a bulk-index
   // pass); both maps grow in lockstep with the indexes.
-  internal_to_external_.Append(static_cast<uint32_t>(index));
+  AppendDocument(ir::TextVectorizer::CountsForIndexing(stems, &text_dict_),
+                 std::move(embedding), doc.timestamp_ms,
+                 static_cast<uint32_t>(index));
   external_to_internal_.Append(static_cast<uint32_t>(index));
   corpus_fingerprint_.store(
       corpus::ChainCorpusFingerprint(
@@ -430,6 +437,19 @@ size_t NewsLinkEngine::AddDocument(const corpus::Document& doc) {
   index_ns_seconds_->Observe(stem_seconds + timer.ElapsedSeconds());
   PublishSnapshot();
   return index;
+}
+
+void NewsLinkEngine::AppendDocument(const ir::TermCounts& text_counts,
+                                    embed::DocumentEmbedding embedding,
+                                    int64_t timestamp_ms, uint32_t external) {
+  const ir::TermCounts node_counts =
+      BonCounts(embedding, config_.bon_doc_tf_cap);
+  const ir::TermCounts* counts[2] = {&text_counts, &node_counts};
+  for (const Side side : kSides) ns_[side].index.AddDocument(*counts[side]);
+  doc_embeddings_.Append(std::move(embedding));
+  timestamps_.Append(timestamp_ms);
+  if (timestamp_ms != 0) has_timestamps_ = true;
+  internal_to_external_.Append(external);
 }
 
 uint64_t NewsLinkEngine::ConfigFingerprint(const NewsLinkConfig& config) {
@@ -464,7 +484,7 @@ Status NewsLinkEngine::SaveSnapshot(const std::string& path) const {
   header.corpus_fingerprint =
       corpus_fingerprint_.load(std::memory_order_acquire);
   header.config_fingerprint = ConfigFingerprint(config_);
-  header.num_docs = text_index_.num_docs();
+  header.num_docs = ns_[kBow].index.num_docs();
 
   std::vector<SnapshotSection> sections;
   {
@@ -472,15 +492,11 @@ Status NewsLinkEngine::SaveSnapshot(const std::string& path) const {
     ir::SerializeTermDictionary(text_dict_, &w);
     sections.push_back(SnapshotSection{"text_dict", w.TakeBytes()});
   }
-  {
+  for (const Side side : kSides) {
     ByteWriter w;
-    ir::SerializeInvertedIndex(text_index_, &w);
-    sections.push_back(SnapshotSection{"text_index", w.TakeBytes()});
-  }
-  {
-    ByteWriter w;
-    ir::SerializeInvertedIndex(node_index_, &w);
-    sections.push_back(SnapshotSection{"node_index", w.TakeBytes()});
+    ir::SerializeInvertedIndex(ns_[side].index, &w);
+    sections.push_back(
+        SnapshotSection{kIndexSection[side], w.TakeBytes()});
   }
   {
     std::vector<embed::DocumentEmbedding> embeddings;
@@ -529,7 +545,7 @@ Status NewsLinkEngine::SaveSnapshot(const std::string& path) const {
 
 Status NewsLinkEngine::LoadSnapshot(const std::string& path) {
   std::lock_guard<std::mutex> writer(writer_mu_);
-  if (text_index_.num_docs() != 0 || text_dict_.size() != 0 ||
+  if (ns_[kBow].index.num_docs() != 0 || text_dict_.size() != 0 ||
       doc_embeddings_.size() != 0) {
     return Status::FailedPrecondition(
         "LoadSnapshot requires an empty engine (nothing indexed yet)");
@@ -557,8 +573,9 @@ Status NewsLinkEngine::LoadSnapshot(const std::string& path) {
                config_fp, ")"));
   }
 
-  const char* kRequired[] = {"text_dict", "text_index", "node_index",
-                             "embeddings", "doc_map"};
+  const char* kRequired[] = {"text_dict", kIndexSection[kBow],
+                             kIndexSection[kBon], "embeddings",
+                             "doc_map"};
   for (const char* name : kRequired) {
     if (file.Find(name) == nullptr) {
       return Status::IOError(StrCat("snapshot missing section '", name, "'"));
@@ -574,16 +591,10 @@ Status NewsLinkEngine::LoadSnapshot(const std::string& path) {
     NL_RETURN_IF_ERROR(ir::DeserializeTermStrings(&r, &terms));
     NL_RETURN_IF_ERROR(r.ExpectEnd());
   }
-  ir::InvertedIndex text_index;
-  {
-    ByteReader r(file.Find("text_index")->payload);
-    NL_RETURN_IF_ERROR(ir::DeserializeInvertedIndex(&r, &text_index));
-    NL_RETURN_IF_ERROR(r.ExpectEnd());
-  }
-  ir::InvertedIndex node_index;
-  {
-    ByteReader r(file.Find("node_index")->payload);
-    NL_RETURN_IF_ERROR(ir::DeserializeInvertedIndex(&r, &node_index));
+  ir::InvertedIndex indexes[2];
+  for (const Side side : kSides) {
+    ByteReader r(file.Find(kIndexSection[side])->payload);
+    NL_RETURN_IF_ERROR(ir::DeserializeInvertedIndex(&r, &indexes[side]));
     NL_RETURN_IF_ERROR(r.ExpectEnd());
   }
   std::vector<embed::DocumentEmbedding> embeddings;
@@ -637,29 +648,29 @@ Status NewsLinkEngine::LoadSnapshot(const std::string& path) {
 
   // Cross-section consistency: all four artifacts must cover the same
   // documents, and the dictionary must cover every text term.
-  if (text_index.num_docs() != file.header.num_docs ||
-      node_index.num_docs() != file.header.num_docs ||
+  if (indexes[kBow].num_docs() != file.header.num_docs ||
+      indexes[kBon].num_docs() != file.header.num_docs ||
       embeddings.size() != file.header.num_docs ||
       doc_map.size() != file.header.num_docs) {
     return Status::IOError(
         StrCat("inconsistent document counts: header ", file.header.num_docs,
-               ", text index ", text_index.num_docs(), ", node index ",
-               node_index.num_docs(), ", embeddings ", embeddings.size(),
+               ", text index ", indexes[kBow].num_docs(), ", node index ",
+               indexes[kBon].num_docs(), ", embeddings ", embeddings.size(),
                ", doc map ", doc_map.size()));
   }
-  if (text_index.num_terms() > terms.size()) {
+  if (indexes[kBow].num_terms() > terms.size()) {
     return Status::IOError(
-        StrCat("text index references ", text_index.num_terms(),
+        StrCat("text index references ", indexes[kBow].num_terms(),
                " terms but the dictionary holds ", terms.size()));
   }
 
   // Commit. Everything below is infallible. Moving the locals in clears
   // the members' instrument pointers, so metrics are re-attached right
   // after (the registry returns the same counters it handed out before).
-  text_index_ = std::move(text_index);
-  node_index_ = std::move(node_index);
-  text_index_.EnableMetrics(registry(), "bow");
-  node_index_.EnableMetrics(registry(), "bon");
+  for (const Side side : kSides) {
+    ns_[side].index = std::move(indexes[side]);
+    ns_[side].index.EnableMetrics(registry(), kSideName[side]);
+  }
   text_dict_.GetOrAdd(terms);
   for (embed::DocumentEmbedding& e : embeddings) {
     doc_embeddings_.Append(std::move(e));
@@ -732,14 +743,15 @@ ShardQuery NewsLinkEngine::PrepareShardQuery(
     const embed::DocumentEmbedding& query_embedding) const {
   const double beta = request.beta.value_or(config_.beta);
   ShardQuery query;
-  query.use_bow = beta < 1.0;
-  query.use_bon = beta > 0.0;
+  for (const Side side : kSides) {
+    query.use[side] = SideWeight(beta, side) > 0.0;
+  }
   query.kprime = std::max<uint64_t>(request.k, kFirstRoundDepth);
   query.exhaustive = request.exhaustive_fusion;
-  if (query.use_bow) {
+  if (query.use[kBow]) {
     query.text_stems = ir::TextVectorizer::StemsForQuery(request.query);
   }
-  if (query.use_bon) {
+  if (query.use[kBon]) {
     query.node_terms =
         QueryBonCounts(query_embedding, config_.bon_query_source_weight);
   }
@@ -760,32 +772,22 @@ ShardPlan NewsLinkEngine::PlanShard(const ShardQuery& query,
   plan.epoch = snap->epoch;
   ShardStats& stats = plan.stats;
   stats.num_docs = snap->num_docs;
-  stats.text_total_length = snap->text.total_length;
-  stats.node_total_length = snap->node.total_length;
-  stats.text_min_doc_length = text_index_.MinDocLength();
-  stats.node_min_doc_length = node_index_.MinDocLength();
   stats.has_timestamps = snap->has_timestamps;
   stats.now_ms = snap->now_ms;
-  if (query.use_bow) {
-    stats.text_df.reserve(query.text_stems.size());
-    stats.text_max_tf.reserve(query.text_stems.size());
-    for (const auto& [stem, qtf] : query.text_stems) {
-      const ir::TermId id = text_dict_.Find(stem);
-      if (id == ir::kInvalidTerm) {
-        stats.text_df.push_back(0);
-        stats.text_max_tf.push_back(0);
-      } else {
-        stats.text_df.push_back(text_index_.DocFreq(id, snap->text));
-        stats.text_max_tf.push_back(text_index_.BlockMax(id).max_tf);
-      }
-    }
-  }
-  if (query.use_bon) {
-    stats.node_df.reserve(query.node_terms.size());
-    stats.node_max_tf.reserve(query.node_terms.size());
-    for (const auto& [node, qtf] : query.node_terms) {
-      stats.node_df.push_back(node_index_.DocFreq(node, snap->node));
-      stats.node_max_tf.push_back(node_index_.BlockMax(node).max_tf);
+  // An unknown stem (kInvalidTerm) reads df 0 and max-tf 0.
+  const ir::TermCounts text_terms = TextTermIds(query, text_dict_);
+  const ir::TermCounts* terms[2] = {&text_terms, &query.node_terms};
+  for (const Side side : kSides) {
+    const ir::InvertedIndex& index = ns_[side].index;
+    ShardSideStats& out = stats.side[side];
+    out.total_length = snap->side[side].total_length;
+    out.min_doc_length = index.MinDocLength();
+    if (!query.use[side]) continue;
+    out.df.reserve(terms[side]->size());
+    out.max_tf.reserve(terms[side]->size());
+    for (const auto& [term, qtf] : *terms[side]) {
+      out.df.push_back(index.DocFreq(term, snap->side[side]));
+      out.max_tf.push_back(index.BlockMax(term).max_tf);
     }
   }
   return plan;
@@ -801,115 +803,82 @@ ShardSearchResult NewsLinkEngine::SearchShard(const ShardQuery& query,
   out.epoch = snap->epoch;
   out.snapshot_docs = snap->num_docs;
 
-  // Localize the text query through this shard's dictionary, keeping the
-  // collection statistics positionally aligned (stems unknown here are
-  // dropped together with their df/max-tf — they cannot match anything
-  // local, and the remaining terms keep their canonical stem order).
-  ir::TermCounts bow_query;
-  ir::CollectionStats bow_stats;
-  if (query.use_bow) {
-    bow_stats.num_docs = global.num_docs;
-    bow_stats.total_length = global.text_total_length;
-    bow_stats.min_doc_length = global.text_min_doc_length;
-    bow_query.reserve(query.text_stems.size());
-    for (size_t i = 0; i < query.text_stems.size(); ++i) {
-      const ir::TermId id = text_dict_.Find(query.text_stems[i].first);
-      if (id == ir::kInvalidTerm) continue;
-      bow_query.push_back({id, query.text_stems[i].second});
-      bow_stats.df.push_back(global.text_df[i]);
-      bow_stats.max_tf.push_back(global.text_max_tf[i]);
-    }
-  }
-  // Node ids are global (every shard serves the same KG), so the BON query
-  // and its statistics are used as-is.
-  ir::CollectionStats bon_stats;
-  if (query.use_bon) {
-    bon_stats.num_docs = global.num_docs;
-    bon_stats.total_length = global.node_total_length;
-    bon_stats.min_doc_length = global.node_min_doc_length;
-    bon_stats.df = global.node_df;
-    bon_stats.max_tf = global.node_max_tf;
-  }
-  const ir::TermCounts& bon_query = query.node_terms;
+  // Terms stay positional with the collection statistics: a stem unknown
+  // here (kInvalidTerm) has no postings, so the BM25 kernel drops it with
+  // its df and max-tf, as it does any term that matches nothing local.
+  const ir::TermCounts text_terms = TextTermIds(query, text_dict_);
+  const ir::TermCounts* terms[2] = {&text_terms, &query.node_terms};
 
   // Publication-time pre-filter, pushed into the posting traversal on
   // both sides: documents outside [after_ms, before_ms) are never scored
   // (the docs-scored counters show the pruning).
-  TimeFilterCtx time_ctx{&timestamps_, {}};
-  ir::DocFilter time_filter;
-  const ir::DocFilter* filter = nullptr;
-  if (query.has_time_range) {
-    time_ctx.range =
-        baselines::TimeRange{query.after_ms, query.before_ms};
-    time_filter.accept = &TimeFilterCtx::Accept;
-    time_filter.ctx = &time_ctx;
-    filter = &time_filter;
+  const TimeFilterCtx time_ctx{&timestamps_, {query.after_ms, query.before_ms}};
+  const ir::DocFilter time_filter{&TimeFilterCtx::Accept, &time_ctx};
+  const ir::DocFilter* filter = query.has_time_range ? &time_filter : nullptr;
+
+  // Per side: the top k' (every match when exhaustive) scored with the
+  // collection statistics, its raw maximum (the coordinator applies the
+  // >0-else-1 guard) and its floor: lists are best-first, and one shorter
+  // than k' (or exhaustive) holds every matching document of its side.
+  ir::CollectionStats stats[2];
+  std::vector<ir::ScoredDoc> lists[2];
+  for (const Side side : kSides) {
+    if (!query.use[side]) continue;
+    const NsSide& ns = ns_[side];
+    const ShardSideStats& collection = global.side[side];
+    stats[side] = {global.num_docs, collection.total_length,
+                   collection.min_doc_length, collection.df,
+                   collection.max_tf};
+    ShardSideResult& result = out.side[side];
+    std::vector<ir::ScoredDoc>& list = lists[side];
+    if (query.exhaustive) {
+      list = ns.scorer.ScoreAll(*terms[side], snap->side[side], &stats[side],
+                                filter);
+      result.scored = list.size();
+    } else {
+      size_t scored = 0;
+      list = ns.retriever.TopK(*terms[side], query.kprime, snap->side[side],
+                               &scored, nullptr, &stats[side], filter);
+      result.scored = scored;
+      if (query.kprime > 0 && list.size() == query.kprime) {
+        result.floor = list.back().score;
+      }
+    }
+    for (const ir::ScoredDoc& s : list) {
+      result.max = std::max(result.max, s.score);
+    }
   }
 
-  std::vector<ir::ScoredDoc> bow;
-  std::vector<ir::ScoredDoc> bon;
-  size_t bow_scored = 0;
-  size_t bon_scored = 0;
-  if (query.exhaustive) {
-    if (query.use_bow) {
-      bow = text_scorer_.ScoreAll(bow_query, snap->text, &bow_stats, filter);
-      bow_scored = bow.size();
+  // Candidate union with both raw sides; a candidate retrieved on one side
+  // only gets its other scored side completed (the exhaustive lists are
+  // already complete — a doc absent from one is an exact zero there).
+  std::vector<FusionCandidate> candidates = MergeSides(lists);
+  if (!query.exhaustive) {
+    for (const Side side : kSides) {
+      if (!query.use[side]) continue;
+      out.side[side].scored +=
+          FillSide(&candidates, side, ns_[side].scorer, *terms[side],
+                   snap->side[side], &stats[side]);
     }
-    if (query.use_bon) {
-      bon = node_scorer_.ScoreAll(bon_query, snap->node, &bon_stats, filter);
-      bon_scored = bon.size();
-    }
-  } else {
-    if (query.use_bow) {
-      bow = text_retriever_.TopK(bow_query, query.kprime, snap->text,
-                                 &bow_scored, nullptr, &bow_stats, filter);
-    }
-    if (query.use_bon) {
-      bon = node_retriever_.TopK(bon_query, query.kprime, snap->node,
-                                 &bon_scored, nullptr, &bon_stats, filter);
-    }
-  }
-
-  // Raw per-side list maxima (no >0-else-1 guard here: the coordinator
-  // applies it once, on the max over all shards) and floors: the lists are
-  // best-first, and one shorter than k' (or exhaustive) holds every
-  // matching document of its side.
-  for (const ir::ScoredDoc& s : bow) out.bow_max = std::max(out.bow_max, s.score);
-  for (const ir::ScoredDoc& s : bon) out.bon_max = std::max(out.bon_max, s.score);
-  if (!query.exhaustive && query.kprime > 0) {
-    if (bow.size() == query.kprime) out.bow_floor = bow.back().score;
-    if (bon.size() == query.kprime) out.bon_floor = bon.back().score;
-  }
-
-  // Candidate union with both raw sides; candidates retrieved on one side
-  // only get their other side completed (the exhaustive lists are already
-  // complete — a doc absent from one is an exact zero there).
-  std::vector<FusionCandidate> candidates =
-      MergeSides(std::move(bow), std::move(bon));
-  if (!query.exhaustive && query.use_bow && query.use_bon) {
-    bow_scored += FillSide(&candidates, kBow, text_scorer_, bow_query,
-                           snap->text, &bow_stats);
-    bon_scored += FillSide(&candidates, kBon, node_scorer_, bon_query,
-                           snap->node, &bon_stats);
   }
 
   out.candidates.reserve(candidates.size());
   for (const FusionCandidate& c : candidates) {
     // The timestamp rides along (read by INTERNAL id, before translation)
     // so the coordinator's decayed merge never calls back into a shard.
-    out.candidates.push_back(ShardCandidate{internal_to_external_.At(c.doc),
-                                            c.score[kBow], c.score[kBon],
-                                            timestamps_.At(c.doc)});
+    ShardCandidate& candidate = out.candidates.emplace_back();
+    candidate.doc = internal_to_external_.At(c.doc);
+    std::copy(std::begin(c.score), std::end(c.score), candidate.score);
+    candidate.ts = timestamps_.At(c.doc);
   }
   // Deterministic wire order (and the merge tie-break speaks corpus rows).
   std::sort(out.candidates.begin(), out.candidates.end(),
             [](const ShardCandidate& a, const ShardCandidate& b) {
               return a.doc < b.doc;
             });
-  out.bow_scored = bow_scored;
-  out.bon_scored = bon_scored;
-  bow_docs_scored_->Inc(bow_scored);
-  bon_docs_scored_->Inc(bon_scored);
+  for (const Side side : kSides) {
+    ns_[side].docs_scored->Inc(out.side[side].scored);
+  }
   return out;
 }
 

@@ -299,9 +299,8 @@ class NewsLinkEngine : public PipelineEngine {
   /// Everything a query reads about the collection comes from here.
   struct EngineSnapshot {
     uint64_t epoch = 0;
-    ir::IndexSnapshot text;
-    ir::IndexSnapshot node;
-    size_t num_docs = 0;  // == text.num_docs == node.num_docs
+    ir::IndexSnapshot side[2];  // indexed by Side
+    size_t num_docs = 0;  // == side[kBow].num_docs == side[kBon].num_docs
     /// True once any indexed document carried a non-zero timestamp (or a
     /// loaded snapshot's timestamps section had one). False — e.g. for a
     /// pre-time snapshot without the section — leaves recency decay
@@ -335,6 +334,25 @@ class NewsLinkEngine : public PipelineEngine {
   /// when the embedder is the TreeEmb baseline).
   std::shared_ptr<const embed::LcagSketchIndex> InstalledSketch() const;
 
+  /// Append one document, corpus row `external`, to both NS indexes and
+  /// the per-document stores (caller holds writer_mu_).
+  void AppendDocument(const ir::TermCounts& text_counts,
+                      embed::DocumentEmbedding embedding, int64_t timestamp_ms,
+                      uint32_t external);
+
+  /// One side of the NS component (Eq. 3): its index, the scorer and the
+  /// retriever over it (so not movable), and its docs-scored counter.
+  struct NsSide {
+    NsSide(const ir::Bm25Params& bm25, metrics::Counter* docs_scored)
+        : scorer(&index, bm25), retriever(&index, bm25),
+          docs_scored(docs_scored) {}
+
+    ir::InvertedIndex index;  // BON: term ids are KG node ids
+    ir::Bm25Scorer scorer;
+    ir::MaxScoreRetriever retriever;
+    metrics::Counter* docs_scored;
+  };
+
   const kg::KnowledgeGraph* graph_;
   const kg::LabelIndex* label_index_;
   NewsLinkConfig config_;
@@ -352,12 +370,7 @@ class NewsLinkEngine : public PipelineEngine {
   // (snapshot-scoped) reads; scorers and retrievers are stateless over
   // them and constructed exactly once.
   ir::TermDictionary text_dict_;
-  ir::InvertedIndex text_index_;
-  ir::InvertedIndex node_index_;  // BON: term ids are KG node ids
-  ir::Bm25Scorer text_scorer_;
-  ir::Bm25Scorer node_scorer_;
-  ir::MaxScoreRetriever text_retriever_;
-  ir::MaxScoreRetriever node_retriever_;
+  NsSide ns_[2];  // indexed by Side
   ir::AppendOnlyStore<embed::DocumentEmbedding> doc_embeddings_;
   /// Publication timestamps in INTERNAL id order, appended in lockstep
   /// with doc_embeddings_ (one entry per indexed document, 0 = unknown).
@@ -396,8 +409,6 @@ class NewsLinkEngine : public PipelineEngine {
   // engine's lifetime; the registry (a base-class member) outlives every
   // derived member, so the snapshot deleter below may capture
   // snapshots_reclaimed_ (EngineSnapshot never escapes the engine).
-  metrics::Counter* bow_docs_scored_;
-  metrics::Counter* bon_docs_scored_;
   metrics::Counter* epochs_published_;
   metrics::Counter* snapshot_acquisitions_;
   metrics::Counter* snapshots_reclaimed_;

@@ -55,15 +55,15 @@ std::vector<ShardEpochPin> PinAll(const PipelineView& view) {
 /// A positive floor claims a per-side list of k' entries; an answer that
 /// covers the whole shard (exhaustive, or k' >= its documents) is final.
 Status CheckDepth(const ShardQuery& query, ShardSearchResult* result) {
-  if ((result->bow_floor > 0.0 || result->bon_floor > 0.0) &&
-      result->candidates.size() < query.kprime) {
-    return Status::IOError(StrCat("shard reported a floor with ",
-                                  result->candidates.size(),
-                                  " candidates at k' = ", query.kprime));
+  for (const ShardSideResult& side : result->side) {
+    if (side.floor > 0.0 && result->candidates.size() < query.kprime) {
+      return Status::IOError(StrCat("shard reported a floor with ",
+                                    result->candidates.size(),
+                                    " candidates at k' = ", query.kprime));
+    }
   }
   if (query.exhaustive || query.kprime >= result->snapshot_docs) {
-    result->bow_floor = 0.0;
-    result->bon_floor = 0.0;
+    for (ShardSideResult& side : result->side) side.floor = 0.0;
   }
   return Status::OK();
 }
@@ -194,8 +194,6 @@ baselines::SearchResponse QueryPipeline::Run(
     // the request's "now", else the newest pinned snapshot's.
     ShardFuseParams fuse;
     fuse.beta = beta;
-    fuse.use_bow = query.use_bow;
-    fuse.use_bon = query.use_bon;
     fuse.k = request.k;
     fuse.recency_half_life_s = request.recency_half_life_seconds.value_or(
         config.recency_half_life_seconds);
@@ -211,8 +209,7 @@ baselines::SearchResponse QueryPipeline::Run(
     // the new statistics change the collection-wide view every other
     // backend scored with.
     std::vector<ir::ScoredDoc> merged;
-    uint64_t bow_scored = 0;
-    uint64_t bon_scored = 0;
+    uint64_t scored[2] = {0, 0};  // documents scored per side
     size_t deepened = 0;
     for (int round = 0; round < 2; ++round) {
       std::vector<std::optional<ShardPlan>> plans(n);
@@ -253,7 +250,7 @@ baselines::SearchResponse QueryPipeline::Run(
             epoch_moved.store(true, std::memory_order_relaxed);
           }
           if (results[s].has_value()) {  // not asked again
-            results[s]->bow_floor = results[s]->bon_floor = 0.0;
+            for (ShardSideResult& side : results[s]->side) side.floor = 0.0;
           }
         });
         if (round == 0 && epoch_moved.load(std::memory_order_relaxed)) break;
@@ -263,8 +260,9 @@ baselines::SearchResponse QueryPipeline::Run(
         }
         for (const size_t s : targets) {
           if (!errors[s].ok()) continue;
-          bow_scored += answered[s]->bow_scored;
-          bon_scored += answered[s]->bon_scored;
+          for (const Side side : kSides) {
+            scored[side] += answered[s]->side[side].scored;
+          }
         }
         merged = MergeShardCandidates(
             fuse, answered, [backends](size_t s, uint32_t local) {
@@ -287,8 +285,7 @@ baselines::SearchResponse QueryPipeline::Run(
       // retry's — drop everything and re-plan at the new epochs.
       for (std::optional<ShardSearchResult>& r : results) r.reset();
       merged.clear();
-      bow_scored = 0;
-      bon_scored = 0;
+      std::fill(std::begin(scored), std::end(scored), 0);
     }
     response.hits.reserve(merged.size());
     for (const ir::ScoredDoc& scored : merged) {
@@ -297,8 +294,8 @@ baselines::SearchResponse QueryPipeline::Run(
       hit.score = scored.score;
       response.hits.push_back(std::move(hit));
     }
-    trace.Note("bow_scored", std::to_string(bow_scored));
-    trace.Note("bon_scored", std::to_string(bon_scored));
+    trace.Note("bow_scored", std::to_string(scored[kBow]));
+    trace.Note("bon_scored", std::to_string(scored[kBon]));
     trace.Note("deepened", std::to_string(deepened));
   }
 

@@ -38,6 +38,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "corpus/corpus.h"
@@ -114,6 +115,22 @@ struct ShardRows {
   }
 };
 
+/// \brief The two retrieval sides of the fused score (Eq. 3): BOW, BM25
+/// over the text stems, and BON, BM25 over the G* subgraph nodes of the NE
+/// component. Every per-side field below is an array indexed by Side; the
+/// v5 wire (net/api_json.h) carries them under flat "text_" / "node_" and
+/// "bow_" / "bon_" names.
+enum Side : size_t { kBow = 0, kBon = 1 };
+inline constexpr Side kSides[] = {kBow, kBon};
+/// Each side's short name, the prefix of its metric series.
+inline constexpr std::string_view kSideName[2] = {"bow", "bon"};
+
+/// Eq. 3's weight of `side`: 1 − β for BOW, β for BON. A side is scored
+/// only when its weight is positive.
+inline double SideWeight(double beta, Side side) {
+  return side == kBow ? 1.0 - beta : beta;
+}
+
 /// \brief A query in shard-portable form: what to retrieve, prepared once
 /// by the coordinator (NLP + NER + query embedding run once, not N times).
 ///
@@ -126,9 +143,8 @@ struct ShardQuery {
   /// BON side: (node id, query weight) sorted by node id — weights already
   /// carry the source-vs-induced boost.
   ir::TermCounts node_terms;
-  /// Which sides to score (use_bow == beta < 1, use_bon == beta > 0).
-  bool use_bow = true;
-  bool use_bon = false;
+  /// Which sides to score: SideWeight(β, side) > 0.
+  bool use[2] = {true, false};
   /// Per-side candidate depth k', doubled by every deeper SEARCH round.
   uint64_t kprime = kFirstRoundDepth;
   /// Exactness oracle: score every posting instead of MaxScore top-k'.
@@ -142,25 +158,25 @@ struct ShardQuery {
   int64_t before_ms = std::numeric_limits<int64_t>::max();
 };
 
+/// \brief One side's collection statistics for a query. total_length
+/// and df are read from the pinned epoch; min_doc_length and max_tf are
+/// the live index's pruning bounds (DESIGN.md Sec. 12.1).
+struct ShardSideStats {
+  uint64_t total_length = 0;
+  uint32_t min_doc_length = 0;  // 0 when empty
+  /// Positional, aligned with the side's query terms; empty when the side
+  /// is not scored.
+  std::vector<uint64_t> df;
+  std::vector<uint32_t> max_tf;
+};
+
 /// \brief Collection statistics for one query: one shard's (in its PLAN
 /// answer) or the collection's (MergeShardPlan over every shard's, sent
-/// back with SEARCH).
-///
-/// The counts, dfs, has_timestamps and now_ms are read from the pinned
-/// epoch; the min lengths and max-tfs are the live index's pruning bounds
-/// (DESIGN.md Sec. 12.1).
+/// back with SEARCH). num_docs and has_timestamps are read from the
+/// pinned epoch.
 struct ShardStats {
   uint64_t num_docs = 0;
-  uint64_t text_total_length = 0;
-  uint64_t node_total_length = 0;
-  /// Smallest doc length per side (pruning-bound input; 0 when empty).
-  uint32_t text_min_doc_length = 0;
-  uint32_t node_min_doc_length = 0;
-  /// Positional, aligned with ShardQuery::text_stems / ::node_terms.
-  std::vector<uint64_t> text_df;
-  std::vector<uint64_t> node_df;
-  std::vector<uint32_t> text_max_tf;
-  std::vector<uint32_t> node_max_tf;
+  ShardSideStats side[2];
   /// Whether any document carries a real timestamp (the merge only decays
   /// when some shard has one).
   bool has_timestamps = false;
@@ -188,33 +204,32 @@ void MergeShardPlan(const ShardStats& shard, ShardStats* out);
 struct ShardCandidate {
   /// Corpus row within the shard (the shard's external doc id).
   uint32_t doc = 0;
-  double bow = 0.0;
-  double bon = 0.0;
+  /// Raw BM25 score per side (0 on a side that does not match).
+  double score[2] = {0.0, 0.0};
   /// Publication timestamp (epoch ms, 0 = unknown): the input the merge's
   /// recency decay needs, so it never has to call back into a shard.
   int64_t ts = 0;
 };
 
-/// \brief Phase-2 answer: one shard's candidate union with raw per-side
-/// list maxima (the coordinator maxes these across shards before
-/// normalizing — max of maxima == the union's true per-side maximum,
-/// because per-side lists are best-first) and floors.
+/// \brief One side of one shard's phase-2 answer.
+struct ShardSideResult {
+  /// Raw maximum of the side's list, 0 when it is empty (the coordinator
+  /// maxes these over shards, then applies the >0-else-1 guard once).
+  double max = 0.0;
+  /// Raw score of the last entry of a list of k' entries, else 0 (every
+  /// matching document of the side is a candidate); v4.
+  double floor = 0.0;
+  /// Documents fully scored on the side, fill-ins included.
+  uint64_t scored = 0;
+};
+
+/// \brief Phase-2 answer: one shard's candidate union. Per-side lists are
+/// best-first, so the max of the shards' maxima is the union's.
 struct ShardSearchResult {
   uint64_t epoch = 0;
   uint64_t snapshot_docs = 0;
-  /// Raw maxima over this shard's per-side candidate lists (0 when the
-  /// side's list is empty — the >0-else-1 normalization guard is applied
-  /// once, by the coordinator, on the collection-wide max).
-  double bow_max = 0.0;
-  double bon_max = 0.0;
-  /// Raw score of the last entry of a per-side list of k' entries, else 0
-  /// (every matching document of the side is a candidate); v4.
-  double bow_floor = 0.0;
-  double bon_floor = 0.0;
+  ShardSideResult side[2];
   std::vector<ShardCandidate> candidates;
-  /// Work counters (documents fully scored per side, fill-ins included).
-  uint64_t bow_scored = 0;
-  uint64_t bon_scored = 0;
 };
 
 class NewsLinkEngine;

@@ -10,34 +10,24 @@ namespace newslink {
 void MergeShardPlan(const ShardStats& shard, ShardStats* out) {
   const bool first_nonempty = out->num_docs == 0;
   out->num_docs += shard.num_docs;
-  out->text_total_length += shard.text_total_length;
-  out->node_total_length += shard.node_total_length;
-  // Empty shards report min length 0; skipping them keeps the collection
-  // floor tight (a looser floor is still correct, just prunes less).
-  if (shard.num_docs > 0) {
-    if (first_nonempty) {
-      out->text_min_doc_length = shard.text_min_doc_length;
-      out->node_min_doc_length = shard.node_min_doc_length;
-    } else {
-      out->text_min_doc_length =
-          std::min(out->text_min_doc_length, shard.text_min_doc_length);
-      out->node_min_doc_length =
-          std::min(out->node_min_doc_length, shard.node_min_doc_length);
+  for (const Side side : kSides) {
+    const ShardSideStats& in = shard.side[side];
+    ShardSideStats& merged = out->side[side];
+    merged.total_length += in.total_length;
+    // Empty shards report min length 0; skipping them keeps the collection
+    // floor tight (a looser floor is still correct, just prunes less).
+    if (shard.num_docs > 0) {
+      merged.min_doc_length =
+          first_nonempty ? in.min_doc_length
+                         : std::min(merged.min_doc_length, in.min_doc_length);
+    }
+    if (merged.df.empty()) merged.df.resize(in.df.size(), 0);
+    if (merged.max_tf.empty()) merged.max_tf.resize(in.max_tf.size(), 0);
+    for (size_t i = 0; i < in.df.size(); ++i) merged.df[i] += in.df[i];
+    for (size_t i = 0; i < in.max_tf.size(); ++i) {
+      merged.max_tf[i] = std::max(merged.max_tf[i], in.max_tf[i]);
     }
   }
-  auto fold = [](const std::vector<uint64_t>& df,
-                 const std::vector<uint32_t>& max_tf,
-                 std::vector<uint64_t>* df_out,
-                 std::vector<uint32_t>* tf_out) {
-    if (df_out->empty()) df_out->resize(df.size(), 0);
-    if (tf_out->empty()) tf_out->resize(max_tf.size(), 0);
-    for (size_t i = 0; i < df.size(); ++i) (*df_out)[i] += df[i];
-    for (size_t i = 0; i < max_tf.size(); ++i) {
-      (*tf_out)[i] = std::max((*tf_out)[i], max_tf[i]);
-    }
-  };
-  fold(shard.text_df, shard.text_max_tf, &out->text_df, &out->text_max_tf);
-  fold(shard.node_df, shard.node_max_tf, &out->node_df, &out->node_max_tf);
   out->has_timestamps = out->has_timestamps || shard.has_timestamps;
   out->now_ms = std::max(out->now_ms, shard.now_ms);
 }
@@ -46,32 +36,35 @@ namespace {
 
 /// Eq. 3 on raw side scores over the collection per-side maxima. Per-side
 /// lists are best-first, so the max over shard maxima is the union's true
-/// maximum; the >0-else-1 guard is applied exactly once, here. The two
-/// terms are added in a fixed order, bow first. Nondecreasing in `bow` and
-/// `bon`, in floating point too, which ShardsToDeepen's bound relies on.
+/// maximum; the >0-else-1 guard is applied exactly once, here. The terms
+/// of the sides with a positive weight are added in a fixed order, bow
+/// first. Nondecreasing in each side's score, in floating point too,
+/// which ShardsToDeepen's bound relies on.
 struct Fusion {
-  Fusion(const ShardFuseParams& p,
-         const std::vector<const ShardSearchResult*>& shards)
-      : params(p) {
-    for (const ShardSearchResult* shard : shards) {
-      if (shard == nullptr) continue;
-      bow_max = std::max(bow_max, shard->bow_max);
-      bon_max = std::max(bon_max, shard->bon_max);
+  Fusion(const ShardFuseParams& params,
+         const std::vector<const ShardSearchResult*>& shards) {
+    for (const Side side : kSides) {
+      weight[side] = SideWeight(params.beta, side);
+      for (const ShardSearchResult* shard : shards) {
+        if (shard == nullptr) continue;
+        max[side] = std::max(max[side], shard->side[side].max);
+      }
+      max[side] = max[side] > 0.0 ? max[side] : 1.0;
     }
-    bow_max = bow_max > 0.0 ? bow_max : 1.0;
-    bon_max = bon_max > 0.0 ? bon_max : 1.0;
   }
 
-  double operator()(double bow, double bon) const {
+  double operator()(const double (&score)[2]) const {
     double fused = 0.0;
-    if (params.use_bow) fused += (1.0 - params.beta) * (bow / bow_max);
-    if (params.use_bon) fused += params.beta * (bon / bon_max);
+    for (const Side side : kSides) {
+      if (weight[side] > 0.0) {
+        fused += weight[side] * (score[side] / max[side]);
+      }
+    }
     return fused;
   }
 
-  const ShardFuseParams& params;
-  double bow_max = 0.0;
-  double bon_max = 0.0;
+  double weight[2] = {0.0, 0.0};
+  double max[2] = {0.0, 0.0};
 };
 
 }  // namespace
@@ -89,7 +82,7 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
   for (size_t s = 0; s < shards.size(); ++s) {
     if (shards[s] == nullptr) continue;
     for (const ShardCandidate& c : shards[s]->candidates) {
-      double fused = fuse(c.bow, c.bon);
+      double fused = fuse(c.score);
       // Fuse first, then multiply by the time decay (DESIGN.md Sec. 15).
       if (decay) {
         fused *= RecencyDecay(c.ts, params.now_ms, params.recency_half_life_s);
@@ -113,8 +106,13 @@ std::vector<size_t> ShardsToDeepen(
   for (size_t s = 0; s < shards.size(); ++s) {
     const ShardSearchResult* shard = shards[s];
     if (shard == nullptr) continue;
-    const bool open = shard->bow_floor > 0.0 || shard->bon_floor > 0.0;
-    if (open && fuse(shard->bow_floor, shard->bon_floor) >= kth) {
+    double floor[2];
+    bool open = false;
+    for (const Side side : kSides) {
+      floor[side] = shard->side[side].floor;
+      open = open || floor[side] > 0.0;
+    }
+    if (open && fuse(floor) >= kth) {
       deepen.push_back(s);
     }
   }

@@ -18,9 +18,8 @@ namespace newslink {
 
 /// How to fuse (request knobs resolved against the engine config).
 struct ShardFuseParams {
+  /// Eq. 3's β: the sides fused are those SideWeight(beta, side) > 0.
   double beta = 0.2;
-  bool use_bow = true;
-  bool use_bon = false;
   size_t k = 10;
   /// Recency decay inputs (DESIGN.md Sec. 15). Decay multiplies each
   /// candidate's fused score by RecencyDecay(ts, now_ms, half_life) — but
@@ -48,11 +47,11 @@ std::vector<ir::ScoredDoc> MergeShardCandidates(
 /// The answering shards that must be searched deeper before `merged`
 /// (MergeShardCandidates over `shards`) is the exhaustive fusion's top k:
 /// the Threshold Algorithm's stopping rule (Fagin, Lotem & Naor, PODS
-/// 2001). A shard's bound τ = (1−β)·bow_floor/B + β·bon_floor/N is the
-/// merge's own fusion of its floors, and no candidate it has not returned
-/// can score above τ (DESIGN.md Sec. 7). A shard with a positive floor is
-/// named when τ ≥ the k-th merged score (an unseen tie wins on a smaller
-/// global row) or fewer than k documents merged.
+/// 2001). A shard's bound τ is the merge's own fusion (Eq. 3) of its
+/// per-side floors: no candidate it has not returned can score above τ
+/// (DESIGN.md Sec. 7). A shard with a positive floor is named when τ ≥ the
+/// k-th merged score (an unseen tie wins on a smaller global row) or fewer
+/// than k documents merged.
 std::vector<size_t> ShardsToDeepen(
     const ShardFuseParams& params,
     const std::vector<const ShardSearchResult*>& shards,

@@ -288,6 +288,14 @@ TEST(ApiJsonTest, SearchRequestRejectsBadInput) {
       SearchRequestFromJson(MustParseJson("{\"query\":\"q\",\"k\":0}")).ok());
   EXPECT_FALSE(
       SearchRequestFromJson(MustParseJson("{\"query\":\"q\",\"k\":-3}")).ok());
+  // A k past the integer range is refused, not cast (undefined behaviour).
+  for (const std::string k : {"1e300", "18446744073709551616"}) {
+    const Result<baselines::SearchRequest> r = SearchRequestFromJson(
+        MustParseJson("{\"query\":\"q\",\"k\":" + k + "}"));
+    EXPECT_TRUE(r.status().IsInvalidArgument()) << k;
+    EXPECT_NE(r.status().message().find("exceeds"), std::string::npos)
+        << r.status().ToString();
+  }
   EXPECT_FALSE(SearchRequestFromJson(
                    MustParseJson("{\"query\":\"q\",\"kk\":10}"))
                    .ok());  // typo'd field fails loudly

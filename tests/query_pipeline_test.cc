@@ -372,12 +372,12 @@ ShardSearchResult TextAnswer(uint64_t docs, uint64_t candidates,
   ShardSearchResult result;
   result.epoch = 1;
   result.snapshot_docs = docs;
-  result.bow_max = 1.0;
-  result.bow_floor = floor;
+  result.side[kBow].max = 1.0;
+  result.side[kBow].floor = floor;
   for (uint32_t d = 0; d < candidates; ++d) {
     result.candidates.push_back(ShardCandidate{d, 1.0, 0.0, 1});
   }
-  result.bow_scored = candidates;
+  result.side[kBow].scored = candidates;
   return result;
 }
 

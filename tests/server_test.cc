@@ -98,13 +98,14 @@ json::Value JsonBodyOf(const std::string& reply) {
   return v.ok() ? std::move(v).value() : json::Value();
 }
 
-/// A loopback peer that answers every connection's request head with
-/// `reply`, byte for byte, then closes the connection or, when
-/// `hold_open`, keeps it open until the peer is destroyed.
+/// A loopback peer that answers the i-th request head it reads (over all
+/// connections) with replies[i], byte for byte — the last reply once they
+/// run out — then closes the connection or, when `hold_open`, keeps it
+/// open for the next request until the peer is destroyed.
 class CannedPeer {
  public:
-  CannedPeer(std::string reply, bool hold_open)
-      : reply_(std::move(reply)), hold_open_(hold_open) {
+  CannedPeer(std::vector<std::string> replies, bool hold_open)
+      : replies_(std::move(replies)), hold_open_(hold_open) {
     listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     NL_CHECK(listen_fd_ >= 0);
     sockaddr_in addr{};
@@ -119,6 +120,8 @@ class CannedPeer {
     port_ = ntohs(addr.sin_port);
     thread_ = std::thread([this] { Serve(); });
   }
+  CannedPeer(std::string reply, bool hold_open)
+      : CannedPeer(std::vector<std::string>{std::move(reply)}, hold_open) {}
   ~CannedPeer() {
     stop_.store(true);
     thread_.join();
@@ -129,35 +132,55 @@ class CannedPeer {
   CannedPeer& operator=(const CannedPeer&) = delete;
 
   uint16_t port() const { return port_; }
+  /// Request heads read so far.
+  size_t requests() const { return requests_.load(); }
 
  private:
   void Serve() {
     while (!stop_.load()) {
-      pollfd pfd{listen_fd_, POLLIN, 0};
-      if (::poll(&pfd, 1, 20) <= 0) continue;
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) continue;
-      std::string head;
-      char buf[1024];
-      while (head.find("\r\n\r\n") == std::string::npos) {
-        const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-        if (n <= 0) break;
-        head.append(buf, static_cast<size_t>(n));
+      std::vector<pollfd> fds = {{listen_fd_, POLLIN, 0}};
+      for (const int fd : open_) fds.push_back({fd, POLLIN, 0});
+      if (::poll(fds.data(), fds.size(), 20) <= 0) continue;
+      for (size_t i = 1; i < fds.size(); ++i) {
+        if (fds[i].revents != 0) Answer(fds[i].fd);
       }
-      ::send(fd, reply_.data(), reply_.size(), MSG_NOSIGNAL);
-      if (hold_open_) {
-        open_.push_back(fd);
-      } else {
-        ::close(fd);
+      if (fds[0].revents != 0) {
+        const int fd = ::accept(listen_fd_, nullptr, nullptr);
+        if (fd >= 0) Answer(fd);
       }
     }
   }
 
-  const std::string reply_;
+  /// Read one request head from `fd` and answer it; closes `fd` when the
+  /// client hung up, or after the reply unless `hold_open`.
+  void Answer(int fd) {
+    std::erase(open_, fd);
+    std::string head;
+    char buf[1024];
+    while (head.find("\r\n\r\n") == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        ::close(fd);
+        return;
+      }
+      head.append(buf, static_cast<size_t>(n));
+    }
+    const size_t i = requests_.fetch_add(1);
+    const std::string& reply = replies_[std::min(i, replies_.size() - 1)];
+    ::send(fd, reply.data(), reply.size(), MSG_NOSIGNAL);
+    if (hold_open_) {
+      open_.push_back(fd);
+    } else {
+      ::close(fd);
+    }
+  }
+
+  const std::vector<std::string> replies_;
   const bool hold_open_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
+  std::atomic<size_t> requests_{0};
   std::vector<int> open_;  // touched by thread_ only, until it joins
   std::thread thread_;
 };
@@ -865,6 +888,28 @@ TEST_F(ServerTest, HttpClientRejectsChunkedResponses) {
     EXPECT_EQ(client.connections_opened(), 2u) << hold_open;
     EXPECT_EQ(client.connection_reuses(), 0u) << hold_open;
   }
+}
+
+TEST_F(ServerTest, HttpClientDoesNotReplayARefusedResponse) {
+  // A response that arrived on a reused connection but was refused (here
+  // chunked) is the peer's answer, not a stale socket: replaying the
+  // request on a fresh connection would make the peer serve it twice.
+  const std::vector<std::string> replies = {
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok",
+      "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+      "5\r\nhello\r\n0\r\n\r\n"};
+  CannedPeer peer(replies, /*hold_open=*/true);
+  HttpClient client("127.0.0.1", peer.port());
+  HttpClientOptions options;
+  options.deadline_seconds = 2.0;
+  const Result<HttpClientResponse> first = client.Get("/healthz", options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->body, "ok");
+  const Result<HttpClientResponse> second = client.Get("/healthz", options);
+  EXPECT_TRUE(second.status().IsIOError()) << second.status().ToString();
+  EXPECT_EQ(client.connection_reuses(), 1u);
+  EXPECT_EQ(client.connection_reconnects(), 0u);
+  EXPECT_EQ(peer.requests(), 2u);
 }
 
 TEST(DrainSignalTest, TriggerUnblocksWaitAndLatches) {

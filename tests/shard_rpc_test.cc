@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -38,8 +39,8 @@ ShardQuery SampleQuery() {
   ShardQuery query;
   query.text_stems = {{"flood", 2}, {"rescu", 1}};
   query.node_terms = {{7, 3}, {19, 1}};
-  query.use_bow = true;
-  query.use_bon = true;
+  query.use[kBow] = true;
+  query.use[kBon] = true;
   query.kprime = 37;
   query.exhaustive = true;
   return query;
@@ -49,14 +50,8 @@ ShardQuery SampleQuery() {
 ShardStats SampleStats() {
   ShardStats stats;
   stats.num_docs = 1000;
-  stats.text_total_length = 123456;
-  stats.node_total_length = 7890;
-  stats.text_min_doc_length = 4;
-  stats.node_min_doc_length = 1;
-  stats.text_df = {500, 17};
-  stats.node_df = {3, 0};
-  stats.text_max_tf = {9, 2};
-  stats.node_max_tf = {5, 1};
+  stats.side[kBow] = {123456, 4, {500, 17}, {9, 2}};
+  stats.side[kBon] = {7890, 1, {3, 0}, {5, 1}};
   stats.has_timestamps = true;
   stats.now_ms = 1700000400123;
   return stats;
@@ -66,14 +61,14 @@ ShardStats SampleStats() {
 /// to the same check.
 void ExpectSameStats(const ShardStats& actual, const ShardStats& expected) {
   EXPECT_EQ(actual.num_docs, expected.num_docs);
-  EXPECT_EQ(actual.text_total_length, expected.text_total_length);
-  EXPECT_EQ(actual.node_total_length, expected.node_total_length);
-  EXPECT_EQ(actual.text_min_doc_length, expected.text_min_doc_length);
-  EXPECT_EQ(actual.node_min_doc_length, expected.node_min_doc_length);
-  EXPECT_EQ(actual.text_df, expected.text_df);
-  EXPECT_EQ(actual.node_df, expected.node_df);
-  EXPECT_EQ(actual.text_max_tf, expected.text_max_tf);
-  EXPECT_EQ(actual.node_max_tf, expected.node_max_tf);
+  for (const Side side : kSides) {
+    const ShardSideStats& a = actual.side[side];
+    const ShardSideStats& e = expected.side[side];
+    EXPECT_EQ(a.total_length, e.total_length) << side;
+    EXPECT_EQ(a.min_doc_length, e.min_doc_length) << side;
+    EXPECT_EQ(a.df, e.df) << side;
+    EXPECT_EQ(a.max_tf, e.max_tf) << side;
+  }
   EXPECT_EQ(actual.has_timestamps, expected.has_timestamps);
   EXPECT_EQ(actual.now_ms, expected.now_ms);
 }
@@ -153,12 +148,8 @@ TEST(ShardCodecs, SearchMessagesKeepScoresBitExact) {
   ShardSearchResult result;
   result.epoch = 17;
   result.snapshot_docs = 1000;
-  result.bow_max = 0.1 + 0.2;
-  result.bon_max = 1.0 / 3.0;
-  result.bow_floor = 0.1 + 0.7;
-  result.bon_floor = 2.0 / 3.0;
-  result.bow_scored = 321;
-  result.bon_scored = 12;
+  result.side[kBow] = {0.1 + 0.2, 0.1 + 0.7, 321};
+  result.side[kBon] = {1.0 / 3.0, 2.0 / 3.0, 12};
   result.candidates = {
       {42, 3.0000000000000004, 0.0},
       {77, 2.718281828459045, 0.30000000000000004},
@@ -167,17 +158,18 @@ TEST(ShardCodecs, SearchMessagesKeepScoresBitExact) {
                                            ShardSearchResponseFromJson);
   EXPECT_EQ(rback.epoch, result.epoch);
   EXPECT_EQ(rback.snapshot_docs, result.snapshot_docs);
-  EXPECT_EQ(rback.bow_max, result.bow_max);
-  EXPECT_EQ(rback.bon_max, result.bon_max);
-  EXPECT_EQ(rback.bow_floor, result.bow_floor);
-  EXPECT_EQ(rback.bon_floor, result.bon_floor);
-  EXPECT_EQ(rback.bow_scored, result.bow_scored);
-  EXPECT_EQ(rback.bon_scored, result.bon_scored);
+  for (const Side side : kSides) {
+    EXPECT_EQ(rback.side[side].max, result.side[side].max) << side;
+    EXPECT_EQ(rback.side[side].floor, result.side[side].floor) << side;
+    EXPECT_EQ(rback.side[side].scored, result.side[side].scored) << side;
+  }
   ASSERT_EQ(rback.candidates.size(), 2u);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(rback.candidates[i].doc, result.candidates[i].doc);
-    EXPECT_EQ(rback.candidates[i].bow, result.candidates[i].bow);
-    EXPECT_EQ(rback.candidates[i].bon, result.candidates[i].bon);
+    for (const Side side : kSides) {
+      EXPECT_EQ(rback.candidates[i].score[side],
+                result.candidates[i].score[side]);
+    }
   }
 }
 
@@ -378,13 +370,13 @@ TEST(ShardCodecs, StatisticsMustAlignWithTheQuery) {
   // out-of-bounds read.
   const ShardQuery query = SampleQuery();
   ShardQuery text_only = query;
-  text_only.use_bon = false;
+  text_only.use[kBon] = false;
   std::vector<std::pair<ShardQuery, ShardStats>> cases;
   ShardStats short_text = SampleStats();
-  short_text.text_df.pop_back();
+  short_text.side[kBow].df.pop_back();
   cases.push_back({query, short_text});
   ShardStats long_node = SampleStats();
-  long_node.node_max_tf.push_back(1);
+  long_node.side[kBon].max_tf.push_back(1);
   cases.push_back({query, long_node});
   cases.push_back({query, ShardStats()});
   cases.push_back({text_only, SampleStats()});  // node side not scored
@@ -417,6 +409,29 @@ TEST(ShardCodecs, ThirtyTwoBitFieldsRejectWiderValues) {
         << field;
   }
 
+  // So are a text stem's count and a node term's id or weight.
+  const auto pair = [](json::Value first, json::Value second) {
+    json::Value entry = json::Value::Array();
+    entry.Append(std::move(first));
+    entry.Append(std::move(second));
+    return entry;
+  };
+  const std::pair<const char*, json::Value> wide_terms[] = {
+      {"text_stems", pair(json::Value::Str("flood"), json::Value::Uint(kWide))},
+      {"node_terms", pair(json::Value::Uint(kWide), json::Value::Uint(1))},
+      {"node_terms", pair(json::Value::Uint(7), json::Value::Uint(kWide))},
+  };
+  for (const auto& [field, entry] : wide_terms) {
+    json::Value terms = json::Value::Array();
+    terms.Append(json::Value(entry));
+    json::Value wire = ShardPlanRequestToJson(SampleQuery());
+    json::Value query = *wire.Find("query");
+    query.Set(field, std::move(terms));
+    wire.Set("query", std::move(query));
+    EXPECT_TRUE(ShardPlanRequestFromJson(wire).status().IsInvalidArgument())
+        << field << " " << entry.Dump();
+  }
+
   json::Value result = ShardSearchResponseToJson({});
   json::Value candidate = json::Value::Array();
   candidate.Append(json::Value::Uint(kWide + 5));
@@ -428,6 +443,158 @@ TEST(ShardCodecs, ThirtyTwoBitFieldsRejectWiderValues) {
   result.Set("candidates", std::move(candidates));
   EXPECT_TRUE(
       ShardSearchResponseFromJson(result).status().IsInvalidArgument());
+}
+
+// ---------------------------------------------------------------------------
+// Golden wire bytes: the v5 messages, pinned literally. Round trips cannot
+// see a field renamed on both the encoder and the decoder; these can.
+// ---------------------------------------------------------------------------
+
+constexpr std::string_view kGoldenQuery =
+    R"({"text_stems":[["flood",2],["rescu",1],["zzyx",1]],)"
+    R"("node_terms":[[7,3],[19,1]],"use_bow":true,"use_bon":true,)"
+    R"("kprime":128,"exhaustive":false,"has_time_range":true,)"
+    R"("after_ms":1699999999999,"before_ms":1700000360000})";
+
+constexpr std::string_view kGoldenStats =
+    R"({"num_docs":1000,"text_total_length":123456,)"
+    R"("node_total_length":7890,"text_min_doc_length":4,)"
+    R"("node_min_doc_length":1,"text_df":[500,17,0],"node_df":[3,0],)"
+    R"("text_max_tf":[9,2,0],"node_max_tf":[5,1],"has_timestamps":true,)"
+    R"("now_ms":1700000400123})";
+
+constexpr std::string_view kGoldenSearchResponse =
+    R"({"api_version":5,"epoch":9,"snapshot_docs":207,)"
+    R"("bow_max":0.30000000000000004,"bon_max":3.0000000000000004,)"
+    R"("bow_floor":1.0000000000000002,"bon_floor":0.10000000000000002,)"
+    R"("bow_scored":321,"bon_scored":12,)"
+    R"("candidates":[[42,2.9999999999999996,0,1700000000001],)"
+    R"([77,0,2.0000000000000004,0]]})";
+
+/// Both sides scored, an unknown-looking stem, a time window and a
+/// deepened k'.
+ShardQuery GoldenQuery() {
+  ShardQuery query;
+  query.text_stems = {{"flood", 2}, {"rescu", 1}, {"zzyx", 1}};
+  query.node_terms = {{7, 3}, {19, 1}};
+  query.use[kBow] = true;
+  query.use[kBon] = true;
+  query.kprime = 128;
+  query.has_time_range = true;
+  query.after_ms = 1699999999999;
+  query.before_ms = 1700000360000;
+  return query;
+}
+
+/// SampleStats, positional with GoldenQuery.
+ShardStats GoldenStats() {
+  ShardStats stats = SampleStats();
+  stats.side[kBow].df.push_back(0);
+  stats.side[kBow].max_tf.push_back(0);
+  return stats;
+}
+
+/// Per-side values that need all 17 significant digits.
+ShardSearchResult GoldenResult() {
+  ShardSearchResult result;
+  result.epoch = 9;
+  result.snapshot_docs = 207;
+  result.side[kBow] = {0.1 + 0.2, 1.0000000000000002, 321};
+  result.side[kBon] = {3.0000000000000004, 0.30000000000000004 / 3.0, 12};
+  result.candidates = {
+      {42, {2.9999999999999996, 0.0}, 1700000000001},
+      {77, {0.0, 2.0000000000000004}, 0},
+  };
+  return result;
+}
+
+void ExpectSameQuery(const ShardQuery& actual, const ShardQuery& expected) {
+  EXPECT_EQ(actual.text_stems, expected.text_stems);
+  EXPECT_EQ(actual.node_terms, expected.node_terms);
+  for (const Side side : kSides) {
+    EXPECT_EQ(actual.use[side], expected.use[side]) << side;
+  }
+  EXPECT_EQ(actual.kprime, expected.kprime);
+  EXPECT_EQ(actual.exhaustive, expected.exhaustive);
+  EXPECT_EQ(actual.has_time_range, expected.has_time_range);
+  EXPECT_EQ(actual.after_ms, expected.after_ms);
+  EXPECT_EQ(actual.before_ms, expected.before_ms);
+}
+
+void ExpectSameResult(const ShardSearchResult& actual,
+                      const ShardSearchResult& expected) {
+  EXPECT_EQ(actual.epoch, expected.epoch);
+  EXPECT_EQ(actual.snapshot_docs, expected.snapshot_docs);
+  for (const Side side : kSides) {
+    EXPECT_EQ(actual.side[side].max, expected.side[side].max) << side;
+    EXPECT_EQ(actual.side[side].floor, expected.side[side].floor) << side;
+    EXPECT_EQ(actual.side[side].scored, expected.side[side].scored) << side;
+  }
+  ASSERT_EQ(actual.candidates.size(), expected.candidates.size());
+  for (size_t i = 0; i < expected.candidates.size(); ++i) {
+    EXPECT_EQ(actual.candidates[i].doc, expected.candidates[i].doc) << i;
+    for (const Side side : kSides) {
+      EXPECT_EQ(actual.candidates[i].score[side],
+                expected.candidates[i].score[side])
+          << i << " side " << side;
+    }
+    EXPECT_EQ(actual.candidates[i].ts, expected.candidates[i].ts) << i;
+  }
+}
+
+json::Value ParseOrDie(std::string_view text) {
+  Result<json::Value> parsed = json::Parse(text);
+  NL_CHECK(parsed.ok()) << parsed.status().ToString();
+  return std::move(*parsed);
+}
+
+TEST(ShardCodecs, GoldenWireBytes) {
+  const ShardQuery query = GoldenQuery();
+  ShardPlan plan;
+  plan.epoch = 41;
+  plan.stats = GoldenStats();
+  const ShardSearchResult result = GoldenResult();
+  const std::string plan_request =
+      StrCat(R"({"api_version":5,"query":)", kGoldenQuery, "}");
+  const std::string plan_response =
+      StrCat(R"({"api_version":5,"epoch":41,"stats":)", kGoldenStats, "}");
+  const std::string search_request =
+      StrCat(R"({"api_version":5,"expected_epoch":41,"query":)", kGoldenQuery,
+             R"(,"global":)", kGoldenStats, "}");
+
+  EXPECT_EQ(ShardPlanRequestToJson(query).Dump(), plan_request);
+  EXPECT_EQ(ShardPlanResponseToJson(plan).Dump(), plan_response);
+  EXPECT_EQ(ShardSearchRequestToJson(41, query, plan.stats).Dump(),
+            search_request);
+  EXPECT_EQ(ShardSearchResponseToJson(result).Dump(), kGoldenSearchResponse);
+
+  // The literals decode back to the structs they were encoded from.
+  const Result<ShardQuery> query_back =
+      ShardPlanRequestFromJson(ParseOrDie(plan_request));
+  ASSERT_TRUE(query_back.ok()) << query_back.status().ToString();
+  ExpectSameQuery(*query_back, query);
+
+  const Result<ShardPlan> plan_back =
+      ShardPlanResponseFromJson(ParseOrDie(plan_response), query);
+  ASSERT_TRUE(plan_back.ok()) << plan_back.status().ToString();
+  EXPECT_EQ(plan_back->epoch, plan.epoch);
+  ExpectSameStats(plan_back->stats, plan.stats);
+
+  uint64_t expected_epoch = 0;
+  ShardQuery search_query;
+  ShardStats global;
+  ASSERT_TRUE(ShardSearchRequestFromJson(ParseOrDie(search_request),
+                                         &expected_epoch, &search_query,
+                                         &global)
+                  .ok());
+  EXPECT_EQ(expected_epoch, 41u);
+  ExpectSameQuery(search_query, query);
+  ExpectSameStats(global, plan.stats);
+
+  const Result<ShardSearchResult> result_back =
+      ShardSearchResponseFromJson(ParseOrDie(kGoldenSearchResponse));
+  ASSERT_TRUE(result_back.ok()) << result_back.status().ToString();
+  ExpectSameResult(*result_back, result);
 }
 
 TEST(ShardCodecs, SearchResponseShardBlockIsAdditive) {
@@ -587,14 +754,16 @@ TEST_F(ShardServingTest, ShardHandlersSpeakTheTwoPhaseProtocol) {
   const ShardSearchResult direct_result =
       engine->SearchShard(query, global, engine->PinEpoch());
   ASSERT_EQ(result->candidates.size(), direct_result.candidates.size());
-  EXPECT_EQ(result->bow_max, direct_result.bow_max);
-  EXPECT_EQ(result->bon_max, direct_result.bon_max);
-  EXPECT_EQ(result->bow_floor, direct_result.bow_floor);
-  EXPECT_EQ(result->bon_floor, direct_result.bon_floor);
+  for (const Side side : kSides) {
+    EXPECT_EQ(result->side[side].max, direct_result.side[side].max);
+    EXPECT_EQ(result->side[side].floor, direct_result.side[side].floor);
+  }
   for (size_t i = 0; i < direct_result.candidates.size(); ++i) {
     EXPECT_EQ(result->candidates[i].doc, direct_result.candidates[i].doc);
-    EXPECT_EQ(result->candidates[i].bow, direct_result.candidates[i].bow);
-    EXPECT_EQ(result->candidates[i].bon, direct_result.candidates[i].bon);
+    for (const Side side : kSides) {
+      EXPECT_EQ(result->candidates[i].score[side],
+                direct_result.candidates[i].score[side]);
+    }
   }
 
   // Statistics that do not line up with the query's terms are refused
@@ -620,23 +789,27 @@ TEST_F(ShardServingTest, CoordinatorMatchesSingleEngineOverTheUnion) {
   StartCluster();
   for (const size_t doc : {0UL, 3UL, 7UL}) {
     for (const double beta : {0.0, 0.3, 1.0}) {
-      baselines::SearchRequest request;
-      request.query = QueryFor(doc);
-      request.k = 5;
-      request.beta = beta;
-      const baselines::SearchResponse expected = single_->Search(request);
-      const baselines::SearchResponse actual = coordinator_->Search(request);
-      const std::string what = StrCat("doc ", doc, " beta ", beta);
-      EXPECT_EQ(actual.shards_total, kNumShards) << what;
-      EXPECT_EQ(actual.shards_answered, kNumShards) << what;
-      EXPECT_FALSE(actual.degraded) << what;
-      EXPECT_EQ(actual.snapshot_docs, union_corpus_.size()) << what;
-      ASSERT_EQ(actual.hits.size(), expected.hits.size()) << what;
-      for (size_t i = 0; i < expected.hits.size(); ++i) {
-        EXPECT_EQ(actual.hits[i].doc_index, expected.hits[i].doc_index)
-            << what << " hit " << i;
-        EXPECT_EQ(actual.hits[i].score, expected.hits[i].score)
-            << what << " hit " << i;
+      for (const bool exhaustive : {false, true}) {
+        baselines::SearchRequest request;
+        request.query = QueryFor(doc);
+        request.k = 5;
+        request.beta = beta;
+        request.exhaustive_fusion = exhaustive;
+        const baselines::SearchResponse expected = single_->Search(request);
+        const baselines::SearchResponse actual = coordinator_->Search(request);
+        const std::string what =
+            StrCat("doc ", doc, " beta ", beta, " exhaustive ", exhaustive);
+        EXPECT_EQ(actual.shards_total, kNumShards) << what;
+        EXPECT_EQ(actual.shards_answered, kNumShards) << what;
+        EXPECT_FALSE(actual.degraded) << what;
+        EXPECT_EQ(actual.snapshot_docs, union_corpus_.size()) << what;
+        ASSERT_EQ(actual.hits.size(), expected.hits.size()) << what;
+        for (size_t i = 0; i < expected.hits.size(); ++i) {
+          EXPECT_EQ(actual.hits[i].doc_index, expected.hits[i].doc_index)
+              << what << " hit " << i;
+          EXPECT_EQ(actual.hits[i].score, expected.hits[i].score)
+              << what << " hit " << i;
+        }
       }
     }
   }

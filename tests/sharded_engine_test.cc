@@ -253,16 +253,14 @@ TEST_F(ShardedEngineTest, DegradedMergeCoversAnsweringShardsOnly) {
   // Unit-level check of the coordinator's partial-result path: a null
   // shard entry drops out of the merge; the rest still rank correctly.
   ShardSearchResult a;
-  a.bow_max = 2.0;
+  a.side[kBow].max = 2.0;
   a.candidates = {{0, 2.0, 0.0}, {1, 1.0, 0.0}};
   ShardSearchResult b;
-  b.bow_max = 4.0;
+  b.side[kBow].max = 4.0;
   b.candidates = {{0, 4.0, 0.0}};
 
   ShardFuseParams params;
   params.beta = 0.0;
-  params.use_bow = true;
-  params.use_bon = false;
   params.k = 10;
   const auto to_global = [](size_t shard, uint32_t local) {
     return static_cast<uint32_t>(2 * local + shard);
@@ -284,20 +282,18 @@ TEST_F(ShardedEngineTest, DegradedMergeCoversAnsweringShardsOnly) {
 TEST(ShardsToDeepenTest, BoundReachingTheKthScoreDeepensTheShard) {
   // Shard a's lists are full (positive floors); shard b's are exhausted.
   ShardSearchResult a;
-  a.bow_max = 3.0;
-  a.bon_max = 1.0;
+  a.side[kBow].max = 3.0;
+  a.side[kBon].max = 1.0;
   a.candidates = {{0, 3.0, 1.0}, {1, 0.7, 0.3}};
-  a.bow_floor = 0.7;
-  a.bon_floor = 0.3;
+  a.side[kBow].floor = 0.7;
+  a.side[kBon].floor = 0.3;
   ShardSearchResult b;
-  b.bow_max = 1.0;
-  b.bon_max = 1.0;
+  b.side[kBow].max = 1.0;
+  b.side[kBon].max = 1.0;
   b.candidates = {{0, 0.1, 0.2}};
 
   ShardFuseParams params;
   params.beta = 0.3;
-  params.use_bow = true;
-  params.use_bon = true;
   params.k = 2;
   const auto to_global = [](size_t shard, uint32_t local) {
     return static_cast<uint32_t>(2 * local + shard);
@@ -317,7 +313,7 @@ TEST(ShardsToDeepenTest, BoundReachingTheKthScoreDeepensTheShard) {
 
   // Lower floors put the bound under the k-th score: nothing unseen can
   // enter, the merge is final.
-  a.bow_floor = 0.6;
+  a.side[kBow].floor = 0.6;
   EXPECT_TRUE(ShardsToDeepen(params, shards, merged).empty());
 
   // Fewer than k merged documents: every shard with an open side goes
