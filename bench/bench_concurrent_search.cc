@@ -51,6 +51,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -317,6 +318,9 @@ bool RunNeGate() {
       fast.Metrics().CounterValue(embed::kEmbedderSketchHits);
   const uint64_t sketch_fallbacks =
       fast.Metrics().CounterValue(embed::kEmbedderSketchFallbacks);
+  const auto fallbacks_for = [&fast](std::string_view series) {
+    return static_cast<size_t>(fast.Metrics().CounterValue(series));
+  };
   const bool gate_ok = speedup >= 2.0;
   const bool sketch_used = sketch_hits > 0;
   std::printf(
@@ -329,6 +333,12 @@ bool RunNeGate() {
       static_cast<size_t>(sketch_hits),
       static_cast<size_t>(sketch_fallbacks), kNeWindows, speedup,
       gate_ok ? "ok" : "FAIL", exact ? "ok" : "FAIL");
+  std::printf(
+      "sketch fallbacks by reason: truncated ball %zu, no common ancestor "
+      "within the radius %zu, ineligible %zu\n",
+      fallbacks_for(embed::kEmbedderSketchFallbacksTruncatedBall),
+      fallbacks_for(embed::kEmbedderSketchFallbacksNoCommonAncestor),
+      fallbacks_for(embed::kEmbedderSketchFallbacksIneligible));
   return gate_ok && exact && sketch_used;
 }
 

@@ -1,6 +1,6 @@
 // Microbenchmarks for the NE component: G* search cost versus the number
 // of entity labels and the KG size, against the TreeEmb (GST) baseline and
-// the exhaustive reference.
+// the exhaustive reference; the distance-sketch fast path and its build.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "embed/lcag_search.h"
+#include "embed/lcag_sketch.h"
 #include "embed/tree_embedder.h"
 #include "kg/label_index.h"
 #include "kg/synthetic_kg.h"
@@ -120,6 +121,62 @@ void BM_LcagSearch_KgScale(benchmark::State& state) {
   state.counters["kg_nodes"] = static_cast<double>(world.kg.graph.num_nodes());
 }
 BENCHMARK(BM_LcagSearch_KgScale)->Arg(1)->Arg(2)->Arg(4);
+
+/// The default-radius sketch of a world, built once per scale.
+const embed::LcagSketchIndex& SharedSketch(int scale) {
+  static std::map<int, std::unique_ptr<embed::LcagSketchIndex>>* const
+      sketches = new std::map<int, std::unique_ptr<embed::LcagSketchIndex>>();
+  auto it = sketches->find(scale);
+  if (it == sketches->end()) {
+    embed::LcagSketchOptions options;
+    options.enabled = true;
+    it = sketches
+             ->emplace(scale, std::make_unique<embed::LcagSketchIndex>(
+                                  embed::LcagSketchIndex::Build(
+                                      SharedWorld(scale).kg.graph, options)))
+             .first;
+  }
+  return *it->second;
+}
+
+/// The NE fast path: Find with the sketch installed and no cache, so each
+/// op is a sketch merge plus the candidate scan (or, on a miss, the full
+/// search). `sketch_hits/op` is the share the sketch answered.
+void BM_SketchLcag(benchmark::State& state) {
+  const World& world = SharedWorld(1);
+  const embed::LcagSketchIndex& sketch = SharedSketch(1);
+  const auto groups =
+      MakeLabelGroups(world, static_cast<size_t>(state.range(0)), 64);
+  embed::LcagSearch search(&world.kg.graph, &world.index);
+  size_t i = 0;
+  size_t hits = 0;
+  for (auto _ : state) {
+    const embed::LcagResult result =
+        search.Find(groups[i++ % groups.size()], {}, {.sketch = &sketch});
+    hits += result.sketch_hit ? 1 : 0;
+    benchmark::DoNotOptimize(result.found);
+  }
+  state.counters["sketch_hits/op"] =
+      static_cast<double>(hits) / state.iterations();
+}
+BENCHMARK(BM_SketchLcag)->Arg(2)->Arg(3)->Arg(4)->Arg(6);
+
+/// One single-threaded sketch build (a truncated Dijkstra per KG node).
+void BM_BuildSketch(benchmark::State& state) {
+  const World& world = SharedWorld(static_cast<int>(state.range(0)));
+  embed::LcagSketchOptions options;
+  options.enabled = true;
+  size_t entries = 0;
+  for (auto _ : state) {
+    const embed::LcagSketchIndex sketch =
+        embed::LcagSketchIndex::Build(world.kg.graph, options);
+    entries = sketch.total_entries();
+    benchmark::DoNotOptimize(entries);
+  }
+  state.counters["kg_nodes"] = static_cast<double>(world.kg.graph.num_nodes());
+  state.counters["entries"] = static_cast<double>(entries);
+}
+BENCHMARK(BM_BuildSketch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_LcagExhaustive(benchmark::State& state) {
   const World& world = SharedWorld(1);

@@ -8,16 +8,32 @@ namespace newslink {
 
 namespace {
 
-std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the bytewise CRC table of the reflected
+/// polynomial 0xEDB88320, and table[k][b] is the CRC of byte b followed by
+/// k zero bytes, so eight table lookups advance the CRC by eight bytes.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+CrcTables MakeCrcTables() {
+  CrcTables table{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    table[0][i] = c;
+  }
+  for (uint32_t i = 0; i < 256; ++i) {
+    for (size_t k = 1; k < table.size(); ++k) {
+      const uint32_t prev = table[k - 1][i];
+      table[k][i] = (prev >> 8) ^ table[0][prev & 0xFF];
+    }
   }
   return table;
+}
+
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
 }
 
 Status Truncated(std::string_view what, size_t want, size_t have) {
@@ -29,9 +45,19 @@ Status Truncated(std::string_view what, size_t want, size_t have) {
 }  // namespace
 
 uint32_t Crc32(std::span<const uint8_t> data) {
-  static const std::array<uint32_t, 256> table = MakeCrcTable();
+  static const CrcTables table = MakeCrcTables();
   uint32_t c = 0xFFFFFFFFu;
-  for (uint8_t b : data) c = table[(c ^ b) & 0xFF] ^ (c >> 8);
+  const uint8_t* p = data.data();
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = table[7][lo & 0xFF] ^ table[6][(lo >> 8) & 0xFF] ^
+        table[5][(lo >> 16) & 0xFF] ^ table[4][lo >> 24] ^
+        table[3][hi & 0xFF] ^ table[2][(hi >> 8) & 0xFF] ^
+        table[1][(hi >> 16) & 0xFF] ^ table[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = table[0][(c ^ *p) & 0xFF] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

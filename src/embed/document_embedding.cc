@@ -31,7 +31,16 @@ LcagSegmentEmbedder::LcagSegmentEmbedder(const kg::KnowledgeGraph* graph,
           kEmbedderSketchHits, "LCAG searches answered from sketches")),
       sketch_fallbacks_(registry_->GetCounter(
           kEmbedderSketchFallbacks,
-          "sketch-enabled searches that ran the full search")) {}
+          "sketch-enabled searches that ran the full search")),
+      fallbacks_ineligible_(registry_->GetCounter(
+          kEmbedderSketchFallbacksIneligible,
+          "sketch fallbacks: fewer than two labels or a reduced budget")),
+      fallbacks_truncated_ball_(registry_->GetCounter(
+          kEmbedderSketchFallbacksTruncatedBall,
+          "sketch fallbacks: a source ball was truncated")),
+      fallbacks_no_common_ancestor_(registry_->GetCounter(
+          kEmbedderSketchFallbacksNoCommonAncestor,
+          "sketch fallbacks: no common ancestor within the radius")) {}
 
 void LcagSegmentEmbedder::SetSketch(
     std::shared_ptr<const LcagSketchIndex> sketch) {
@@ -62,6 +71,18 @@ bool LcagSegmentEmbedder::EmbedSegment(const std::vector<std::string>& labels,
       sketch_hits_->Inc();
     } else {
       sketch_fallbacks_->Inc();
+      switch (result.sketch_miss) {
+        case SketchMiss::kTruncatedBall:
+          fallbacks_truncated_ball_->Inc();
+          break;
+        case SketchMiss::kNoCommonAncestor:
+          fallbacks_no_common_ancestor_->Inc();
+          break;
+        case SketchMiss::kNone:
+        case SketchMiss::kIneligible:
+          fallbacks_ineligible_->Inc();
+          break;
+      }
     }
   }
   if (outcome != nullptr) {

@@ -35,6 +35,14 @@ inline constexpr std::string_view kEmbedderSketchHits =
     "lcag_sketch_hits_total";
 inline constexpr std::string_view kEmbedderSketchFallbacks =
     "lcag_sketch_fallbacks_total";
+/// The fallbacks split by SketchMiss reason; the three sum to
+/// kEmbedderSketchFallbacks.
+inline constexpr std::string_view kEmbedderSketchFallbacksIneligible =
+    "lcag_sketch_fallbacks_ineligible_total";
+inline constexpr std::string_view kEmbedderSketchFallbacksTruncatedBall =
+    "lcag_sketch_fallbacks_truncated_ball_total";
+inline constexpr std::string_view kEmbedderSketchFallbacksNoCommonAncestor =
+    "lcag_sketch_fallbacks_no_common_ancestor_total";
 
 /// \brief Per-call outcome of one EmbedSegment (feeds trace-span notes).
 struct SegmentEmbedOutcome {
@@ -116,6 +124,9 @@ class LcagSegmentEmbedder : public SegmentEmbedder {
   metrics::Counter* budget_exhausted_;
   metrics::Counter* sketch_hits_;
   metrics::Counter* sketch_fallbacks_;
+  metrics::Counter* fallbacks_ineligible_;
+  metrics::Counter* fallbacks_truncated_ball_;
+  metrics::Counter* fallbacks_no_common_ancestor_;
 };
 
 /// \brief Tree-based embedder (the TreeEmb baseline).

@@ -19,123 +19,79 @@ namespace embed {
 
 MultiLabelDijkstra::MultiLabelDijkstra(
     const kg::KnowledgeGraph* graph,
-    std::vector<std::vector<kg::NodeId>> sources)
+    const std::vector<std::vector<kg::NodeId>>& sources)
     : graph_(graph) {
-  states_.resize(sources.size());
+  scratch_->Begin(graph_->num_nodes(), sources.size());
   for (size_t i = 0; i < sources.size(); ++i) {
-    // Dedupe: entity groups can repeat an id (e.g. the same label resolved
-    // twice in one segment). A duplicate source must not enter the frontier
-    // twice — the second pop would settle the node again, double-counting
-    // it in SettledCount()/total_pops() and skewing the C1/C2 test.
-    std::vector<kg::NodeId>& src = sources[i];
-    std::sort(src.begin(), src.end());
-    src.erase(std::unique(src.begin(), src.end()), src.end());
-    for (kg::NodeId v : src) {
-      NodeState& st = states_[i].nodes[v];
-      st.distance = 0.0;
-      states_[i].frontier.push(QueueEntry{0.0, v});
+    for (kg::NodeId v : sources[i]) {
+      // Dedupe: entity groups can repeat an id (e.g. the same label
+      // resolved twice in one segment). A duplicate source must not enter
+      // the frontier twice — the second pop would settle the node again,
+      // double-counting it in SettledCount()/total_pops() and skewing the
+      // C1/C2 test.
+      SearchScratch::Slot& slot = scratch_->Touch(i, v);
+      if (slot.distance == 0.0) continue;
+      slot.distance = 0.0;
+      scratch_->PushFrontier({0.0, v, static_cast<uint32_t>(i)});
     }
   }
 }
 
-void MultiLabelDijkstra::SkimFrontier(LabelState* state) {
-  while (!state->frontier.empty()) {
-    const QueueEntry& top = state->frontier.top();
-    auto it = state->nodes.find(top.node);
-    NL_DCHECK(it != state->nodes.end());
+void MultiLabelDijkstra::SkimFrontier() {
+  while (!scratch_->FrontierEmpty()) {
+    const FrontierEntry& top = scratch_->FrontierTop();
+    const SearchScratch::Slot* slot = scratch_->Find(top.label, top.node);
+    NL_DCHECK(slot != nullptr);
     // Stale if already settled or superseded by a shorter tentative path.
-    if (it->second.settled || top.distance > it->second.distance) {
-      state->frontier.pop();
-      continue;
-    }
-    return;
+    if (!slot->settled && top.distance <= slot->distance) return;
+    scratch_->PopFrontier();
   }
 }
 
 double MultiLabelDijkstra::PeekMinDistance() {
-  double best = kInfDistance;
-  for (LabelState& state : states_) {
-    SkimFrontier(&state);
-    if (!state.frontier.empty()) {
-      best = std::min(best, state.frontier.top().distance);
-    }
-  }
-  return best;
+  SkimFrontier();
+  return scratch_->FrontierEmpty() ? kInfDistance
+                                   : scratch_->FrontierTop().distance;
 }
 
 bool MultiLabelDijkstra::PopNext(PopEvent* event) {
-  // Equation 2: argmin over all frontier tops.
-  size_t best_label = states_.size();
-  double best_distance = kInfDistance;
-  kg::NodeId best_node = kg::kInvalidNode;
-  for (size_t i = 0; i < states_.size(); ++i) {
-    SkimFrontier(&states_[i]);
-    if (states_[i].frontier.empty()) continue;
-    const QueueEntry& top = states_[i].frontier.top();
-    if (top.distance < best_distance ||
-        (top.distance == best_distance && top.node < best_node)) {
-      best_label = i;
-      best_distance = top.distance;
-      best_node = top.node;
-    }
-  }
-  if (best_label == states_.size()) return false;
+  // Equation 2: the heap minimum is the argmin over all labels' tops.
+  SkimFrontier();
+  SearchScratch& scratch = *scratch_;
+  if (scratch.FrontierEmpty()) return false;
+  const FrontierEntry best = scratch.PopFrontier();
 
-  LabelState& state = states_[best_label];
-  state.frontier.pop();
-  NodeState& st = state.nodes[best_node];
-  NL_DCHECK(!st.settled);
-  st.settled = true;
+  SearchScratch::Slot* settled = scratch.Find(best.label, best.node);
+  NL_DCHECK(settled != nullptr && !settled->settled);
+  settled->settled = true;
 
   // Relax neighbours in the bi-directed view (Alg. 2 lines 4-8).
-  for (const kg::Arc& arc : graph_->OutArcs(best_node)) {
-    const double nd = best_distance + arc.weight;
-    NodeState& nb = state.nodes[arc.dst];
+  for (const kg::Arc& arc : graph_->OutArcs(best.node)) {
+    const double nd = best.distance + arc.weight;
+    SearchScratch::Slot& nb = scratch.Touch(best.label, arc.dst);
     if (nb.settled) continue;  // weights are positive: cannot improve
+    const PredLink link{best.node, arc.predicate, arc.weight, arc.forward};
     if (nd < nb.distance) {
       nb.distance = nd;
-      nb.preds.clear();
-      nb.preds.push_back(
-          PredLink{best_node, arc.predicate, arc.weight, arc.forward});
-      state.frontier.push(QueueEntry{nd, arc.dst});
+      scratch.ResetPreds(&nb, link);
+      scratch.PushFrontier({nd, arc.dst, best.label});
     } else if (nd == nb.distance) {
       // A tied shortest path: extend the DAG (coverage property).
-      nb.preds.push_back(
-          PredLink{best_node, arc.predicate, arc.weight, arc.forward});
+      scratch.AppendPred(&nb, link);
     }
   }
-  ++settled_count_[best_node];
+  scratch.CountSettled(best.node);
   ++total_pops_;
 
-  event->label_index = best_label;
-  event->node = best_node;
-  event->distance = best_distance;
+  event->label_index = best.label;
+  event->node = best.node;
+  event->distance = best.distance;
   return true;
 }
 
-double MultiLabelDijkstra::Distance(size_t label_index, kg::NodeId v) const {
-  const auto& nodes = states_[label_index].nodes;
-  auto it = nodes.find(v);
-  return it == nodes.end() ? kInfDistance : it->second.distance;
-}
-
 bool MultiLabelDijkstra::Settled(size_t label_index, kg::NodeId v) const {
-  const auto& nodes = states_[label_index].nodes;
-  auto it = nodes.find(v);
-  return it != nodes.end() && it->second.settled;
-}
-
-int MultiLabelDijkstra::SettledCount(kg::NodeId v) const {
-  auto it = settled_count_.find(v);
-  return it == settled_count_.end() ? 0 : it->second;
-}
-
-const std::vector<PredLink>& MultiLabelDijkstra::Predecessors(
-    size_t label_index, kg::NodeId v) const {
-  static const std::vector<PredLink> kEmpty;
-  const auto& nodes = states_[label_index].nodes;
-  auto it = nodes.find(v);
-  return it == nodes.end() ? kEmpty : it->second.preds;
+  const SearchScratch::Slot* slot = scratch_->Find(label_index, v);
+  return slot != nullptr && slot->settled;
 }
 
 // ---------------------------------------------------------------------------
@@ -207,12 +163,12 @@ AncestorGraph MaterializeSinglePaths(const MultiLabelDijkstra& dijkstra,
     // Follow the lexicographically smallest predecessor chain.
     kg::NodeId v = root;
     while (true) {
-      const std::vector<PredLink>& preds = dijkstra.Predecessors(li, v);
-      if (preds.empty()) break;  // reached a source (distance 0)
-      const PredLink* best = &preds[0];
-      for (const PredLink& p : preds) {
-        if (p.from < best->from) best = &p;
+      // The first appended link among those with the smallest `from`.
+      const PredLink* best = nullptr;
+      for (const PredLink& p : dijkstra.Predecessors(li, v)) {
+        if (best == nullptr || p.from < best->from) best = &p;
       }
+      if (best == nullptr) break;  // reached a source (distance 0)
       edge_set.insert(EdgeKey{best->from, v, best->predicate, best->forward});
       node_set.insert(best->from);
       v = best->from;
@@ -312,6 +268,15 @@ LcagResult LcagSearch::FindResolved(
     const LcagOptions& options, const LcagSketchIndex* sketch) const {
   LcagResult result;
   result.resolved_labels = std::move(resolved_labels);
+  // Sketch fast path: answer from precomputed distance balls when the
+  // sketch can prove exactness (lcag_sketch.h); a miss records its reason
+  // and falls through to the full search untouched.
+  if (sketch != nullptr) {
+    result.sketch_miss = TrySketchLcag(*graph_, *sketch, sources,
+                                       result.resolved_labels, options,
+                                       &result);
+    if (result.sketch_hit) return result;
+  }
   if (sources.empty()) return result;
 
   const size_t m = sources.size();
@@ -328,15 +293,6 @@ LcagResult LcagSearch::FindResolved(
     result.graph.label_distances = {0.0};
     result.graph.nodes = nodes;
     result.graph.source_nodes = std::move(nodes);
-    return result;
-  }
-
-  // Sketch fast path: answer from precomputed distance balls when the
-  // sketch can prove exactness (lcag_sketch.h); a miss falls through to
-  // the full search untouched.
-  if (sketch != nullptr &&
-      TrySketchLcag(*graph_, *sketch, sources, result.resolved_labels,
-                    options, &result)) {
     return result;
   }
 

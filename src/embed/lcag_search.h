@@ -1,6 +1,6 @@
 // The Lowest Common Ancestor Graph search (paper Sec. V-B, Algorithms 1-3).
 //
-// MultiLabelDijkstra is the shared machinery: one min-priority frontier per
+// MultiLabelDijkstra is the shared machinery: one multi-source expansion per
 // entity label (Alg. 1 lines 1-5), global pops ordered by Equation 2
 // (Alg. 2), with shortest-path-DAG predecessor tracking so that ALL shortest
 // paths can be materialized (the coverage property). LcagSearch layers
@@ -11,14 +11,13 @@
 #ifndef NEWSLINK_EMBED_LCAG_SEARCH_H_
 #define NEWSLINK_EMBED_LCAG_SEARCH_H_
 
-#include <limits>
-#include <queue>
+#include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "embed/ancestor_graph.h"
+#include "embed/search_scratch.h"
 #include "kg/knowledge_graph.h"
 #include "kg/label_index.h"
 
@@ -27,21 +26,19 @@ namespace embed {
 
 class LcagSketchIndex;
 
-inline constexpr double kInfDistance = std::numeric_limits<double>::infinity();
-
-/// \brief A predecessor link in a label's shortest-path DAG.
-struct PredLink {
-  kg::NodeId from;
-  kg::PredicateId predicate;
-  float weight;
-  bool forward;
-};
-
-/// \brief Interleaved multi-source Dijkstra, one frontier per label.
+/// \brief Interleaved multi-source Dijkstra over every label at once.
 ///
 /// PopNext() implements Equation 2: it settles the (label, node) pair with
 /// the globally smallest tentative distance, guaranteeing the monotonicity
-/// of Lemma 3. Predecessor links record every tied shortest path.
+/// of Lemma 3. Predecessor links record every tied shortest path, in the
+/// order relaxation found them.
+///
+/// All state lives in a SearchScratch leased from the calling thread
+/// (search_scratch.h). One frontier heap holds every label's entries, keyed
+/// by (distance, node, label): its minimum is the pair Eq. 2's scan over
+/// per-label frontier tops would pick (smallest distance, then smallest
+/// node, then the first label), because each label's own top is that
+/// label's minimum under the same key.
 class MultiLabelDijkstra {
  public:
   struct PopEvent {
@@ -55,7 +52,7 @@ class MultiLabelDijkstra {
   /// settle twice (it would inflate SettledCount/total_pops and skew the
   /// C1/C2 termination test).
   MultiLabelDijkstra(const kg::KnowledgeGraph* graph,
-                     std::vector<std::vector<kg::NodeId>> sources);
+                     const std::vector<std::vector<kg::NodeId>>& sources);
 
   /// Settle the next (label, node) pair. False when all frontiers are empty.
   bool PopNext(PopEvent* event);
@@ -64,51 +61,33 @@ class MultiLabelDijkstra {
   /// tops; kInfDistance when every frontier is exhausted.
   double PeekMinDistance();
 
-  size_t num_labels() const { return states_.size(); }
+  size_t num_labels() const { return scratch_->num_labels(); }
 
   /// D(l_i, v); kInfDistance if v has not been reached from l_i.
-  double Distance(size_t label_index, kg::NodeId v) const;
+  double Distance(size_t label_index, kg::NodeId v) const {
+    return scratch_->Distance(label_index, v);
+  }
 
   bool Settled(size_t label_index, kg::NodeId v) const;
 
   /// Number of labels that have settled v so far ("received" v, Alg. 3).
-  int SettledCount(kg::NodeId v) const;
+  int SettledCount(kg::NodeId v) const { return scratch_->SettledCount(v); }
 
-  /// Shortest-path DAG links of v w.r.t. label i (empty for sources).
-  const std::vector<PredLink>& Predecessors(size_t label_index,
-                                            kg::NodeId v) const;
+  /// Shortest-path DAG links of v w.r.t. label i (empty for sources), in
+  /// the order relaxation appended them.
+  SearchScratch::PredRange Predecessors(size_t label_index,
+                                        kg::NodeId v) const {
+    return scratch_->Preds(scratch_->Find(label_index, v));
+  }
 
   size_t total_pops() const { return total_pops_; }
 
  private:
-  struct NodeState {
-    double distance = kInfDistance;
-    bool settled = false;
-    std::vector<PredLink> preds;
-  };
-
-  struct QueueEntry {
-    double distance;
-    kg::NodeId node;
-    bool operator>(const QueueEntry& o) const {
-      if (distance != o.distance) return distance > o.distance;
-      return node > o.node;  // deterministic tie-breaking
-    }
-  };
-
-  struct LabelState {
-    std::unordered_map<kg::NodeId, NodeState> nodes;
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>
-        frontier;
-  };
-
-  /// Drop stale (already settled / superseded) entries from a frontier top.
-  void SkimFrontier(LabelState* state);
+  /// Drop stale (already settled / superseded) entries from the heap top.
+  void SkimFrontier();
 
   const kg::KnowledgeGraph* graph_;
-  std::vector<LabelState> states_;
-  std::unordered_map<kg::NodeId, int> settled_count_;
+  ScratchLease scratch_;
   size_t total_pops_ = 0;
 };
 
@@ -126,6 +105,19 @@ struct LcagOptions {
   /// Ablation knob: true selects the root by depth only (first key of the
   /// compactness order), ignoring the lower-order distances of Def. 4.
   bool depth_only_root = false;
+};
+
+/// Why the distance-sketch fast path (lcag_sketch.h) left a search to the
+/// full graph search.
+enum class SketchMiss : uint8_t {
+  kNone,  // the sketch answered, or no sketch was consulted
+  /// Fewer than two resolved labels, a sketch of another graph, or an
+  /// expansion budget below the default.
+  kIneligible,
+  /// A source ball hit `max_ball_nodes` before covering the radius.
+  kTruncatedBall,
+  /// No node lies within `radius` of every label.
+  kNoCommonAncestor,
 };
 
 /// Statistics and outcome of one G* search.
@@ -146,6 +138,9 @@ struct LcagResult {
   /// `expansions` / `candidates_collected` are observability stats and
   /// differ (the sketch path performs no settle events).
   bool sketch_hit = false;
+  /// Why a sketch-enabled search fell back to the full search; kNone on a
+  /// sketch hit or when no sketch was given.
+  SketchMiss sketch_miss = SketchMiss::kNone;
   AncestorGraph graph;
   /// Labels that resolved to at least one KG node (others are dropped, as
   /// in the paper's exact-matching pipeline).

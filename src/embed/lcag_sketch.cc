@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <queue>
 #include <set>
 #include <tuple>
-#include <unordered_map>
 
 #include "common/thread_pool.h"
-#include "embed/lcag_search.h"
+#include "embed/search_scratch.h"
 
 namespace newslink {
 namespace embed {
@@ -33,32 +31,18 @@ struct BallResult {
 /// within the radius is reachable through prefixes within the radius.
 BallResult BuildBall(const kg::KnowledgeGraph& graph, kg::NodeId origin,
                      double radius, uint32_t max_ball) {
-  struct QueueEntry {
-    double distance;
-    kg::NodeId node;
-    bool operator>(const QueueEntry& o) const {
-      if (distance != o.distance) return distance > o.distance;
-      return node > o.node;
-    }
-  };
-  struct NodeRec {
-    double distance;
-    bool settled = false;
-  };
-
   BallResult out;
-  std::unordered_map<kg::NodeId, NodeRec> nodes;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                      std::greater<QueueEntry>>
-      frontier;
-  nodes[origin] = NodeRec{0.0, false};
-  frontier.push(QueueEntry{0.0, origin});
+  ScratchLease lease;
+  SearchScratch& scratch = *lease;
+  scratch.Begin(graph.num_nodes(), 1);
+  scratch.Touch(0, origin).distance = 0.0;
+  scratch.PushFrontier({0.0, origin, 0});
 
-  while (!frontier.empty()) {
-    const QueueEntry top = frontier.top();
-    NodeRec& rec = nodes[top.node];
-    if (rec.settled || top.distance > rec.distance) {
-      frontier.pop();  // stale
+  while (!scratch.FrontierEmpty()) {
+    const FrontierEntry top = scratch.FrontierTop();
+    SearchScratch::Slot* rec = scratch.Find(0, top.node);
+    if (rec->settled || top.distance > rec->distance) {
+      scratch.PopFrontier();  // stale
       continue;
     }
     if (top.distance > radius) break;  // ball complete within the radius
@@ -68,18 +52,16 @@ BallResult BuildBall(const kg::KnowledgeGraph& graph, kg::NodeId origin,
       out.truncated = true;
       break;
     }
-    frontier.pop();
-    rec.settled = true;
+    scratch.PopFrontier();
+    rec->settled = true;
     out.entries.push_back(BallEntry{top.node, top.distance});
     for (const kg::Arc& arc : graph.OutArcs(top.node)) {
       const double nd = top.distance + arc.weight;
       if (nd > radius) continue;
-      auto [it, inserted] = nodes.try_emplace(arc.dst, NodeRec{nd, false});
-      if (!inserted) {
-        if (it->second.settled || nd >= it->second.distance) continue;
-        it->second.distance = nd;
-      }
-      frontier.push(QueueEntry{nd, arc.dst});
+      SearchScratch::Slot& nb = scratch.Touch(0, arc.dst);
+      if (nb.settled || nd >= nb.distance) continue;
+      nb.distance = nd;
+      scratch.PushFrontier({nd, arc.dst, 0});
     }
   }
 
@@ -200,41 +182,35 @@ Status LcagSketchIndex::Deserialize(ByteReader* reader, LcagSketchIndex* out) {
 namespace {
 
 using EdgeKey = std::tuple<kg::NodeId, kg::NodeId, kg::PredicateId, bool>;
-using LabelDistances = std::unordered_map<kg::NodeId, double>;
 
-/// Merge the source balls of one label into D(l, .) = min over sources.
-/// False when any ball is truncated (the merged map could under-cover).
+/// Merge the source balls of label `label` into D(l, .) = min over sources,
+/// kept in `scratch`. False when any ball is truncated (the merged
+/// distances could under-cover).
 bool MergeLabel(const LcagSketchIndex& sketch,
-                const std::vector<kg::NodeId>& sources, LabelDistances* out) {
+                const std::vector<kg::NodeId>& sources, size_t label,
+                SearchScratch* scratch) {
   for (kg::NodeId s : sources) {
     const LcagSketchIndex::BallView ball = sketch.Ball(s);
     if (ball.truncated) return false;
     for (size_t i = 0; i < ball.nodes.size(); ++i) {
-      auto [it, inserted] = out->try_emplace(ball.nodes[i], ball.distances[i]);
-      if (!inserted && ball.distances[i] < it->second) {
-        it->second = ball.distances[i];
-      }
+      SearchScratch::Slot& slot = scratch->Touch(label, ball.nodes[i]);
+      slot.distance = std::min(slot.distance, ball.distances[i]);
     }
   }
   return true;
 }
 
-double LabelDistance(const LabelDistances& map, kg::NodeId v) {
-  auto it = map.find(v);
-  return it == map.end() ? kInfDistance : it->second;
-}
-
 /// The predecessor set of `v` w.r.t. one label, reconstructed from the
-/// merged distance map. Exactly the links MultiLabelDijkstra's relaxation
+/// merged distances. Exactly the links MultiLabelDijkstra's relaxation
 /// would have recorded: the bi-directed CSR stores, for every arc u->v,
 /// its reverse twin at v, so enumerating OutArcs(v) and flipping `forward`
 /// enumerates the in-arcs — and the tightness predicate
 /// D(l,u) + w == D(l,v) uses the same float operations relaxation uses.
 template <typename Fn>
-void ForEachPred(const kg::KnowledgeGraph& graph, const LabelDistances& dist,
-                 kg::NodeId v, double dv, Fn&& fn) {
+void ForEachPred(const kg::KnowledgeGraph& graph, const SearchScratch& dists,
+                 size_t label, kg::NodeId v, double dv, Fn&& fn) {
   for (const kg::Arc& arc : graph.OutArcs(v)) {
-    const double du = LabelDistance(dist, arc.dst);
+    const double du = dists.Distance(label, arc.dst);
     if (du == kInfDistance) continue;
     if (du + arc.weight == dv) {
       fn(PredLink{arc.dst, arc.predicate, arc.weight, !arc.forward});
@@ -244,21 +220,21 @@ void ForEachPred(const kg::KnowledgeGraph& graph, const LabelDistances& dist,
 
 /// Mirror of MaterializeAllPaths over sketch distances.
 AncestorGraph SketchMaterializeAllPaths(
-    const kg::KnowledgeGraph& graph, const std::vector<LabelDistances>& dists,
+    const kg::KnowledgeGraph& graph, const SearchScratch& dists,
     kg::NodeId root, const std::vector<std::string>& labels) {
   AncestorGraph out;
   std::set<kg::NodeId> node_set;
   std::map<EdgeKey, float> edge_weights;
   node_set.insert(root);
 
-  for (const LabelDistances& dist : dists) {
+  for (size_t li = 0; li < dists.num_labels(); ++li) {
     std::vector<kg::NodeId> stack = {root};
     std::set<kg::NodeId> visited = {root};
     while (!stack.empty()) {
       const kg::NodeId v = stack.back();
       stack.pop_back();
-      const double dv = LabelDistance(dist, v);
-      ForEachPred(graph, dist, v, dv, [&](const PredLink& p) {
+      const double dv = dists.Distance(li, v);
+      ForEachPred(graph, dists, li, v, dv, [&](const PredLink& p) {
         edge_weights.emplace(EdgeKey{p.from, v, p.predicate, p.forward},
                              p.weight);
         node_set.insert(p.from);
@@ -269,13 +245,13 @@ AncestorGraph SketchMaterializeAllPaths(
 
   out.root = root;
   out.labels = labels;
-  for (const LabelDistances& dist : dists) {
-    out.label_distances.push_back(LabelDistance(dist, root));
+  for (size_t li = 0; li < dists.num_labels(); ++li) {
+    out.label_distances.push_back(dists.Distance(li, root));
   }
   out.nodes.assign(node_set.begin(), node_set.end());
   for (kg::NodeId v : out.nodes) {
-    for (const LabelDistances& dist : dists) {
-      if (LabelDistance(dist, v) == 0.0) {
+    for (size_t li = 0; li < dists.num_labels(); ++li) {
+      if (dists.Distance(li, v) == 0.0) {
         out.source_nodes.push_back(v);
         break;
       }
@@ -293,24 +269,24 @@ AncestorGraph SketchMaterializeAllPaths(
 /// the first tight arc in OutArcs(min_from) order, since all of one node's
 /// links are appended during its single settle event.
 AncestorGraph SketchMaterializeSinglePaths(
-    const kg::KnowledgeGraph& graph, const std::vector<LabelDistances>& dists,
+    const kg::KnowledgeGraph& graph, const SearchScratch& dists,
     kg::NodeId root, const std::vector<std::string>& labels) {
   AncestorGraph out;
   std::set<kg::NodeId> node_set;
   std::set<EdgeKey> edge_set;
   node_set.insert(root);
 
-  for (const LabelDistances& dist : dists) {
-    if (LabelDistance(dist, root) == kInfDistance) continue;
+  for (size_t li = 0; li < dists.num_labels(); ++li) {
+    if (dists.Distance(li, root) == kInfDistance) continue;
     kg::NodeId v = root;
     while (true) {
-      const double dv = LabelDistance(dist, v);
+      const double dv = dists.Distance(li, v);
       kg::NodeId best_from = kg::kInvalidNode;
-      ForEachPred(graph, dist, v, dv, [&](const PredLink& p) {
+      ForEachPred(graph, dists, li, v, dv, [&](const PredLink& p) {
         best_from = std::min(best_from, p.from);
       });
       if (best_from == kg::kInvalidNode) break;  // reached a source
-      const double du = LabelDistance(dist, best_from);
+      const double du = dists.Distance(li, best_from);
       bool stepped = false;
       for (const kg::Arc& arc : graph.OutArcs(best_from)) {
         if (arc.dst != v) continue;
@@ -327,13 +303,13 @@ AncestorGraph SketchMaterializeSinglePaths(
 
   out.root = root;
   out.labels = labels;
-  for (const LabelDistances& dist : dists) {
-    out.label_distances.push_back(LabelDistance(dist, root));
+  for (size_t li = 0; li < dists.num_labels(); ++li) {
+    out.label_distances.push_back(dists.Distance(li, root));
   }
   out.nodes.assign(node_set.begin(), node_set.end());
   for (kg::NodeId v : out.nodes) {
-    for (const LabelDistances& dist : dists) {
-      if (LabelDistance(dist, v) == 0.0) {
+    for (size_t li = 0; li < dists.num_labels(); ++li) {
+      if (dists.Distance(li, v) == 0.0) {
         out.source_nodes.push_back(v);
         break;
       }
@@ -348,25 +324,29 @@ AncestorGraph SketchMaterializeSinglePaths(
 
 }  // namespace
 
-bool TrySketchLcag(const kg::KnowledgeGraph& graph,
-                   const LcagSketchIndex& sketch,
-                   const std::vector<std::vector<kg::NodeId>>& sources,
-                   const std::vector<std::string>& resolved_labels,
-                   const LcagOptions& options, LcagResult* result) {
-  if (sources.size() < 2) return false;
-  if (sketch.num_nodes() != graph.num_nodes()) return false;
+SketchMiss TrySketchLcag(const kg::KnowledgeGraph& graph,
+                         const LcagSketchIndex& sketch,
+                         const std::vector<std::vector<kg::NodeId>>& sources,
+                         const std::vector<std::string>& resolved_labels,
+                         const LcagOptions& options, LcagResult* result) {
+  if (sources.size() < 2) return SketchMiss::kIneligible;
+  if (sketch.num_nodes() != graph.num_nodes()) return SketchMiss::kIneligible;
   // A shrunken expansion budget can truncate the full search into a
   // deliberately suboptimal answer; the sketch path cannot reproduce that
   // truncation, so it only serves searches with at least the default
   // budget (where Algorithms 1-3 run to C1/C2 termination).
-  if (options.max_expansions < LcagOptions{}.max_expansions) return false;
+  if (options.max_expansions < LcagOptions{}.max_expansions) {
+    return SketchMiss::kIneligible;
+  }
 
   const size_t m = sources.size();
-  std::vector<LabelDistances> dists(m);
-  size_t smallest = 0;
+  ScratchLease lease;
+  SearchScratch& dists = *lease;
+  dists.Begin(graph.num_nodes(), m);
   for (size_t i = 0; i < m; ++i) {
-    if (!MergeLabel(sketch, sources[i], &dists[i])) return false;
-    if (dists[i].size() < dists[smallest].size()) smallest = i;
+    if (!MergeLabel(sketch, sources[i], i, &dists)) {
+      return SketchMiss::kTruncatedBall;
+    }
   }
 
   // Candidate roots: common ancestors whose every label distance fits the
@@ -381,10 +361,10 @@ bool TrySketchLcag(const kg::KnowledgeGraph& graph,
   best.root = kg::kInvalidNode;
   size_t candidates = 0;
   std::vector<double> raw(m);
-  for (const auto& [v, d_small] : dists[smallest]) {
+  for (const kg::NodeId v : dists.touched()) {
     bool common = true;
     for (size_t i = 0; i < m && common; ++i) {
-      raw[i] = i == smallest ? d_small : LabelDistance(dists[i], v);
+      raw[i] = dists.Distance(i, v);
       common = raw[i] != kInfDistance;
     }
     if (!common) continue;
@@ -405,7 +385,7 @@ bool TrySketchLcag(const kg::KnowledgeGraph& graph,
       best.sorted_distances = std::move(sorted);
     }
   }
-  if (best.root == kg::kInvalidNode) return false;  // nothing inside radius
+  if (best.root == kg::kInvalidNode) return SketchMiss::kNoCommonAncestor;
 
   result->found = true;
   result->sketch_hit = true;
@@ -415,7 +395,7 @@ bool TrySketchLcag(const kg::KnowledgeGraph& graph,
                                                   resolved_labels)
                       : SketchMaterializeSinglePaths(graph, dists, best.root,
                                                      resolved_labels);
-  return true;
+  return SketchMiss::kNone;
 }
 
 }  // namespace embed

@@ -30,6 +30,7 @@
 
 #include "common/binary_io.h"
 #include "common/status.h"
+#include "embed/lcag_search.h"
 #include "kg/knowledge_graph.h"
 
 namespace newslink {
@@ -37,9 +38,6 @@ namespace newslink {
 class ThreadPool;
 
 namespace embed {
-
-struct LcagResult;
-struct LcagOptions;
 
 /// Build-time knobs (NewsLinkConfig::lcag_sketch; `build-index --sketches`).
 struct LcagSketchOptions {
@@ -102,18 +100,19 @@ class LcagSketchIndex {
   std::vector<uint8_t> truncated_;  // size num_nodes
 };
 
-/// Attempt to answer one resolved LCAG search (m >= 2 label source sets)
-/// from sketches alone. Returns true and fills `*result` with an answer
-/// bit-identical to LcagSearch::Find's (root, label_distances, nodes,
-/// edges, source_nodes, compactness tie order); returns false — leaving
-/// `*result` untouched — whenever exactness cannot be proven (a source
-/// ball is truncated, or no common ancestor lies within the radius), in
-/// which case the caller runs the full search.
-bool TrySketchLcag(const kg::KnowledgeGraph& graph,
-                   const LcagSketchIndex& sketch,
-                   const std::vector<std::vector<kg::NodeId>>& sources,
-                   const std::vector<std::string>& resolved_labels,
-                   const LcagOptions& options, LcagResult* result);
+/// Attempt to answer one resolved LCAG search (label source sets) from
+/// sketches alone. Returns SketchMiss::kNone and fills `*result` with an
+/// answer bit-identical to LcagSearch::Find's (root, label_distances,
+/// nodes, edges, source_nodes, compactness tie order, `sketch_hit` set).
+/// Otherwise it returns why exactness cannot be proven — the search is
+/// ineligible, a source ball is truncated, or no common ancestor lies
+/// within the radius — leaves `*result` untouched, and the caller runs the
+/// full search.
+SketchMiss TrySketchLcag(const kg::KnowledgeGraph& graph,
+                         const LcagSketchIndex& sketch,
+                         const std::vector<std::vector<kg::NodeId>>& sources,
+                         const std::vector<std::string>& resolved_labels,
+                         const LcagOptions& options, LcagResult* result);
 
 }  // namespace embed
 }  // namespace newslink

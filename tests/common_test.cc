@@ -1,10 +1,11 @@
 // Tests for src/common: Status/Result, Rng, the ByteReader varint decoder,
-// string utilities, timers, thread pool.
+// CRC-32, string utilities, timers, thread pool.
 
 #include <atomic>
 #include <cmath>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -365,6 +366,38 @@ TEST(ByteReaderTest, VarintNeverCrashesOnRandomBytes) {
 // ---------------------------------------------------------------------------
 // String utilities
 // ---------------------------------------------------------------------------
+
+/// The textbook one-byte-at-a-time CRC-32, written out here so the
+/// library's table-driven version has an independent reference.
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (uint8_t b : data) {
+    c ^= b;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(Crc32(std::span<const uint8_t>(
+                reinterpret_cast<const uint8_t*>(check.data()), check.size())),
+            0xCBF43926u);
+  EXPECT_EQ(Crc32({}), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(31);
+  std::vector<uint8_t> buffer(8 + 300);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Uniform(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::span<const uint8_t> slice(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(slice), BytewiseCrc32(slice))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
 
 TEST(StringUtilTest, SplitBasic) {
   EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));

@@ -379,6 +379,109 @@ TEST(LcagSketchEmbedderTest, ConcurrentEmbedsMatchSequentialEmbedder) {
   EXPECT_GT(fast.Metrics().CounterValue(kEmbedderSketchHits), 0u);
 }
 
+/// Per-thread search state (search_scratch.h): four threads embedding at
+/// once with the cache off — so every call runs the sketch merge or the
+/// full search on its own thread's scratch — must each get exactly the
+/// single-thread answer. A small radius and ball cap make the groups mix
+/// sketch hits with both kinds of fallback.
+TEST(LcagSketchEmbedderTest, ConcurrentUncachedEmbedsMatchSingleThread) {
+  Rng rng(4321);
+  const kg::KnowledgeGraph g = BuildRandomGraph(&rng, 64);
+  const kg::LabelIndex index(g);
+  LcagSegmentEmbedder embedder(&g, &index, LcagOptions{},
+                               /*cache_capacity=*/0);
+  LcagSketchOptions sketch_options;
+  sketch_options.radius = 3.0;
+  sketch_options.max_ball_nodes = 24;
+  embedder.SetSketch(std::make_shared<LcagSketchIndex>(
+      LcagSketchIndex::Build(g, sketch_options)));
+
+  std::vector<std::vector<std::string>> groups;
+  for (int i = 0; i < 16; ++i) {
+    groups.push_back(SampleLabels(&rng, g, 2 + i % 4));
+  }
+  std::vector<AncestorGraph> expected(groups.size());
+  std::vector<bool> expected_found(groups.size());
+  for (size_t i = 0; i < groups.size(); ++i) {
+    expected_found[i] = embedder.EmbedSegment(groups[i], &expected[i]);
+  }
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t j = 0; j < groups.size(); ++j) {
+          const size_t i = (j + static_cast<size_t>(t) * 5) % groups.size();
+          AncestorGraph got;
+          const bool found = embedder.EmbedSegment(groups[i], &got);
+          if (found != expected_found[i] ||
+              (found && !(got.root == expected[i].root &&
+                          got.labels == expected[i].labels &&
+                          got.label_distances == expected[i].label_distances &&
+                          got.nodes == expected[i].nodes &&
+                          got.source_nodes == expected[i].source_nodes &&
+                          got.edges == expected[i].edges))) {
+            mismatches.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  const metrics::Registry& m = embedder.Metrics();
+  EXPECT_GT(m.CounterValue(kEmbedderSketchHits), 0u);
+  EXPECT_GT(m.CounterValue(kEmbedderSketchFallbacks), 0u);
+}
+
+/// The fallback counter splits by reason, and the reasons sum to it.
+TEST(LcagSketchEmbedderTest, FallbacksAreCountedByReason) {
+  // a - r - b within radius 1 of r; c is reachable from a only in 3 hops
+  // (a - r - x - c); `hub` has three leaves, more than a 3-node ball holds.
+  kg::KgBuilder b;
+  const kg::NodeId a = b.AddNode("A", kg::EntityType::kGpe);
+  const kg::NodeId bb = b.AddNode("B", kg::EntityType::kGpe);
+  const kg::NodeId r = b.AddNode("R", kg::EntityType::kGpe);
+  const kg::NodeId x = b.AddNode("X", kg::EntityType::kGpe);
+  const kg::NodeId c = b.AddNode("C", kg::EntityType::kGpe);
+  const kg::NodeId hub = b.AddNode("Hub", kg::EntityType::kGpe);
+  ASSERT_TRUE(b.AddEdge(a, r, "p").ok());
+  ASSERT_TRUE(b.AddEdge(bb, r, "p").ok());
+  ASSERT_TRUE(b.AddEdge(r, x, "p").ok());
+  ASSERT_TRUE(b.AddEdge(x, c, "p").ok());
+  for (const char* leaf : {"L1", "L2", "L3"}) {
+    const kg::NodeId l = b.AddNode(leaf, kg::EntityType::kGpe);
+    ASSERT_TRUE(b.AddEdge(hub, l, "p").ok());
+  }
+  ASSERT_TRUE(b.AddEdge(hub, c, "p").ok());
+  const kg::KnowledgeGraph g = b.Build();
+  const kg::LabelIndex index(g);
+
+  LcagSegmentEmbedder embedder(&g, &index, LcagOptions{},
+                               /*cache_capacity=*/0);
+  LcagSketchOptions sketch_options;
+  sketch_options.radius = 1.0;
+  sketch_options.max_ball_nodes = 4;
+  embedder.SetSketch(std::make_shared<LcagSketchIndex>(
+      LcagSketchIndex::Build(g, sketch_options)));
+
+  AncestorGraph out;
+  EXPECT_TRUE(embedder.EmbedSegment({"a", "b"}, &out));    // sketch hit
+  EXPECT_TRUE(embedder.EmbedSegment({"a"}, &out));         // ineligible
+  EXPECT_TRUE(embedder.EmbedSegment({"a", "c"}, &out));    // no ancestor
+  EXPECT_TRUE(embedder.EmbedSegment({"hub", "a"}, &out));  // truncated
+
+  const metrics::Registry& m = embedder.Metrics();
+  EXPECT_EQ(m.CounterValue(kEmbedderSketchHits), 1u);
+  EXPECT_EQ(m.CounterValue(kEmbedderSketchFallbacksIneligible), 1u);
+  EXPECT_EQ(m.CounterValue(kEmbedderSketchFallbacksNoCommonAncestor), 1u);
+  EXPECT_EQ(m.CounterValue(kEmbedderSketchFallbacksTruncatedBall), 1u);
+  EXPECT_EQ(m.CounterValue(kEmbedderSketchFallbacks), 3u);
+}
+
 }  // namespace
 }  // namespace embed
 
